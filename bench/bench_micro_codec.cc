@@ -4,7 +4,7 @@
  * decode throughput of every code used in the study, plus the
  * 2D-array access paths (fast-path read, read-before-write, full
  * recovery sweep). These quantify the software cost of the models,
- * not the hardware latencies (those are in bench_fig7).
+ * not the hardware latencies (those are in tdc_run --figure fig7).
  */
 
 #include <benchmark/benchmark.h>
@@ -15,7 +15,7 @@
 #include "core/twod_array.hh"
 #include "core/twod_cache_store.hh"
 #include "ecc/code_factory.hh"
-#include "reliability/recovery_sweep.hh"
+#include "scheme/scheme.hh"
 
 using namespace tdc;
 
@@ -113,18 +113,18 @@ BENCHMARK(BM_DecodeDirty64)
     ->Args({4, 1})->Args({4, 4})->Args({4, 8}); // OECNED (t=8)
 
 /**
- * Monte-Carlo recovery sweep (Figure 3-style injection campaign) at a
- * given worker-pool thread count. Arg: threads.
+ * Monte-Carlo recovery sweep (Figure 3-style injection campaign: 16
+ * trials of a 32x32 cluster on the L1 2D bank) at a given worker-pool
+ * thread count. Arg: threads.
  */
 void
 BM_RecoverySweep(benchmark::State &state)
 {
     setParallelThreads(unsigned(state.range(0)));
-    RecoverySweepParams params;
-    params.trials = 16;
-    params.seed = 99;
+    const SchemePtr scheme = makeTwoDimScheme(TwoDimConfig::l1Default());
+    const FaultModel fault = FaultModel::cluster(32, 32);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(runRecoverySweep(params));
+        benchmark::DoNotOptimize(scheme->injectAndRecover(fault, 16, 99));
     }
     setParallelThreads(0);
     state.SetLabel("16 trials, " + std::to_string(state.range(0)) +

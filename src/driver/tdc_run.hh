@@ -2,9 +2,8 @@
  * @file
  * The tdc_run CLI driver: one entry point for every figure of the
  * study and every scheme x fault x workload scenario the spec-string
- * grammars can express. The bench_fig* binaries are one-line wrappers
- * over tdcRunMain({"--figure", "figN"}), so their stdout and the
- * driver's are the same bytes by construction.
+ * grammars can express. bench/tdc_run.cc is the binary's main; every
+ * figure is one tdcRunMain({"--figure", "<name>"}) call.
  *
  *   tdc_run --figure fig3                      # any registered figure
  *   tdc_run --scheme 2d:edc16/i2+vp32/w256 \

@@ -23,8 +23,9 @@
  *
  * The engine lives in reliability/ below the scheme registry, so it
  * sees devices only through the DeviceSession interface; the scheme
- * layer implements sessions per family (scheme/scheme.hh:
- * ProtectionScheme::openLifetimeSession, cachedSchemeLifetime).
+ * layer implements one session per family (scheme/scheme.hh:
+ * ProtectionScheme::openSession, openLifetimeSession,
+ * cachedSchemeLifetime).
  */
 
 #ifndef TDC_RELIABILITY_LIFETIME_HH
@@ -44,11 +45,13 @@ namespace tdc
 {
 
 /**
- * One device under lifetime test: a per-trial session over a protected
- * array, holding the golden data it was filled with. The engine drives
- * it with inject / scrubAndVerify / repairRow; the concrete families
- * (conv/wt, 2d, prod) implement the verbs with exactly the machinery
- * their injectAndRecover trials use.
+ * One device under test: a per-trial session over a protected array,
+ * holding the golden data it was filled with. The lifetime engine
+ * drives it with inject / scrubAndVerify / repairRow over mission
+ * time; the scheme layer's injection trials drive the same session
+ * through one inject + scrubAndVerify. Every scheme family (conv/wt,
+ * 2d, prod, dram) implements exactly one session, its only device
+ * model.
  */
 class DeviceSession
 {

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "dram/chip_iecc.hh"
 #include "ecc/reed_solomon.hh"
@@ -58,8 +57,8 @@ struct RankState
 
 /**
  * Fill @p dram with random data symbols, RS-encode every row, and
- * (for IECC) compute the per-chip check words — the golden state every
- * trial and session verifies against.
+ * (for IECC) compute the per-chip check words — the golden state the
+ * session verifies against.
  */
 RankState
 fillRank(DramArray &dram, const SymbolRsCode &rs, const ChipSecded *iecc,
@@ -90,14 +89,14 @@ fillRank(DramArray &dram, const SymbolRsCode &rs, const ChipSecded *iecc,
  * mode when exactly one chip is flagged dead or erased), write-back of
  * corrected words, and verification of the *delivered* word against
  * golden. @p dead_chips adds known-dead chips to each row's erasures;
- * @p chip_hits (when non-null) accumulates, per chip, the number of
+ * @p chip_hits accumulates, per chip, the number of
  * rows whose rank-level correction touched it — the observable the
  * session's dead-chip detector integrates.
  */
 void
 scrubRank(DramArray &dram, const SymbolRsCode &rs, const ChipSecded *iecc,
           const RankState &state, const std::set<size_t> &dead_chips,
-          std::vector<size_t> *chip_hits, bool &due, bool &silent)
+          std::vector<size_t> &chip_hits, bool &due, bool &silent)
 {
     const DramGeometry &g = dram.geometry();
     std::vector<uint32_t> word;
@@ -134,40 +133,16 @@ scrubRank(DramArray &dram, const SymbolRsCode &rs, const ChipSecded *iecc,
         }
         if (res.corrected()) {
             changed = true;
-            if (chip_hits)
-                for (const auto &[pos, value] : res.corrections) {
-                    (void)value;
-                    ++(*chip_hits)[pos];
-                }
+            for (const auto &[pos, value] : res.corrections) {
+                (void)value;
+                ++chip_hits[pos];
+            }
         }
         if (changed)
             dram.writeCodeword(r, word);
         if (word != state.golden[r])
             silent = true;
     }
-}
-
-/** Shard @p trials over the pool (the scheme.cc runTrials pattern). */
-template <typename Trial>
-InjectionOutcome
-runDramTrials(int trials, uint64_t seed, Trial &&trial)
-{
-    const size_t n = trials < 0 ? 0 : size_t(trials);
-    std::vector<char> corrected(n, 0), silent(n, 0);
-    parallelFor(n, [&](size_t t) {
-        bool c = false, s = false;
-        trial(shardSeed(seed, t), c, s);
-        corrected[t] = c ? 1 : 0;
-        silent[t] = s ? 1 : 0;
-    });
-    InjectionOutcome out;
-    for (size_t t = 0; t < n; ++t) {
-        ++out.trials;
-        out.corrected += corrected[t];
-        out.detectedOnly += !corrected[t] && !silent[t];
-        out.silent += silent[t];
-    }
-    return out;
 }
 
 /**
@@ -180,7 +155,7 @@ runDramTrials(int trials, uint64_t seed, Trial &&trial)
 class DramSession final : public DeviceSession
 {
   public:
-    DramSession(const DramSchemeConfig &config, uint64_t seed)
+    DramSession(const DramSchemeConfig &config, Rng &rng)
         : cfg(config), dram(config.geometry),
           rs(config.geometry.symbolBits,
              config.geometry.chips - SymbolRsCode::kCheckSymbols),
@@ -189,7 +164,6 @@ class DramSession final : public DeviceSession
                    : nullptr),
           streak(config.geometry.chips, 0)
     {
-        Rng rng(seed);
         state = fillRank(dram, rs, iecc.get(), rng);
     }
 
@@ -203,7 +177,7 @@ class DramSession final : public DeviceSession
     {
         bool due = false, silent = false;
         std::vector<size_t> hits(cfg.geometry.chips, 0);
-        scrubRank(dram, rs, iecc.get(), state, dead, &hits, due, silent);
+        scrubRank(dram, rs, iecc.get(), state, dead, hits, due, silent);
         // Dead-chip detector: a chip corrected in at least half the
         // rows "dominated" the pass; two consecutive dominated passes
         // (a transient kill heals after one) declare it dead.
@@ -297,33 +271,9 @@ class DramScheme final : public ProtectionScheme
         return check / double(data);
     }
 
-    InjectionOutcome injectAndRecover(const FaultModel &fault, int trials,
-                                      uint64_t seed) const override
+    std::unique_ptr<DeviceSession> openSession(Rng &rng) const override
     {
-        return runDramTrials(trials, seed, [&](uint64_t trial_seed,
-                                               bool &c, bool &s) {
-            Rng rng(trial_seed);
-            DramArray dram(cfg.geometry);
-            const std::unique_ptr<ChipSecded> chip_code =
-                cfg.iecc ? std::make_unique<ChipSecded>(
-                               unsigned(cfg.geometry.symbolBits))
-                         : nullptr;
-            const RankState state =
-                fillRank(dram, rs, chip_code.get(), rng);
-            FaultInjector injector(rng);
-            injector.inject(dram.cells(), fault);
-            bool due = false, silent = false;
-            scrubRank(dram, rs, chip_code.get(), state, {}, nullptr, due,
-                      silent);
-            c = !due && !silent;
-            s = silent;
-        });
-    }
-
-    std::unique_ptr<DeviceSession>
-    openLifetimeSession(uint64_t seed) const override
-    {
-        return std::make_unique<DramSession>(cfg, seed);
+        return std::make_unique<DramSession>(cfg, rng);
     }
 
   private:

@@ -4,9 +4,9 @@
  * per panel, all executed through the unified campaign driver
  * (reliability/campaign.hh) with every protection-scheme axis named by
  * a spec string through the scheme registry (scheme/scheme.hh). The
- * bench_fig* binaries and the tdc_run driver run these builders, and
- * the golden-pin tests execute the same builders — so the printed
- * tables and the pinned tables can never drift apart.
+ * tdc_run driver runs these builders, and the golden-pin tests execute
+ * the same builders — so the printed tables and the pinned tables can
+ * never drift apart.
  */
 
 #ifndef TDC_SCHEME_FIGURE_CAMPAIGNS_HH

@@ -10,7 +10,6 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/twod_array.hh"
-#include "reliability/recovery_sweep.hh"
 #include "scheme/dram_scheme.hh"
 
 namespace tdc
@@ -60,11 +59,34 @@ cachedSchemeLifetime(const ProtectionScheme &scheme, LifetimeParams params)
     });
 }
 
-std::unique_ptr<DeviceSession>
-ProtectionScheme::openLifetimeSession(uint64_t) const
+InjectionOutcome
+ProtectionScheme::injectAndRecover(const FaultModel &fault, int trials,
+                                   uint64_t seed) const
 {
-    throw std::logic_error("scheme \"" + spec() +
-                           "\" has no lifetime device model");
+    using Verdict = DeviceSession::Verdict;
+    const size_t n = trials < 0 ? 0 : size_t(trials);
+    std::vector<Verdict> verdicts(n);
+    parallelFor(n, [&](size_t t) {
+        Rng rng(shardSeed(seed, t));
+        const std::unique_ptr<DeviceSession> session = openSession(rng);
+        session->inject(fault, rng);
+        verdicts[t] = session->scrubAndVerify();
+    });
+    InjectionOutcome out;
+    for (const Verdict v : verdicts) {
+        ++out.trials;
+        out.corrected += v == Verdict::kCorrected;
+        out.detectedOnly += v == Verdict::kDue;
+        out.silent += v == Verdict::kSdc;
+    }
+    return out;
+}
+
+std::unique_ptr<DeviceSession>
+ProtectionScheme::openLifetimeSession(uint64_t seed) const
+{
+    Rng rng(seed);
+    return openSession(rng);
 }
 
 SchemeSpec
@@ -207,9 +229,14 @@ geometrySuffix(size_t word_bits, size_t rows)
     return out;
 }
 
-// --- Monte-Carlo trial bodies ---------------------------------------
+// --- Device sessions ------------------------------------------------
+//
+// One DeviceSession per family: the only device model. Injection
+// trials (ProtectionScheme::injectAndRecover) drive a session through
+// one inject + scrubAndVerify; the lifetime engine drives it over
+// mission time.
 
-/** Fill @p bits with rng words (matches the recovery-sweep fill). */
+/** @p bits of golden data, drawn 64 bits at a time from @p rng. */
 BitVector
 randomWord(size_t bits, Rng &rng)
 {
@@ -221,47 +248,15 @@ randomWord(size_t bits, Rng &rng)
     return d;
 }
 
-/** Shard @p trials over the pool; each trial reports (corrected,
- *  silent) and the outcome is reduced in trial order. */
-template <typename Trial>
-InjectionOutcome
-runTrials(int trials, uint64_t seed, Trial &&trial)
-{
-    const size_t n = trials < 0 ? 0 : size_t(trials);
-    std::vector<char> corrected(n, 0), silent(n, 0);
-    parallelFor(n, [&](size_t t) {
-        bool c = false, s = false;
-        trial(shardSeed(seed, t), c, s);
-        corrected[t] = c ? 1 : 0;
-        silent[t] = s ? 1 : 0;
-    });
-    InjectionOutcome out;
-    for (size_t t = 0; t < n; ++t) {
-        ++out.trials;
-        out.corrected += corrected[t];
-        out.detectedOnly += !corrected[t] && !silent[t];
-        out.silent += silent[t];
-    }
-    return out;
-}
-
-// --- Lifetime device sessions ---------------------------------------
-//
-// One DeviceSession per family, mirroring that family's
-// injectAndRecover trial body exactly: same golden fill, same
-// scrub/verify classification. The lifetime engine drives these over
-// mission time instead of one event per fresh array.
-
 /** conv/wt session: a ProtectedArray, scrubbed by per-word readback
  *  (in-line correction is the conventional scrub). */
 class ConvSession final : public DeviceSession
 {
   public:
     ConvSession(CodeKind code, size_t degree, size_t word_bits,
-                size_t rows, uint64_t seed)
+                size_t rows, Rng &rng)
         : arr(rows, makeCode(code, word_bits), degree)
     {
-        Rng rng(seed);
         golden.assign(arr.rows(),
                       std::vector<BitVector>(arr.wordsPerRow()));
         for (size_t r = 0; r < arr.rows(); ++r) {
@@ -315,13 +310,12 @@ class ConvSession final : public DeviceSession
 };
 
 /** 2d session: a TwoDimArray bank; scrub runs the Figure 4(b)
- *  recovery process, then the recovery-sweep verification pass. */
+ *  recovery process, then reads every word back. */
 class TwoDimSession final : public DeviceSession
 {
   public:
-    TwoDimSession(const TwoDimConfig &config, uint64_t seed) : arr(config)
+    TwoDimSession(const TwoDimConfig &config, Rng &rng) : arr(config)
     {
-        Rng rng(seed);
         golden.assign(arr.rows(),
                       std::vector<BitVector>(arr.wordsPerRow()));
         for (size_t r = 0; r < arr.rows(); ++r) {
@@ -377,13 +371,12 @@ class TwoDimSession final : public DeviceSession
 };
 
 /** prod session: an HV product-code array; scrub is checkAndCorrect
- *  plus the row-readback comparison of the injection trials. */
+ *  plus a row-readback comparison against the golden rows. */
 class ProdSession final : public DeviceSession
 {
   public:
-    ProdSession(size_t rows, size_t cols, uint64_t seed) : arr(rows, cols)
+    ProdSession(size_t rows, size_t cols, Rng &rng) : arr(rows, cols)
     {
-        Rng rng(seed);
         golden.reserve(rows);
         for (size_t r = 0; r < rows; ++r) {
             golden.push_back(randomWord(cols, rng));
@@ -469,44 +462,10 @@ class ConventionalScheme : public ProtectionScheme
                              : SchemeSpec::conventional(code_, degree_);
     }
 
-    InjectionOutcome injectAndRecover(const FaultModel &fault, int trials,
-                                      uint64_t seed) const override
-    {
-        return runTrials(trials, seed, [&](uint64_t trial_seed, bool &c,
-                                           bool &s) {
-            Rng rng(trial_seed);
-            ProtectedArray arr(rows_, makeCode(code_, wordBits_), degree_);
-            std::vector<std::vector<BitVector>> golden(
-                arr.rows(), std::vector<BitVector>(arr.wordsPerRow()));
-            for (size_t r = 0; r < arr.rows(); ++r) {
-                for (size_t slot = 0; slot < arr.wordsPerRow(); ++slot) {
-                    golden[r][slot] = randomWord(wordBits_, rng);
-                    arr.writeWord(r, slot, golden[r][slot]);
-                }
-            }
-            FaultInjector inj(rng);
-            inj.inject(arr.cells(), fault);
-
-            bool all_ok = true, any_silent = false;
-            for (size_t r = 0; r < arr.rows(); ++r) {
-                for (size_t slot = 0; slot < arr.wordsPerRow(); ++slot) {
-                    const AccessResult res = arr.readWord(r, slot);
-                    if (!res.ok())
-                        all_ok = false;
-                    else if (res.data != golden[r][slot])
-                        all_ok = false, any_silent = true;
-                }
-            }
-            c = all_ok;
-            s = any_silent;
-        });
-    }
-
-    std::unique_ptr<DeviceSession>
-    openLifetimeSession(uint64_t seed) const override
+    std::unique_ptr<DeviceSession> openSession(Rng &rng) const override
     {
         return std::make_unique<ConvSession>(code_, degree_, wordBits_,
-                                             rows_, seed);
+                                             rows_, rng);
     }
 
   private:
@@ -519,7 +478,7 @@ class ConventionalScheme : public ProtectionScheme
 
 // --- 2d -------------------------------------------------------------
 
-/** The paper's 2D coding bank; injection runs the recovery sweep. */
+/** The paper's 2D coding bank (horizontal code + vertical parity). */
 class TwoDimScheme : public ProtectionScheme
 {
   public:
@@ -554,30 +513,10 @@ class TwoDimScheme : public ProtectionScheme
                                   config_.verticalParityRows);
     }
 
-    InjectionOutcome injectAndRecover(const FaultModel &fault, int trials,
-                                      uint64_t seed) const override
+    std::unique_ptr<DeviceSession> openSession(Rng &rng) const override
     {
-        RecoverySweepParams params;
-        params.config = config_;
-        params.fault = fault;
-        params.trials = trials;
-        params.seed = seed;
-        const RecoverySweepResult res = runRecoverySweep(params);
-        InjectionOutcome out;
-        out.trials = res.trials;
-        out.corrected = res.recovered;
-        out.detectedOnly = res.detectedOnly;
-        out.silent = res.silent;
-        return out;
+        return std::make_unique<TwoDimSession>(config_, rng);
     }
-
-    std::unique_ptr<DeviceSession>
-    openLifetimeSession(uint64_t seed) const override
-    {
-        return std::make_unique<TwoDimSession>(config_, seed);
-    }
-
-    const TwoDimConfig &config() const { return config_; }
 
   private:
     TwoDimConfig config_;
@@ -610,35 +549,9 @@ class ProductCodeScheme : public ProtectionScheme
         return double(rows_ + cols_) / double(rows_ * cols_);
     }
 
-    InjectionOutcome injectAndRecover(const FaultModel &fault, int trials,
-                                      uint64_t seed) const override
+    std::unique_ptr<DeviceSession> openSession(Rng &rng) const override
     {
-        return runTrials(trials, seed, [&](uint64_t trial_seed, bool &c,
-                                           bool &s) {
-            Rng rng(trial_seed);
-            ProductCodeArray arr(rows_, cols_);
-            std::vector<BitVector> golden;
-            golden.reserve(rows_);
-            for (size_t r = 0; r < rows_; ++r) {
-                golden.push_back(randomWord(cols_, rng));
-                arr.writeRow(r, golden.back());
-            }
-            FaultInjector inj(rng);
-            inj.inject(arr.cells(), fault);
-
-            const ProductCodeReport rep = arr.checkAndCorrect();
-            bool matches = true;
-            for (size_t r = 0; r < rows_ && matches; ++r)
-                matches = arr.readRow(r) == golden[r];
-            c = rep.clean && matches;
-            s = rep.clean && !matches;
-        });
-    }
-
-    std::unique_ptr<DeviceSession>
-    openLifetimeSession(uint64_t seed) const override
-    {
-        return std::make_unique<ProdSession>(rows_, cols_, seed);
+        return std::make_unique<ProdSession>(rows_, cols_, rng);
     }
 
   private:

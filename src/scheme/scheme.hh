@@ -3,8 +3,8 @@
  * The runtime-pluggable protection-scheme API. Every way the study
  * protects an array — conventional per-word ECC + interleaving, the
  * paper's 2D coding, write-through EDC, the related-work HV product
- * code — is one ProtectionScheme behind one registry, constructed
- * from a spec string:
+ * code, chipkill DRAM ranks — is one ProtectionScheme behind one
+ * registry, constructed from a spec string:
  *
  *   spec     ::= family ":" body
  *   family   ::= "conv" | "2d" | "wt" | "prod" | "dram" | <registered>
@@ -45,8 +45,8 @@ namespace tdc
 
 /**
  * One pluggable protection scheme: a name, a round-trippable spec
- * string, static cost figures, and a Monte-Carlo inject+recover cell
- * executor. Concrete families (conv/2d/wt/prod) live behind the
+ * string, static cost figures, and one device model (openSession).
+ * Concrete families (conv, 2d, wt, prod, dram) live behind the
  * registry; campaign code holds only SchemePtr handles.
  */
 class ProtectionScheme
@@ -65,28 +65,27 @@ class ProtectionScheme
     virtual double storageOverhead() const = 0;
 
     /**
-     * Run @p trials of (fill a fresh array with random data, inject
-     * one @p fault event, repair through the scheme's machinery,
-     * verify against the golden data). Trial i draws all randomness
-     * from shardSeed(seed, i) and trials shard over the worker pool,
-     * so the outcome is a pure function of the arguments —
-     * bit-identical at any TDC_THREADS setting.
+     * The family's device model (reliability/lifetime.hh): a fresh
+     * protected array whose golden fill draws from @p rng. Injection
+     * trials and lifetime missions both drive the device through this
+     * one session, so the two can never disagree.
      */
-    virtual InjectionOutcome injectAndRecover(const FaultModel &fault,
-                                              int trials,
-                                              uint64_t seed) const = 0;
+    virtual std::unique_ptr<DeviceSession> openSession(Rng &rng) const = 0;
 
     /**
-     * Open one lifetime-engine device session (reliability/lifetime.hh):
-     * a fresh array filled with golden data derived from @p seed,
-     * driven by runLifetime through inject / scrubAndVerify /
-     * repairRow with exactly the machinery this scheme's
-     * injectAndRecover trials use. The built-in families all implement
-     * it; the default throws std::logic_error for registered families
-     * without a device model.
+     * Run @p trials Monte-Carlo trials of one @p fault event. Trial t
+     * seeds Rng(shardSeed(seed, t)), opens a session from it, injects
+     * @p fault once with the same generator, and classifies the single
+     * scrubAndVerify verdict. Trials shard over the worker pool and
+     * reduce in trial order, so the outcome is a pure function of the
+     * arguments — bit-identical at any TDC_THREADS setting.
      */
-    virtual std::unique_ptr<DeviceSession>
-    openLifetimeSession(uint64_t seed) const;
+    InjectionOutcome injectAndRecover(const FaultModel &fault, int trials,
+                                      uint64_t seed) const;
+
+    /** A lifetime-engine session whose golden fill derives from
+     *  @p seed: openSession on Rng(seed). */
+    std::unique_ptr<DeviceSession> openLifetimeSession(uint64_t seed) const;
 
     /** True when the scheme has a VLSI cost model (costSpec() works). */
     virtual bool hasCostModel() const { return false; }
@@ -171,8 +170,8 @@ struct SchemeFamily
 
 /**
  * Register a new family. Re-registering an existing key replaces it
- * (last registration wins). Built-in families (conv, 2d, wt, prod)
- * are registered on first use of the registry.
+ * (last registration wins). Built-in families (conv, 2d, wt, prod,
+ * dram) are registered on first use of the registry.
  */
 void registerScheme(SchemeFamily family);
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Cross-module integration tests: the 2D-coded array driven by a real
- * cache's access stream, the Section 5.2 yield scenario end to end,
+ * Cross-module integration tests: the 2D-coded array driven by a
+ * cache-like access stream, the Section 5.2 yield scenario end to end,
  * and consistency between the timing simulator's protection traffic
  * and the functional coding layer's semantics.
  */
@@ -11,7 +11,6 @@
 #include <map>
 
 #include "array/fault.hh"
-#include "cache/cache.hh"
 #include "common/rng.hh"
 #include "core/twod_array.hh"
 #include "cpu/cmp_simulator.hh"
@@ -24,58 +23,39 @@ namespace
 {
 
 /**
- * Drive a 2D-protected data bank with the line-fill/write-back stream
- * of a real set-associative cache. Each cache line maps to one
- * (row, slot) word in the bank; every fill and write goes through
- * writeWord (read-before-write), every hit read through readWord.
- * Faults are injected mid-stream; data integrity is checked
- * continuously against a software-golden map.
+ * Drive a 2D-protected data bank with a seeded cache-like access
+ * stream: 320 line addresses fold onto the bank's 256 (row, slot)
+ * words, the way a cache multiplexes lines onto its data array. The
+ * first touch of a word is a fill and later touches are reads or
+ * writes; fills and writes go through writeWord (read-before-write),
+ * reads through readWord. Faults are injected mid-stream; every read
+ * must return the last value written to its word.
  */
 TEST(EndToEnd, CacheStreamOverTwoDimBank)
 {
     Rng rng(4242);
-    CacheParams cp;
-    cp.capacityBytes = 16 * 1024; // 256 lines
-    cp.associativity = 2;
-    cp.lineBytes = 64;
-    Cache cache(cp);
-
-    TwoDimConfig cfg = TwoDimConfig::l1Default(); // 256 rows x 4 words
-    TwoDimArray bank(cfg);
+    TwoDimArray bank(TwoDimConfig::l1Default()); // 256 rows x 4 words
     FaultInjector inj(rng);
 
-    // line index (0..255) -> (row, slot)
-    auto place = [&](uint64_t line_addr) {
-        const uint64_t idx = (line_addr / cp.lineBytes) % 256;
-        return std::pair<size_t, size_t>(idx / 4, idx % 4);
-    };
-
-    // Golden copy is per bank word: distinct line addresses may share
-    // a bank word (the bank models the cache's data array, and the
-    // cache multiplexes lines onto it), so the invariant under test is
-    // that each word always returns the last value written to it.
     std::map<std::pair<size_t, size_t>, uint64_t> golden;
     uint64_t next_value = 1;
 
     for (int step = 0; step < 4000; ++step) {
-        // Working set a bit larger than the cache: evictions happen.
-        const uint64_t addr = rng.nextBelow(320) * cp.lineBytes;
+        const size_t idx = size_t(rng.nextBelow(320) % 256);
         const bool is_write = rng.nextBool(0.3);
-        const CacheAccessOutcome out = cache.access(addr, is_write);
-        auto [row, slot] = place(addr);
+        const std::pair<size_t, size_t> word(idx / 4, idx % 4);
 
-        const std::pair<size_t, size_t> word_key(row, slot);
-        if (!out.hit || is_write) {
+        const auto it = golden.find(word);
+        if (it == golden.end() || is_write) {
             // Fill or write: store a fresh value through the 2D bank.
             const uint64_t value = next_value++;
-            bank.writeWord(row, slot, BitVector(64, value));
-            golden[word_key] = value;
-        } else if (golden.count(word_key)) {
-            // Read hit: bank word must match the last written value.
-            AccessResult res = bank.readWord(row, slot);
+            bank.writeWord(word.first, word.second, BitVector(64, value));
+            golden[word] = value;
+        } else {
+            // Read: the bank word must match the last written value.
+            const AccessResult res = bank.readWord(word.first, word.second);
             ASSERT_TRUE(res.ok());
-            const uint64_t expect = golden[word_key];
-            ASSERT_EQ(res.data.toUint64(), expect) << "step " << step;
+            ASSERT_EQ(res.data.toUint64(), it->second) << "step " << step;
         }
 
         // Periodic error events + scrub.

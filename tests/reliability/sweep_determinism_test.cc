@@ -1,15 +1,15 @@
 /**
  * @file
- * Determinism contract of the threaded sweeps: counter-based RNG
- * streams make every Monte-Carlo result a pure function of its
- * parameters, so running with 1, 2, 4 or 8 workers must reproduce the
- * serial counters bit for bit.
+ * Determinism contract of the threaded reliability sweeps:
+ * counter-based RNG streams make every Monte-Carlo result a pure
+ * function of its parameters, so running with 1, 2, 4 or 8 workers
+ * must reproduce the serial counters bit for bit. (Injection trials
+ * are covered by SchemeInjection in tests/scheme.)
  */
 
 #include <gtest/gtest.h>
 
 #include "common/parallel.hh"
-#include "reliability/recovery_sweep.hh"
 #include "reliability/soft_error_model.hh"
 #include "reliability/yield_model.hh"
 
@@ -22,49 +22,6 @@ struct ThreadGuard
 {
     ~ThreadGuard() { setParallelThreads(0); }
 };
-
-TEST(SweepDeterminism, RecoverySweepIdenticalAtEveryThreadCount)
-{
-    ThreadGuard guard;
-    RecoverySweepParams params;
-    params.trials = 12;
-    params.seed = 2026;
-    params.fault = FaultModel::cluster(16, 16);
-
-    setParallelThreads(1);
-    const RecoverySweepResult serial = runRecoverySweep(params);
-    EXPECT_EQ(serial.trials, 12);
-    EXPECT_EQ(serial.recovered + serial.detectedOnly + serial.silent,
-              serial.trials);
-    // A 16x16 cluster is inside the guaranteed 32x32 coverage.
-    EXPECT_EQ(serial.recovered, serial.trials);
-
-    for (unsigned threads : {2u, 4u, 8u}) {
-        setParallelThreads(threads);
-        const RecoverySweepResult threaded = runRecoverySweep(params);
-        EXPECT_EQ(threaded, serial) << threads << " threads";
-    }
-}
-
-TEST(SweepDeterminism, BeyondCoverageClustersAreCountedNotSilent)
-{
-    ThreadGuard guard;
-    setParallelThreads(4);
-    // A solid 33x64 cluster breaks both guarantees (33 > 32 columns,
-    // 64 > 32 rows; every vertical group holds two full-width faulty
-    // rows whose parity contributions cancel), but the horizontal
-    // EDC8 still sees an odd bit count in every faulty word — the
-    // sweep must report the trials as detected, never silent.
-    RecoverySweepParams params;
-    params.trials = 6;
-    params.seed = 5;
-    params.fault = FaultModel::cluster(33, 64);
-    const RecoverySweepResult res = runRecoverySweep(params);
-    EXPECT_EQ(res.trials, 6);
-    EXPECT_EQ(res.recovered, 0);
-    EXPECT_EQ(res.detectedOnly, 6);
-    EXPECT_EQ(res.silent, 0);
-}
 
 TEST(SweepDeterminism, SoftErrorMonteCarloIdenticalAtEveryThreadCount)
 {

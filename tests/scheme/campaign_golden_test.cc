@@ -1,9 +1,9 @@
 /**
  * @file
  * Golden-value pins for the figure-campaign summary tables. The
- * expected strings below are the *pre-port* outputs of
- * bench_fig1/bench_fig2/bench_fig7 (verified byte-identical when the
- * benches moved onto the campaign driver), so these tests guarantee
+ * expected strings below are the *pre-port* outputs of the Figure
+ * 1/2/7 benches (verified byte-identical when the benches moved onto
+ * the campaign driver), so these tests guarantee
  * (a) the port did not change a single cell and (b) future changes to
  * the cost/VLSI models or the campaign driver cannot silently drift
  * the published tables. CI runs this suite by name and fails if any

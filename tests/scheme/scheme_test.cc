@@ -8,8 +8,9 @@
  *  - malformed specs and out-of-range degrees throw
  *    std::invalid_argument quoting the offending token;
  *  - injectAndRecover is a pure function of its arguments at every
- *    worker-pool size, with verdicts matching the coverage
- *    guarantees (ported from the pre-registry campaign tests);
+ *    worker-pool size for every family, with verdicts matching the
+ *    coverage guarantees (ported from the pre-registry campaign and
+ *    recovery-sweep tests);
  *  - the figure campaigns built on the registry stay bit-identical
  *    across thread counts.
  */
@@ -220,7 +221,8 @@ TEST(SchemeInjection, IdenticalAtEveryThreadCount)
     ThreadGuard guard;
     const FaultModel fault = FaultModel::cluster(8, 8);
     for (const char *spec :
-         {"conv:secded/i4/r64", "2d:edc8/i4+vp32", "prod:64x64"}) {
+         {"conv:secded/i4/r64", "wt:edc8/i4/r64", "2d:edc8/i4+vp32",
+          "prod:64x64", "dram:chipkill/x4", "dram:iecc+chipkill/x8"}) {
         const SchemePtr scheme = parseScheme(spec);
         setParallelThreads(1);
         const InjectionOutcome serial =
@@ -263,6 +265,12 @@ TEST(SchemeInjection, VerdictsMatchCoverageGuarantees)
     EXPECT_EQ(
         parseScheme("prod:64x64")->injectAndRecover(block, 6, 2).corrected,
         0);
+
+    // A 16x16 cluster is inside the guaranteed 32x32 2D coverage.
+    EXPECT_EQ(parseScheme("2d:edc8/i4+vp32")
+                  ->injectAndRecover(FaultModel::cluster(16, 16), 12, 2026)
+                  .verdict(),
+              "corrected");
 
     // Beyond-coverage clusters on the 2D bank are detected, not
     // silent (the EDC8 horizontal always sees odd per-word flips).
