@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
-#include <string>
 
 #include "common/parallel.hh"
 
@@ -74,72 +73,6 @@ TwoDimCacheStore::scrubAll()
     });
     return std::all_of(clean.begin(), clean.end(),
                        [](char c) { return c != 0; });
-}
-
-CacheRecoveryReport
-TwoDimCacheStore::recoverAll()
-{
-    std::vector<size_t> all(banks());
-    for (size_t b = 0; b < banks(); ++b)
-        all[b] = b;
-    return recoverBanks(std::move(all));
-}
-
-CacheRecoveryReport
-TwoDimCacheStore::recoverBanks(std::vector<size_t> which)
-{
-    std::sort(which.begin(), which.end());
-    which.erase(std::unique(which.begin(), which.end()), which.end());
-    if (!which.empty() && which.back() >= banks())
-        throw std::out_of_range("TwoDimCacheStore::recoverBanks: bank " +
-                                std::to_string(which.back()) +
-                                " >= " + std::to_string(banks()));
-
-    std::vector<RecoveryReport> reports(which.size());
-    parallelFor(which.size(), [&](size_t i) {
-        reports[i] = bankArray[which[i]]->recover();
-    });
-
-    // Serial reduction in ascending bank order: the merged report is
-    // independent of worker scheduling.
-    CacheRecoveryReport merged;
-    for (size_t i = 0; i < which.size(); ++i) {
-        RecoveryReport &rep = reports[i];
-        merged.success = merged.success && rep.success;
-        merged.rowReads += rep.rowReads;
-        merged.rowsReconstructed += rep.rowsReconstructed.size();
-        merged.columnsRepaired += rep.columnsRepaired.size();
-        merged.banks.push_back({which[i], std::move(rep)});
-    }
-    return merged;
-}
-
-CacheRecoveryReport
-TwoDimCacheStore::injectAndRecover(const std::vector<BankFaultSpec> &events,
-                                   uint64_t seed)
-{
-    // Injection runs serially in spec order: events aimed at the same
-    // bank must compose deterministically, and each event's randomness
-    // comes from its own counter-based stream.
-    // Validate every target up front so a bad spec leaves the store
-    // untouched instead of half-injected.
-    for (const BankFaultSpec &e : events) {
-        if (e.bank >= banks())
-            throw std::out_of_range(
-                "TwoDimCacheStore::injectAndRecover: bank " +
-                std::to_string(e.bank) + " >= " + std::to_string(banks()));
-    }
-    std::vector<size_t> hit;
-    for (size_t i = 0; i < events.size(); ++i) {
-        // Injection draws from its own seed domain: a campaign that
-        // also counts scrub (or any other) events 0, 1, 2, ... off the
-        // same base seed must never share streams with the injector.
-        Rng rng(shardSeed(seed, kSeedDomainInjection, i));
-        FaultInjector inj(rng);
-        inj.inject(bankArray[events[i].bank]->cells(), events[i].fault);
-        hit.push_back(events[i].bank);
-    }
-    return recoverBanks(std::move(hit));
 }
 
 TwoDimStats

@@ -11,45 +11,10 @@
 #include <memory>
 #include <vector>
 
-#include "array/fault.hh"
 #include "core/twod_array.hh"
 
 namespace tdc
 {
-
-/** One fault event aimed at a specific bank of a cache store. */
-struct BankFaultSpec
-{
-    size_t bank = 0;
-    FaultModel fault;
-};
-
-/**
- * Merged outcome of a whole-store recovery batch. Per-bank reports are
- * kept in ascending bank order and the summary counters are reduced in
- * that same order, so the report is a pure function of the store state
- * regardless of how many workers ran the banks.
- */
-struct CacheRecoveryReport
-{
-    /** Every swept bank was restored to a fully clean state. */
-    bool success = true;
-
-    /** Banks the batch swept, ascending; absent banks were not touched. */
-    struct BankRecovery
-    {
-        size_t bank = 0;
-        RecoveryReport report;
-    };
-    std::vector<BankRecovery> banks;
-
-    /** Summed recovery-latency proxy (row reads across swept banks). */
-    uint64_t rowReads = 0;
-    /** Rows reconstructed via the vertical path, all banks. */
-    uint64_t rowsReconstructed = 0;
-    /** Columns repaired via the column-location path, all banks. */
-    uint64_t columnsRepaired = 0;
-};
 
 /**
  * An array of independently protected TwoDimArray banks addressed by
@@ -57,10 +22,9 @@ struct CacheRecoveryReport
  * multi-bit event in one bank is recovered locally while the others
  * keep serving accesses — and simultaneous events in different banks
  * are independently correctable. That per-bank independence is what
- * the batch sweeps (scrubAll / recoverAll / injectAndRecover) exploit:
- * banks are sharded over the parallelFor worker pool, and results are
- * reduced in bank order, so every batch outcome is bit-identical at
- * any TDC_THREADS setting.
+ * scrubAll exploits: banks are sharded over the parallelFor worker
+ * pool, and each bank touches only its own state, so the sweep is
+ * bit-identical at any TDC_THREADS setting.
  */
 class TwoDimCacheStore
 {
@@ -92,28 +56,6 @@ class TwoDimCacheStore
 
     /** Scrub every bank, bank-parallel; true iff all end clean. */
     bool scrubAll();
-
-    /** Run the Figure 4(b) recovery sweep on every bank, bank-parallel. */
-    CacheRecoveryReport recoverAll();
-
-    /** Recovery sweep over the given banks only (ascending, deduped).
-     *  @throws std::out_of_range on a bank index >= banks() */
-    CacheRecoveryReport recoverBanks(std::vector<size_t> which);
-
-    /**
-     * Batch fault-injection campaign step: realize every event (event i
-     * draws its randomness from the injection-domain stream
-     * shardSeed(seed, kSeedDomainInjection, i), so campaigns that also
-     * derive per-event streams from the same base seed — e.g. scrub
-     * scheduling — can never collide with it; same-bank events
-     * apply in spec order), then run the recovery sweep on exactly the
-     * banks that were hit, bank-parallel. The outcome is a pure
-     * function of (store contents, events, seed).
-     * @throws std::out_of_range on an event bank index >= banks()
-     *         (checked up front; the store is left untouched)
-     */
-    CacheRecoveryReport injectAndRecover(
-        const std::vector<BankFaultSpec> &events, uint64_t seed);
 
     /** Combined storage overhead (identical across banks). */
     double storageOverhead() const;

@@ -24,6 +24,8 @@ struct CmpRunSpec
     WorkloadProfile workload;
     ProtectionConfig protection;
     uint64_t seed = 1;
+
+    bool operator==(const CmpRunSpec &) const = default;
 };
 
 /**

@@ -75,6 +75,8 @@ struct CmpConfig
      * L1D, 4MB shared L2 (12-cycle hit).
      */
     static CmpConfig lean();
+
+    bool operator==(const CmpConfig &) const = default;
 };
 
 /** Which caches carry 2D protection in a simulation run. */
@@ -124,6 +126,8 @@ struct ProtectionConfig
      * token ("steal" without "l1" is also rejected).
      */
     static ProtectionConfig parse(const std::string &spec);
+
+    bool operator==(const ProtectionConfig &) const = default;
 };
 
 } // namespace tdc

@@ -91,17 +91,17 @@ runIpcLossCampaign(const IpcLossCampaignSpec &spec)
     grid.cell = [&](size_t row, size_t col) {
         return Table::pct(loss[row][col]);
     };
-    grid.summary = [&](const std::vector<std::vector<std::string>> &) {
-        std::vector<std::string> avg{"Average"};
-        for (size_t pi = 0; pi < np; ++pi) {
-            double sum = 0.0;
-            for (size_t wi = 0; wi < workloads.size(); ++wi)
-                sum += loss[wi][pi];
-            avg.push_back(Table::pct(sum / double(workloads.size())));
-        }
-        return std::vector<std::vector<std::string>>{std::move(avg)};
-    };
-    return runCampaignGrid(grid);
+    CampaignResult result = runCampaignGrid(grid);
+
+    std::vector<std::string> avg{"Average"};
+    for (size_t pi = 0; pi < np; ++pi) {
+        double sum = 0.0;
+        for (size_t wi = 0; wi < workloads.size(); ++wi)
+            sum += loss[wi][pi];
+        avg.push_back(Table::pct(sum / double(workloads.size())));
+    }
+    result.rows.push_back(std::move(avg));
+    return result;
 }
 
 } // namespace tdc

@@ -9,10 +9,11 @@
 
 #include "driver/tdc_run.hh"
 
+#include <algorithm>
+
 #include "array/fault.hh"
 #include "common/rng.hh"
 #include "core/twod_array.hh"
-#include "cpu/cmp_simulator.hh"
 #include "cpu/ipc_campaign.hh"
 #include "reliability/scrub_model.hh"
 #include "scheme/figure_campaigns.hh"
@@ -22,6 +23,64 @@ namespace tdc
 
 namespace
 {
+
+/**
+ * The distinct CMP simulations one figure reads, simulated by a single
+ * runCmpBatch call. A run listed twice (a baseline two tables share)
+ * is simulated once; the tables then look their runs up by the same
+ * (machine, workload, protection) triple they listed.
+ */
+class CmpRuns
+{
+  public:
+    CmpRuns(uint64_t cycles, uint64_t seed) : cycles_(cycles), seed_(seed)
+    {
+    }
+
+    void add(const CmpConfig &m, const WorkloadProfile &w,
+             const ProtectionConfig &p)
+    {
+        if (find(m, w, p) == specs_.size())
+            specs_.push_back({m, w, p, seed_});
+    }
+
+    /** Simulate every listed run. */
+    void run() { results_ = runCmpBatch(specs_, cycles_); }
+
+    /** Result of a listed run (throws std::out_of_range otherwise). */
+    const CmpSimResult &operator()(const CmpConfig &m,
+                                   const WorkloadProfile &w,
+                                   const ProtectionConfig &p) const
+    {
+        return results_.at(find(m, w, p));
+    }
+
+  private:
+    size_t find(const CmpConfig &m, const WorkloadProfile &w,
+                const ProtectionConfig &p) const
+    {
+        const CmpRunSpec spec{m, w, p, seed_};
+        return size_t(std::find(specs_.begin(), specs_.end(), spec) -
+                      specs_.begin());
+    }
+
+    uint64_t cycles_;
+    uint64_t seed_;
+    std::vector<CmpRunSpec> specs_;
+    std::vector<CmpSimResult> results_;
+};
+
+/** Fill every word of @p arr from @p rng, then strike it with a solid
+ *  32x32 cluster drawn from the same stream (ablations 1, 2 and 7). */
+void
+fillAndStrike(TwoDimArray &arr, Rng &rng)
+{
+    for (size_t r = 0; r < arr.rows(); ++r)
+        for (size_t s = 0; s < arr.wordsPerRow(); ++s)
+            arr.writeWord(r, s, BitVector(64, rng.next()));
+    FaultInjector inj(rng);
+    inj.injectCluster(arr.cells(), 32, 32, 1.0);
+}
 
 // --- Figure 1 -------------------------------------------------------
 
@@ -112,15 +171,15 @@ constexpr uint64_t kFig6Cycles = 150000;
 constexpr uint64_t kFig6Seed = 42;
 
 void
-figure6L1Table(RunContext &ctx, const CmpConfig &m, const char *title)
+figure6L1Table(RunContext &ctx, const CmpRuns &runs, const CmpConfig &m,
+               const char *title)
 {
     ctx.prosef("--- %s: L1 data cache accesses / 100 cycles (per core)"
                " ---\n\n", title);
     Table t({"Workload", "Read:Data", "Write", "Fill/Evict",
              "Extra read (2D)", "Total", "Extra %"});
     for (const WorkloadProfile &w : standardWorkloads()) {
-        CmpSimulator sim(m, w, ProtectionConfig::full(true), kFig6Seed);
-        const CmpSimResult r = sim.run(kFig6Cycles);
+        const CmpSimResult &r = runs(m, w, ProtectionConfig::full(true));
         const double reads = r.per100(r.l1ReadsData) / m.cores;
         const double writes = r.per100(r.l1Writes) / m.cores;
         const double fills = r.per100(r.l1FillEvict) / m.cores;
@@ -135,15 +194,15 @@ figure6L1Table(RunContext &ctx, const CmpConfig &m, const char *title)
 }
 
 void
-figure6L2Table(RunContext &ctx, const CmpConfig &m, const char *title)
+figure6L2Table(RunContext &ctx, const CmpRuns &runs, const CmpConfig &m,
+               const char *title)
 {
     ctx.prosef("--- %s: L2 cache accesses / 100 cycles (all cores) "
                "---\n\n", title);
     Table t({"Workload", "Read:Inst", "Read:Data", "Write", "Fill/Evict",
              "Extra read (2D)", "Total"});
     for (const WorkloadProfile &w : standardWorkloads()) {
-        CmpSimulator sim(m, w, ProtectionConfig::full(true), kFig6Seed);
-        const CmpSimResult r = sim.run(kFig6Cycles);
+        const CmpSimResult &r = runs(m, w, ProtectionConfig::full(true));
         const double ri = r.per100(r.l2ReadsInst);
         const double rd = r.per100(r.l2ReadsData);
         const double wr = r.per100(r.l2Writes);
@@ -162,12 +221,19 @@ figure6(RunContext &ctx)
 {
     ctx.prose("=== Figure 6: cache access breakdown per 100 CPU cycles "
               "===\n\n");
+    // A machine's L1 and L2 breakdowns read the same fully protected
+    // run of each workload: 12 simulations feed the four tables.
     const CmpConfig fat = CmpConfig::fat();
     const CmpConfig lean = CmpConfig::lean();
-    figure6L1Table(ctx, fat, "Figure 6(a) fat baseline");
-    figure6L1Table(ctx, lean, "Figure 6(b) lean baseline");
-    figure6L2Table(ctx, fat, "Figure 6(c) fat baseline");
-    figure6L2Table(ctx, lean, "Figure 6(d) lean baseline");
+    CmpRuns runs(kFig6Cycles, kFig6Seed);
+    for (const CmpConfig &m : {fat, lean})
+        for (const WorkloadProfile &w : standardWorkloads())
+            runs.add(m, w, ProtectionConfig::full(true));
+    runs.run();
+    figure6L1Table(ctx, runs, fat, "Figure 6(a) fat baseline");
+    figure6L1Table(ctx, runs, lean, "Figure 6(b) lean baseline");
+    figure6L2Table(ctx, runs, fat, "Figure 6(c) fat baseline");
+    figure6L2Table(ctx, runs, lean, "Figure 6(d) lean baseline");
     ctx.prose(
         "Paper shape: writes (the source of read-before-write traffic) "
         "are a small\nfraction of accesses; 2D coding adds roughly 20% "
@@ -360,6 +426,56 @@ table1(RunContext &ctx)
 
 // --- Ablations ------------------------------------------------------
 
+constexpr uint64_t kAblationCycles = 120000;
+constexpr uint64_t kAblationSeed = 42;
+
+/** Ablation 3's port-stealing windows (fat CMP, OLTP). */
+constexpr unsigned kStealWindows[] = {0, 1, 2, 4, 8, 16};
+/** Workloads of ablation 4 (read-before-write) and 5 (write-through). */
+const char *const kRbwWorkloads[] = {"OLTP", "Ocean"};
+const char *const kWriteThroughWorkloads[] = {"OLTP", "Web"};
+
+/** The fat CMP with port-stealing window @p window. */
+CmpConfig
+fatWithStealWindow(unsigned window)
+{
+    CmpConfig m = CmpConfig::fat();
+    m.stealWindow = window;
+    return m;
+}
+
+/**
+ * Every CMP run ablations 3-5 print, as one batch. The panels share
+ * matched-pair runs -- ablation 3's baseline is ablation 4's fat/OLTP
+ * baseline, and ablation 5's OLTP rows reuse ablation 4's -- so 22
+ * simulations cover the tables' 27 runs.
+ */
+CmpRuns
+ablationCmpRuns()
+{
+    CmpRuns runs(kAblationCycles, kAblationSeed);
+    const WorkloadProfile &oltp = workloadByName("OLTP");
+    runs.add(CmpConfig::fat(), oltp, ProtectionConfig::none());
+    for (unsigned window : kStealWindows)
+        runs.add(fatWithStealWindow(window), oltp,
+                 ProtectionConfig::l1Only(window > 0));
+    for (const CmpConfig &m : {CmpConfig::fat(), CmpConfig::lean()}) {
+        for (const char *name : kRbwWorkloads) {
+            const WorkloadProfile &w = workloadByName(name);
+            runs.add(m, w, ProtectionConfig::none());
+            runs.add(m, w, ProtectionConfig::full(true));
+        }
+        for (const char *name : kWriteThroughWorkloads) {
+            const WorkloadProfile &w = workloadByName(name);
+            runs.add(m, w, ProtectionConfig::none());
+            runs.add(m, w, ProtectionConfig::full(true));
+            runs.add(m, w, ProtectionConfig::writeThroughL1());
+        }
+    }
+    runs.run();
+    return runs;
+}
+
 void
 ablationVerticalInterleaveSweep(RunContext &ctx)
 {
@@ -372,12 +488,7 @@ ablationVerticalInterleaveSweep(RunContext &ctx)
         TwoDimConfig cfg = TwoDimConfig::l1Default();
         cfg.verticalParityRows = v;
         TwoDimArray arr(cfg);
-        for (size_t r = 0; r < arr.rows(); ++r)
-            for (size_t s = 0; s < arr.wordsPerRow(); ++s)
-                arr.writeWord(r, s, BitVector(64, rng.next()));
-
-        FaultInjector inj(rng);
-        inj.injectCluster(arr.cells(), 32, 32, 1.0);
+        fillAndStrike(arr, rng);
         const bool ok = arr.scrub();
         const uint64_t reads = arr.lastRecovery().rowReads;
         t.addRow({std::to_string(v),
@@ -404,11 +515,7 @@ ablationHorizontalCodeSweep(RunContext &ctx)
         TwoDimConfig cfg = TwoDimConfig::l1Default();
         cfg.horizontalKind = kind;
         TwoDimArray arr(cfg);
-        for (size_t r = 0; r < arr.rows(); ++r)
-            for (size_t s = 0; s < arr.wordsPerRow(); ++s)
-                arr.writeWord(r, s, BitVector(64, rng.next()));
-        FaultInjector inj(rng);
-        inj.injectCluster(arr.cells(), 32, 32, 1.0);
+        fillAndStrike(arr, rng);
         const bool ok = arr.scrub();
 
         const CodePtr code = makeCode(kind, 64);
@@ -424,20 +531,18 @@ ablationHorizontalCodeSweep(RunContext &ctx)
 }
 
 void
-ablationStealWindowSweep(RunContext &ctx)
+ablationStealWindowSweep(RunContext &ctx, const CmpRuns &runs)
 {
     ctx.prose("--- Ablation 3: port-stealing window (fat CMP, OLTP) "
               "---\n\n");
     const WorkloadProfile &w = workloadByName("OLTP");
     Table t({"Steal window (cycles)", "IPC loss vs baseline"});
-    CmpSimulator base(CmpConfig::fat(), w, ProtectionConfig::none(), 42);
-    const double base_ipc = base.run(120000).ipc();
-    for (unsigned window : {0u, 1u, 2u, 4u, 8u, 16u}) {
-        CmpConfig m = CmpConfig::fat();
-        m.stealWindow = window;
-        ProtectionConfig prot = ProtectionConfig::l1Only(window > 0);
-        CmpSimulator sim(m, w, prot, 42);
-        const double ipc = sim.run(120000).ipc();
+    const double base_ipc =
+        runs(CmpConfig::fat(), w, ProtectionConfig::none()).ipc();
+    for (unsigned window : kStealWindows) {
+        const double ipc = runs(fatWithStealWindow(window), w,
+                                ProtectionConfig::l1Only(window > 0))
+                               .ipc();
         t.addRow({std::to_string(window),
                   Table::pct((base_ipc - ipc) / base_ipc)});
     }
@@ -448,19 +553,18 @@ ablationStealWindowSweep(RunContext &ctx)
 }
 
 void
-ablationReadBeforeWriteCost(RunContext &ctx)
+ablationReadBeforeWriteCost(RunContext &ctx, const CmpRuns &runs)
 {
     ctx.prose("--- Ablation 4: isolated read-before-write cost "
               "(full 2D, both machines) ---\n\n");
     Table t({"Machine", "Workload", "Extra reads / 100 cycles",
              "IPC loss"});
     for (const CmpConfig &m : {CmpConfig::fat(), CmpConfig::lean()}) {
-        for (const char *name : {"OLTP", "Ocean"}) {
+        for (const char *name : kRbwWorkloads) {
             const WorkloadProfile &w = workloadByName(name);
-            CmpSimulator base(m, w, ProtectionConfig::none(), 42);
-            CmpSimulator prot(m, w, ProtectionConfig::full(true), 42);
-            const CmpSimResult rb = base.run(120000);
-            const CmpSimResult rp = prot.run(120000);
+            const CmpSimResult &rb = runs(m, w, ProtectionConfig::none());
+            const CmpSimResult &rp =
+                runs(m, w, ProtectionConfig::full(true));
             t.addRow({m.name, name,
                       Table::num(rp.per100(rp.l1ExtraReads +
                                            rp.l2ExtraReads), 1),
@@ -472,22 +576,21 @@ ablationReadBeforeWriteCost(RunContext &ctx)
 }
 
 void
-ablationWriteThroughComparison(RunContext &ctx)
+ablationWriteThroughComparison(RunContext &ctx, const CmpRuns &runs)
 {
     ctx.prose("--- Ablation 5: 2D write-back L1 vs EDC write-through "
               "L1 (both over 2D L2) ---\n\n");
     Table t({"Machine", "Workload", "Scheme", "IPC loss",
              "L2 writes / 100 cycles"});
     for (const CmpConfig &m : {CmpConfig::fat(), CmpConfig::lean()}) {
-        for (const char *name : {"OLTP", "Web"}) {
+        for (const char *name : kWriteThroughWorkloads) {
             const WorkloadProfile &w = workloadByName(name);
-            CmpSimulator base(m, w, ProtectionConfig::none(), 42);
-            const double base_ipc = base.run(120000).ipc();
+            const double base_ipc =
+                runs(m, w, ProtectionConfig::none()).ipc();
             for (const ProtectionConfig &prot :
                  {ProtectionConfig::full(true),
                   ProtectionConfig::writeThroughL1()}) {
-                CmpSimulator sim(m, w, prot, 42);
-                const CmpSimResult r = sim.run(120000);
+                const CmpSimResult &r = runs(m, w, prot);
                 t.addRow({m.name, name, prot.label(),
                           Table::pct((base_ipc - r.ipc()) / base_ipc),
                           Table::num(r.per100(r.l2Writes), 1)});
@@ -549,11 +652,7 @@ ablationRecoveryLatencySweep(RunContext &ctx)
         TwoDimConfig cfg = TwoDimConfig::l1Default();
         cfg.dataRows = rows;
         TwoDimArray arr(cfg);
-        for (size_t r = 0; r < arr.rows(); ++r)
-            for (size_t s = 0; s < arr.wordsPerRow(); ++s)
-                arr.writeWord(r, s, BitVector(64, rng.next()));
-        FaultInjector inj(rng);
-        inj.injectCluster(arr.cells(), 32, 32, 1.0);
+        fillAndStrike(arr, rng);
         const RecoveryReport rep = arr.recover();
         t.addRow({std::to_string(rows),
                   rep.success ? "32x32 corrected" : "FAILED",
@@ -573,22 +672,20 @@ ablation(RunContext &ctx)
     ctx.prose("=== Ablations: 2D coding design choices ===\n\n");
     ablationVerticalInterleaveSweep(ctx);
     ablationHorizontalCodeSweep(ctx);
-    ablationStealWindowSweep(ctx);
-    ablationReadBeforeWriteCost(ctx);
-    ablationWriteThroughComparison(ctx);
+    const CmpRuns runs = ablationCmpRuns();
+    ablationStealWindowSweep(ctx, runs);
+    ablationReadBeforeWriteCost(ctx, runs);
+    ablationWriteThroughComparison(ctx, runs);
     ablationScrubIntervalSweep(ctx);
     ablationRecoveryLatencySweep(ctx);
 }
 
 } // namespace
 
-namespace detail
+const std::vector<FigureDef> &
+figureList()
 {
-
-std::vector<FigureDef>
-builtinFigures()
-{
-    return {
+    static const std::vector<FigureDef> figures = {
         {"fig1", "storage + energy overhead of per-word EDC/ECC",
          figure1},
         {"fig2", "read energy vs physical interleave degree", figure2},
@@ -608,8 +705,7 @@ builtinFigures()
         {"chipkill", "chipkill/DDC vs 2D coding (coverage vs storage)",
          chipkill},
     };
+    return figures;
 }
-
-} // namespace detail
 
 } // namespace tdc

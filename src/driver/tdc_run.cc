@@ -165,39 +165,6 @@ RunContext::str() const
     return out;
 }
 
-// --- Figure registry ------------------------------------------------
-
-namespace
-{
-
-std::vector<FigureDef> &
-figureRegistry()
-{
-    static std::vector<FigureDef> figures = detail::builtinFigures();
-    return figures;
-}
-
-} // namespace
-
-void
-registerFigure(FigureDef figure)
-{
-    auto &figures = figureRegistry();
-    for (FigureDef &existing : figures) {
-        if (existing.key == figure.key) {
-            existing = std::move(figure);
-            return;
-        }
-    }
-    figures.push_back(std::move(figure));
-}
-
-std::vector<FigureDef>
-figureList()
-{
-    return figureRegistry();
-}
-
 // --- CLI ------------------------------------------------------------
 
 namespace

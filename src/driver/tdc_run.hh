@@ -2,10 +2,11 @@
  * @file
  * The tdc_run CLI driver: one entry point for every figure of the
  * study and every scheme x fault x workload scenario the spec-string
- * grammars can express. bench/tdc_run.cc is the binary's main; every
- * figure is one tdcRunMain({"--figure", "<name>"}) call.
+ * grammars can express. bench/tdc_run.cc is the binary's main (a bare
+ * tdcRunMain call); the figures are the built-in figureList() table
+ * in figures.cc, selected with --figure.
  *
- *   tdc_run --figure fig3                      # any registered figure
+ *   tdc_run --figure fig3                      # any built-in figure
  *   tdc_run --scheme 2d:edc16/i2+vp32/w256 \
  *           --scheme conv:oecned/i4 \
  *           --fault 32x32 --events 1e3         # custom injection grid
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "reliability/campaign.hh"
+#include "reliability/result_cache.hh"
 
 namespace tdc
 {
@@ -90,7 +92,7 @@ class RunContext
     std::optional<CacheStats> cacheStats_;
 };
 
-/** One registered figure: key, one-line summary, implementation. */
+/** One built-in figure: key, one-line summary, implementation. */
 struct FigureDef
 {
     std::string key;         ///< "--figure" operand, e.g. "fig3"
@@ -98,11 +100,8 @@ struct FigureDef
     std::function<void(RunContext &)> run;
 };
 
-/** Register (or replace, by key) a figure. Built-ins auto-register. */
-void registerFigure(FigureDef figure);
-
-/** All registered figures in registration order. */
-std::vector<FigureDef> figureList();
+/** Every built-in figure (figures.cc), in --list-figures order. */
+const std::vector<FigureDef> &figureList();
 
 /**
  * Run the driver on @p args (argv without the program name), appending
@@ -115,12 +114,6 @@ int tdcRun(const std::vector<std::string> &args, std::string &out,
 
 /** tdcRun + stdout/stderr printing: the main() body of tdc_run. */
 int tdcRunMain(const std::vector<std::string> &args);
-
-namespace detail
-{
-/** The built-in figure set (figures.cc); the registry seeds from it. */
-std::vector<FigureDef> builtinFigures();
-} // namespace detail
 
 } // namespace tdc
 

@@ -1,6 +1,5 @@
 #include "reliability/campaign.hh"
 
-#include <cassert>
 #include <cstdio>
 
 #include "common/parallel.hh"
@@ -36,27 +35,22 @@ CampaignResult::print() const
 CampaignResult
 runCampaignGrid(const CampaignGrid &grid)
 {
-    assert(bool(grid.cell) != bool(grid.outcomeCell));
     const size_t nr = grid.rowLabels.size();
     const size_t nc = grid.colHeaders.size();
 
-    // Flat cell sharding: each cell writes only its own slot, and the
-    // table is assembled serially in row-major order afterwards.
-    // Injection grids (outcomeCell) compute raw numeric outcomes here
-    // — the expensive, memoizable step — and render the strings in a
-    // separate serial pass below, so formatting never ends up inside
-    // what the result cache stores.
-    std::vector<std::vector<std::string>> cells(
-        nr, std::vector<std::string>(nc));
-    std::vector<std::vector<InjectionOutcome>> outcomes;
-    const bool numeric = bool(grid.outcomeCell);
-    if (numeric)
-        outcomes.assign(nr, std::vector<InjectionOutcome>(nc));
+    // Flat cell sharding: each cell writes only its own slot of its
+    // row, which already carries the row label.
+    CampaignResult result;
+    result.title = grid.title;
+    result.headers.reserve(1 + nc);
+    result.headers.push_back(grid.rowHeader);
+    result.headers.insert(result.headers.end(), grid.colHeaders.begin(),
+                          grid.colHeaders.end());
+    result.rows.assign(nr, std::vector<std::string>(1 + nc));
+    for (size_t r = 0; r < nr; ++r)
+        result.rows[r][0] = grid.rowLabels[r];
     const auto eval = [&](size_t i) {
-        if (numeric)
-            outcomes[i / nc][i % nc] = grid.outcomeCell(i / nc, i % nc);
-        else
-            cells[i / nc][i % nc] = grid.cell(i / nc, i % nc);
+        result.rows[i / nc][1 + i % nc] = grid.cell(i / nc, i % nc);
     };
     if (grid.parallelCells) {
         parallelFor(nr * nc, eval);
@@ -64,37 +58,7 @@ runCampaignGrid(const CampaignGrid &grid)
         for (size_t i = 0; i < nr * nc; ++i)
             eval(i);
     }
-    if (numeric) {
-        std::function<std::string(const InjectionOutcome &)> format =
-            grid.formatOutcome;
-        if (!format)
-            format = [](const InjectionOutcome &o) { return o.summary(); };
-        for (size_t r = 0; r < nr; ++r)
-            for (size_t c = 0; c < nc; ++c)
-                cells[r][c] = format(outcomes[r][c]);
-    }
-
-    CampaignResult result;
-    result.title = grid.title;
-    result.headers.reserve(1 + nc);
-    result.headers.push_back(grid.rowHeader);
-    result.headers.insert(result.headers.end(), grid.colHeaders.begin(),
-                          grid.colHeaders.end());
-    for (size_t r = 0; r < nr; ++r) {
-        std::vector<std::string> row;
-        row.reserve(1 + nc);
-        row.push_back(grid.rowLabels[r]);
-        row.insert(row.end(), cells[r].begin(), cells[r].end());
-        result.rows.push_back(std::move(row));
-    }
-    result.cells = std::move(cells);
-    result.outcomes = std::move(outcomes);
-    if (grid.summary) {
-        for (auto &row : grid.summary(result.cells))
-            result.rows.push_back(std::move(row));
-    }
     return result;
 }
 
 } // namespace tdc
-

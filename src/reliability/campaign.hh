@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/table.hh"
-#include "reliability/result_cache.hh"
 
 namespace tdc
 {
@@ -42,35 +41,12 @@ struct CampaignGrid
     std::vector<std::string> rowLabels;
     std::vector<std::string> colHeaders;
 
-    /** Formatted value of cell (row, col). Analytic grids set this;
-     *  injection grids should set outcomeCell instead so the numeric
-     *  result is computed (and memoized) separately from formatting. */
+    /**
+     * Formatted value of cell (row, col). Injection grids return
+     * cachedInjectAndRecover(...).verdict() (or .summary()), so the
+     * memoized numeric outcome never includes the formatting.
+     */
     std::function<std::string(size_t row, size_t col)> cell;
-
-    /**
-     * Numeric evaluator for injection grids: returns the raw
-     * InjectionOutcome of cell (row, col) — typically via
-     * cachedInjectAndRecover, so repeated grids replay from the result
-     * cache. When set, `cell` must be empty; the executor evaluates
-     * outcomes first (in parallel when parallelCells), keeps them in
-     * CampaignResult::outcomes, and renders the table cells afterwards
-     * through formatOutcome.
-     */
-    std::function<InjectionOutcome(size_t row, size_t col)> outcomeCell;
-
-    /** Renders an outcome into its table cell (default: summary()).
-     *  Pure formatting only — never any computation worth caching. */
-    std::function<std::string(const InjectionOutcome &outcome)>
-        formatOutcome;
-
-    /**
-     * Optional trailing rows computed from the full cell matrix after
-     * every cell ran (e.g. a per-column "Average" row). Each returned
-     * row is label + one cell per column.
-     */
-    std::function<std::vector<std::vector<std::string>>(
-        const std::vector<std::vector<std::string>> &cells)>
-        summary;
 
     /**
      * Evaluate cells over the worker pool. Leave on for grids of
@@ -81,17 +57,13 @@ struct CampaignGrid
     bool parallelCells = true;
 };
 
-/** An executed campaign: the raw cells plus the rendered table. */
+/** An executed campaign: its title, headers and rendered rows. */
 struct CampaignResult
 {
     std::string title;
     std::vector<std::string> headers; ///< rowHeader + colHeaders
-    std::vector<std::vector<std::string>> rows; ///< label + cells (+summary)
-    std::vector<std::vector<std::string>> cells; ///< raw grid cells only
-
-    /** Raw numeric outcomes (outcomeCell grids only, else empty) —
-     *  the memoizable result, decoupled from the rendered strings. */
-    std::vector<std::vector<InjectionOutcome>> outcomes;
+    /** Label + cells per grid row; callers may append summary rows. */
+    std::vector<std::vector<std::string>> rows;
 
     /** Assemble the tdc::Table (header + rows). */
     Table toTable() const;
@@ -102,7 +74,7 @@ struct CampaignResult
     void print() const;
 };
 
-/** Execute the grid: all cells, then summary rows, reduced in order. */
+/** Execute the grid: every cell, assembled in row-major order. */
 CampaignResult runCampaignGrid(const CampaignGrid &grid);
 
 } // namespace tdc

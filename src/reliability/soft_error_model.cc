@@ -1,10 +1,6 @@
 #include "reliability/soft_error_model.hh"
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
-
-#include "common/parallel.hh"
 
 namespace tdc
 {
@@ -46,56 +42,22 @@ SoftErrorModel::successProbability(double years) const
     return std::exp(-expectedSoftErrors(years) * q);
 }
 
-bool
-SoftErrorModel::trialSurvives(double mean, double q, Rng &rng) const
-{
-    const uint64_t n = rng.nextPoisson(mean);
-    bool ok = true;
-    for (uint64_t i = 0; i < n && ok; ++i)
-        ok = !rng.nextBool(q);
-    return ok;
-}
-
 double
 SoftErrorModel::monteCarlo(double years, int trials, Rng &rng) const
 {
     const double mean = expectedSoftErrors(years);
     const double q = faultyWordFraction();
     int survived = 0;
-    for (int t = 0; t < trials; ++t)
-        survived += trialSurvives(mean, q, rng);
+    for (int t = 0; t < trials; ++t) {
+        // A trial survives iff every soft error of the mission lands in
+        // a word without a pre-existing hard fault.
+        const uint64_t n = rng.nextPoisson(mean);
+        bool ok = true;
+        for (uint64_t i = 0; i < n && ok; ++i)
+            ok = !rng.nextBool(q);
+        survived += ok;
+    }
     return double(survived) / double(trials);
-}
-
-double
-SoftErrorModel::monteCarloParallel(double years, int trials,
-                                   uint64_t seed) const
-{
-    if (trials <= 0)
-        return 0.0;
-    const double mean = expectedSoftErrors(years);
-    const double q = faultyWordFraction();
-
-    // Shard size is fixed (not derived from the thread count), so the
-    // trial -> RNG-stream mapping is identical however many workers
-    // execute the shards.
-    constexpr int kShardTrials = 256;
-    const size_t shards = size_t((trials + kShardTrials - 1) / kShardTrials);
-    std::vector<int> survived(shards, 0);
-    parallelFor(shards, [&](size_t s) {
-        Rng rng(shardSeed(seed, s));
-        const int lo = int(s) * kShardTrials;
-        const int hi = std::min(trials, lo + kShardTrials);
-        int count = 0;
-        for (int t = lo; t < hi; ++t)
-            count += trialSurvives(mean, q, rng);
-        survived[s] = count;
-    });
-
-    int total = 0;
-    for (int count : survived)
-        total += count;
-    return double(total) / double(trials);
 }
 
 } // namespace tdc

@@ -82,24 +82,7 @@ class SoftErrorModel
      */
     double monteCarlo(double years, int trials, Rng &rng) const;
 
-    /**
-     * Threaded Monte-Carlo: trials are split into fixed-size shards,
-     * each drawing from its own counter-based RNG stream
-     * (shardSeed(seed, shard)), and shard counts are reduced in shard
-     * order — the result is bit-identical at any thread count.
-     */
-    double monteCarloParallel(double years, int trials,
-                              uint64_t seed) const;
-
   private:
-    /**
-     * One Monte-Carlo trial: true iff every soft error drawn for the
-     * mission lands in a word without a pre-existing hard fault.
-     * Shared by the serial and threaded drivers so the trial model
-     * cannot diverge between them.
-     */
-    bool trialSurvives(double mean, double q, Rng &rng) const;
-
     ReliabilityParams p;
 };
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/parallel.hh"
+#include "common/rng.hh"
 
 namespace tdc
 {
@@ -73,43 +74,6 @@ YieldModel::yieldEccPlusSpares(double faults, size_t spares) const
     return poissonCdf(expectedMultiFaultWords(faults), double(spares));
 }
 
-YieldModel::TrialCounts
-YieldModel::scatterTrial(size_t faults, Rng &rng,
-                         std::unordered_map<uint64_t, unsigned> &hit)
-    const
-{
-    // Scatter faults; count per-word multiplicities.
-    hit.clear();
-    for (size_t f = 0; f < faults; ++f) {
-        const uint64_t bit = rng.nextBelow(p.totalBits());
-        ++hit[bit / p.wordBits];
-    }
-    TrialCounts counts;
-    counts.any = hit.size();
-    for (const auto &[word, count] : hit)
-        counts.multi += count >= 2;
-    return counts;
-}
-
-YieldModel::McResult
-YieldModel::monteCarlo(size_t faults, size_t spares, int trials,
-                       Rng &rng) const
-{
-    McResult out;
-    std::unordered_map<uint64_t, unsigned> hit;
-    hit.reserve(faults * 2);
-    for (int t = 0; t < trials; ++t) {
-        const TrialCounts counts = scatterTrial(faults, rng, hit);
-        out.spareOnly += counts.any <= spares ? 1.0 : 0.0;
-        out.eccOnly += counts.multi == 0 ? 1.0 : 0.0;
-        out.eccPlusSpares += counts.multi <= spares ? 1.0 : 0.0;
-    }
-    out.spareOnly /= trials;
-    out.eccOnly /= trials;
-    out.eccPlusSpares /= trials;
-    return out;
-}
-
 YieldModel::McResult
 YieldModel::monteCarloParallel(size_t faults, size_t spares, int trials,
                                uint64_t seed) const
@@ -139,10 +103,16 @@ YieldModel::monteCarloParallel(size_t faults, size_t spares, int trials,
         std::unordered_map<uint64_t, unsigned> hit;
         hit.reserve(faults * 2);
         for (int t = lo; t < hi; ++t) {
-            const TrialCounts trial = scatterTrial(faults, rng, hit);
-            c.spareOnly += trial.any <= spares;
-            c.eccOnly += trial.multi == 0;
-            c.eccPlusSpares += trial.multi <= spares;
+            // Scatter the faulty cells; count per-word multiplicities.
+            hit.clear();
+            for (size_t f = 0; f < faults; ++f)
+                ++hit[rng.nextBelow(p.totalBits()) / p.wordBits];
+            size_t multi = 0;
+            for (const auto &[word, count] : hit)
+                multi += count >= 2;
+            c.spareOnly += hit.size() <= spares;
+            c.eccOnly += multi == 0;
+            c.eccPlusSpares += multi <= spares;
         }
         counts[s] = c;
     });

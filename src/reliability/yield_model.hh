@@ -15,9 +15,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-
-#include "common/rng.hh"
 
 namespace tdc
 {
@@ -76,7 +73,10 @@ class YieldModel
     /**
      * Monte-Carlo cross-check: scatter @p faults faulty cells
      * uniformly, count multi-fault and any-fault words, and report
-     * the fraction of @p trials that yield under each policy.
+     * the fraction of @p trials that yield under each policy. Trials
+     * run in fixed-size shards with per-shard counter-based RNG
+     * streams (shardSeed(seed, shard)), reduced in shard order — the
+     * result is bit-identical at any thread count.
      */
     struct McResult
     {
@@ -84,35 +84,12 @@ class YieldModel
         double eccOnly = 0.0;
         double eccPlusSpares = 0.0;
     };
-    McResult monteCarlo(size_t faults, size_t spares, int trials,
-                        Rng &rng) const;
-
-    /**
-     * Threaded Monte-Carlo: fixed-size trial shards with per-shard
-     * counter-based RNG streams (shardSeed(seed, shard)), reduced in
-     * shard order — bit-identical at any thread count.
-     */
     McResult monteCarloParallel(size_t faults, size_t spares, int trials,
                                 uint64_t seed) const;
 
   private:
     /** P(Poisson(mean) <= k) with a normal tail for large means. */
     static double poissonCdf(double mean, double k);
-
-    /**
-     * One Monte-Carlo trial: scatter @p faults cells and report how
-     * many words have any fault / multiple faults. Shared by the
-     * serial and threaded drivers so the trial model cannot diverge
-     * between them. @p hit is caller-provided scratch.
-     */
-    struct TrialCounts
-    {
-        size_t any = 0;
-        size_t multi = 0;
-    };
-    TrialCounts scatterTrial(size_t faults, Rng &rng,
-                             std::unordered_map<uint64_t, unsigned> &hit)
-        const;
 
     YieldParams p;
 };

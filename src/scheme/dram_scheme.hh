@@ -3,7 +3,7 @@
  * The "dram:" protection-scheme family: chipkill/DDC (rank-level
  * RS/SSC-DSD over per-chip symbols) and IECC+chipkill (per-chip
  * SEC-DED feeding chip erasures into the rank-level symbol code), on
- * the DramArray geometry. Registered in the scheme registry next to
+ * the DramArray geometry. Listed in the scheme registry next to
  * conv/2d/wt/prod so campaign grids, --figure chipkill, the lifetime
  * engine and the --optimize search all reach it through spec strings:
  *
@@ -40,7 +40,7 @@ struct DramSchemeConfig
 /** Build a chipkill-class scheme (the "dram:" family backend). */
 SchemePtr makeDramScheme(const DramSchemeConfig &config);
 
-/** The registrable "dram" family (scheme.cc registers it built-in). */
+/** The "dram" family entry (one of scheme.cc's built-ins). */
 SchemeFamily dramSchemeFamily();
 
 } // namespace tdc

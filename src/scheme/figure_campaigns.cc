@@ -185,16 +185,14 @@ figure3InjectionCampaign(int trials, uint64_t seed)
     grid.colHeaders = {schemes[0]->name(), schemes[1]->name(),
                        "2D (EDC8, EDC32)", "2D (SECDED, EDC32)"};
     const size_t nc = grid.colHeaders.size();
-    grid.outcomeCell = [=](size_t row, size_t col) {
+    grid.cell = [=](size_t row, size_t col) {
         // Each cell is its own campaign with a counter-based seed, so
         // the grid is a pure function of (trials, seed) — and therefore
         // memoizable in the result cache.
         const uint64_t cell_seed = shardSeed(seed, row * nc + col);
         return cachedInjectAndRecover(*schemes[col], faults[row], trials,
-                                      cell_seed);
-    };
-    grid.formatOutcome = [](const InjectionOutcome &o) {
-        return o.verdict();
+                                      cell_seed)
+            .verdict();
     };
     return runCampaignGrid(grid);
 }
@@ -328,13 +326,11 @@ relatedWorkCampaign(int trials, uint64_t seed)
     }
     grid.colHeaders = {"HV product code", "2D (EDC8+Intv4, EDC32)"};
     const size_t nc = grid.colHeaders.size();
-    grid.outcomeCell = [=](size_t row, size_t col) {
+    grid.cell = [=](size_t row, size_t col) {
         const uint64_t cell_seed = shardSeed(seed, row * nc + col);
         return cachedInjectAndRecover(*schemes[col], faults[row], trials,
-                                      cell_seed);
-    };
-    grid.formatOutcome = [](const InjectionOutcome &o) {
-        return o.verdict();
+                                      cell_seed)
+            .verdict();
     };
     return runCampaignGrid(grid);
 }
@@ -409,13 +405,11 @@ chipkillInjectionCampaign(int trials, uint64_t seed)
     for (const SchemePtr &scheme : schemes)
         grid.colHeaders.push_back(scheme->name());
     const size_t nc = grid.colHeaders.size();
-    grid.outcomeCell = [=](size_t row, size_t col) {
+    grid.cell = [=](size_t row, size_t col) {
         const uint64_t cell_seed = shardSeed(seed, row * nc + col);
         return cachedInjectAndRecover(*schemes[col], faults[row], trials,
-                                      cell_seed);
-    };
-    grid.formatOutcome = [](const InjectionOutcome &o) {
-        return o.verdict();
+                                      cell_seed)
+            .verdict();
     };
     return runCampaignGrid(grid);
 }
@@ -440,10 +434,11 @@ customInjectionCampaign(const std::vector<std::string> &scheme_specs,
     for (const SchemePtr &scheme : schemes)
         grid.colHeaders.push_back(scheme->name());
     const size_t nc = grid.colHeaders.size();
-    grid.outcomeCell = [=](size_t row, size_t col) {
+    grid.cell = [=](size_t row, size_t col) {
         const uint64_t cell_seed = shardSeed(seed, row * nc + col);
         return cachedInjectAndRecover(*schemes[col], faults[row], trials,
-                                      cell_seed);
+                                      cell_seed)
+            .summary();
     };
     return runCampaignGrid(grid);
 }

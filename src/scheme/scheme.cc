@@ -619,32 +619,13 @@ builtinFamilies()
     return families;
 }
 
-std::vector<SchemeFamily> &
-familyRegistry()
-{
-    static std::vector<SchemeFamily> families = builtinFamilies();
-    return families;
-}
-
 } // namespace
 
-void
-registerScheme(SchemeFamily family)
-{
-    auto &families = familyRegistry();
-    for (SchemeFamily &existing : families) {
-        if (existing.key == family.key) {
-            existing = std::move(family);
-            return;
-        }
-    }
-    families.push_back(std::move(family));
-}
-
-std::vector<SchemeFamily>
+const std::vector<SchemeFamily> &
 schemeFamilies()
 {
-    return familyRegistry();
+    static const std::vector<SchemeFamily> families = builtinFamilies();
+    return families;
 }
 
 SchemePtr
@@ -655,7 +636,7 @@ parseScheme(const std::string &spec)
         throw std::invalid_argument("scheme spec \"" + spec +
                                     "\": missing \":\" after the family");
     const std::string key = spec.substr(0, colon);
-    for (const SchemeFamily &family : familyRegistry()) {
+    for (const SchemeFamily &family : schemeFamilies()) {
         if (family.key == key)
             return family.parse(spec.substr(colon + 1), spec);
     }
@@ -689,7 +670,7 @@ std::vector<std::string>
 exampleSchemeSpecs()
 {
     std::vector<std::string> specs;
-    for (const SchemeFamily &family : familyRegistry())
+    for (const SchemeFamily &family : schemeFamilies())
         specs.insert(specs.end(), family.examples.begin(),
                      family.examples.end());
     return specs;

@@ -1,13 +1,13 @@
 /**
  * @file
- * The runtime-pluggable protection-scheme API. Every way the study
- * protects an array — conventional per-word ECC + interleaving, the
- * paper's 2D coding, write-through EDC, the related-work HV product
- * code, chipkill DRAM ranks — is one ProtectionScheme behind one
- * registry, constructed from a spec string:
+ * The protection-scheme API. Every way the study protects an array —
+ * conventional per-word ECC + interleaving, the paper's 2D coding,
+ * write-through EDC, the related-work HV product code, chipkill DRAM
+ * ranks — is one ProtectionScheme behind one registry, constructed
+ * from a spec string:
  *
  *   spec     ::= family ":" body
- *   family   ::= "conv" | "2d" | "wt" | "prod" | "dram" | <registered>
+ *   family   ::= "conv" | "2d" | "wt" | "prod" | "dram"
  *   conv/wt  ::= code "/i" degree opt*        ; e.g. conv:secded/i4
  *   2d       ::= code "/i" degree "+vp" rows opt*
  *                                             ; e.g. 2d:edc8/i4+vp32
@@ -143,7 +143,7 @@ NormalizedOverhead cachedNormalizedCost(const ProtectionScheme &scheme,
                                         const std::string &reference_spec,
                                         const CacheGeometry &geom);
 
-/** One registered spec-string family ("conv", "2d", ...). */
+/** One built-in spec-string family ("conv", "2d", ...). */
 struct SchemeFamily
 {
     /** Family key, the text before ':' in a spec. */
@@ -168,15 +168,8 @@ struct SchemeFamily
         parse;
 };
 
-/**
- * Register a new family. Re-registering an existing key replaces it
- * (last registration wins). Built-in families (conv, 2d, wt, prod,
- * dram) are registered on first use of the registry.
- */
-void registerScheme(SchemeFamily family);
-
-/** All registered families, in registration order. */
-std::vector<SchemeFamily> schemeFamilies();
+/** The built-in families: conv, 2d, wt, prod, dram, in that order. */
+const std::vector<SchemeFamily> &schemeFamilies();
 
 /**
  * Parse @p spec through the registry. Throws std::invalid_argument
@@ -185,7 +178,7 @@ std::vector<SchemeFamily> schemeFamilies();
  */
 SchemePtr parseScheme(const std::string &spec);
 
-/** Every registered family's canonical examples (round-trip axis). */
+/** Every family's canonical examples (round-trip axis). */
 std::vector<std::string> exampleSchemeSpecs();
 
 /**

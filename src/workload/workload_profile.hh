@@ -71,6 +71,8 @@ struct WorkloadProfile
 
     /** True for the scientific (streaming) workloads. */
     bool scientific = false;
+
+    bool operator==(const WorkloadProfile &) const = default;
 };
 
 /**

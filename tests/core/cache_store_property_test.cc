@@ -2,19 +2,18 @@
  * @file
  * Property-based suite for the whole-cache store: random clustered
  * injections (row bursts, column bursts, rectangles — several banks at
- * once) must always recover through the store API as long as every
- * event stays within one bank's guaranteed coverage, and the store's
- * batch sweeps must behave exactly like hand-driven per-bank
+ * once) must always recover through the store's bank-parallel scrubAll
+ * as long as every event stays within one bank's guaranteed coverage,
+ * and the sweep must behave exactly like hand-driven per-bank
  * TwoDimArray oracles (same repaired data, same reports, same stats).
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
-#include "common/parallel.hh"
+#include "array/fault.hh"
 #include "common/rng.hh"
 #include "core/twod_cache_store.hh"
 
@@ -129,91 +128,21 @@ TEST(CacheStoreProperty, CoveredInjectionsAlwaysRecoverAndMatchOracles)
             oracle_inj.inject(m.oracle[b]->cells(), fault);
         }
 
-        // The store API must fully recover...
-        const CacheRecoveryReport report =
-            m.store.recoverBanks({hit.begin(), hit.end()});
-        EXPECT_TRUE(report.success) << "iter " << iter;
+        // The store's sweep must fully recover...
+        EXPECT_TRUE(m.store.scrubAll()) << "iter " << iter;
 
-        // ...and behave exactly like the hand-driven per-bank oracles.
-        // (Stats are compared before the word-level verification pass,
-        // which charges extra reads to the store.)
-        std::vector<size_t> sorted(hit.begin(), hit.end());
-        std::sort(sorted.begin(), sorted.end());
-        ASSERT_EQ(report.banks.size(), sorted.size());
-        for (size_t i = 0; i < sorted.size(); ++i) {
-            const size_t b = sorted[i];
-            const RecoveryReport oracle_rep = m.oracle[b]->recover();
-            EXPECT_TRUE(oracle_rep.success);
-            const RecoveryReport &store_rep = report.banks[i].report;
-            EXPECT_EQ(report.banks[i].bank, b);
+        // ...and behave exactly like hand-driven per-bank oracles, hit
+        // or not. (Stats are compared before the word-level
+        // verification pass, which charges extra reads to the store.)
+        for (size_t b = 0; b < banks; ++b) {
+            EXPECT_TRUE(m.oracle[b]->scrub());
+            const RecoveryReport &oracle_rep = m.oracle[b]->lastRecovery();
+            const RecoveryReport &store_rep = m.store.bank(b).lastRecovery();
+            EXPECT_EQ(store_rep.success, oracle_rep.success);
             EXPECT_EQ(store_rep.rowReads, oracle_rep.rowReads);
             EXPECT_EQ(store_rep.rowsReconstructed,
                       oracle_rep.rowsReconstructed);
             EXPECT_EQ(store_rep.columnsRepaired,
-                      oracle_rep.columnsRepaired);
-            EXPECT_EQ(m.store.bank(b).stats(), m.oracle[b]->stats());
-        }
-        m.verifyAllWordsMatchGolden();
-    }
-}
-
-TEST(CacheStoreProperty, InjectAndRecoverMatchesHandDrivenOracle)
-{
-    Rng rng(0xBEEF);
-    const TwoDimConfig cfg = smallBank();
-
-    for (int iter = 0; iter < 12; ++iter) {
-        const size_t banks = 2 + rng.nextBelow(3);
-        Mirror m(cfg, banks, rng);
-        const uint64_t seed = rng.next();
-
-        // Random in-coverage footprints with *random* anchors: the
-        // batch API draws them from shardSeed(seed, i) streams.
-        const size_t events = 1 + rng.nextBelow(banks);
-        const std::vector<size_t> hit = distinctBanks(banks, events, rng);
-        std::vector<BankFaultSpec> specs;
-        for (size_t i = 0; i < events; ++i) {
-            FaultModel fault;
-            switch (rng.nextBelow(3)) {
-              case 0:
-                fault = FaultModel::rowBurst(
-                    1 + rng.nextBelow(cfg.clusterWidthCoverage()));
-                break;
-              case 1:
-                fault = FaultModel::columnBurst(
-                    1 + rng.nextBelow(cfg.clusterHeightCoverage()));
-                break;
-              default:
-                fault = FaultModel::cluster(
-                    1 + rng.nextBelow(cfg.clusterWidthCoverage()),
-                    1 + rng.nextBelow(cfg.clusterHeightCoverage()));
-                break;
-            }
-            specs.push_back({hit[i], fault});
-        }
-
-        // Replay the documented seeding contract on the oracles first:
-        // event i draws from the injection-domain stream.
-        for (size_t i = 0; i < specs.size(); ++i) {
-            Rng event_rng(shardSeed(seed, kSeedDomainInjection, i));
-            FaultInjector inj(event_rng);
-            inj.inject(m.oracle[specs[i].bank]->cells(), specs[i].fault);
-        }
-
-        const CacheRecoveryReport report =
-            m.store.injectAndRecover(specs, seed);
-        EXPECT_TRUE(report.success) << "iter " << iter;
-
-        std::vector<size_t> sorted(hit.begin(), hit.end());
-        std::sort(sorted.begin(), sorted.end());
-        ASSERT_EQ(report.banks.size(), sorted.size());
-        for (size_t i = 0; i < sorted.size(); ++i) {
-            const size_t b = sorted[i];
-            const RecoveryReport oracle_rep = m.oracle[b]->recover();
-            EXPECT_TRUE(oracle_rep.success);
-            EXPECT_EQ(report.banks[i].report.rowsReconstructed,
-                      oracle_rep.rowsReconstructed);
-            EXPECT_EQ(report.banks[i].report.columnsRepaired,
                       oracle_rep.columnsRepaired);
             EXPECT_EQ(m.store.bank(b).stats(), m.oracle[b]->stats());
         }

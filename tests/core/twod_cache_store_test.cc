@@ -31,24 +31,6 @@ TEST(TwoDimCacheStore, ZeroBankConstructionThrows)
     EXPECT_THROW(TwoDimCacheStore(smallBank(), 0), std::invalid_argument);
 }
 
-TEST(TwoDimCacheStore, OutOfRangeBankIndicesThrowWithoutSideEffects)
-{
-    TwoDimCacheStore store(smallBank(), 2);
-    for (size_t w = 0; w < store.totalWords(); ++w)
-        store.writeWord(w, BitVector(64, w));
-    EXPECT_THROW(store.recoverBanks({0, 2}), std::out_of_range);
-    EXPECT_THROW(
-        store.injectAndRecover({{0, FaultModel::singleBit()},
-                                {2, FaultModel::cluster(4, 4)}},
-                               1),
-        std::out_of_range);
-    // The bad batch was rejected up front: nothing was injected or
-    // recovered, and every word still reads clean.
-    EXPECT_EQ(store.aggregateStats().recoveries, 0u);
-    for (size_t w = 0; w < store.totalWords(); ++w)
-        ASSERT_EQ(store.readWord(w).data.toUint64(), w);
-}
-
 TEST(TwoDimCacheStore, Geometry)
 {
     TwoDimCacheStore store(smallBank(), 4);
@@ -127,57 +109,6 @@ TEST(TwoDimCacheStore, AggregateStatsSumBanks)
     EXPECT_EQ(s.readBeforeWrites, store.totalWords());
 }
 
-TEST(TwoDimCacheStore, RecoverAllReportsEveryBank)
-{
-    Rng rng(15);
-    TwoDimCacheStore store(smallBank(), 3);
-    for (size_t w = 0; w < store.totalWords(); ++w)
-        store.writeWord(w, BitVector(64, rng.next()));
-    FaultInjector inj(rng);
-    inj.injectCluster(store.bank(1).cells(), 16, 4, 1.0);
-
-    const CacheRecoveryReport report = store.recoverAll();
-    EXPECT_TRUE(report.success);
-    ASSERT_EQ(report.banks.size(), 3u);
-    for (size_t b = 0; b < 3; ++b)
-        EXPECT_EQ(report.banks[b].bank, b);
-    // Only the damaged bank reconstructs rows; the summed counters
-    // match the per-bank reports.
-    uint64_t rows_sum = 0;
-    for (const auto &br : report.banks)
-        rows_sum += br.report.rowsReconstructed.size();
-    EXPECT_EQ(report.rowsReconstructed, rows_sum);
-    EXPECT_GT(report.banks[1].report.rowsReconstructed.size(), 0u);
-    EXPECT_EQ(report.banks[0].report.rowsReconstructed.size(), 0u);
-}
-
-TEST(TwoDimCacheStore, InjectAndRecoverHitsOnlyTargetedBanks)
-{
-    Rng rng(16);
-    TwoDimCacheStore store(smallBank(), 4);
-    for (size_t w = 0; w < store.totalWords(); ++w)
-        store.writeWord(w, BitVector(64, rng.next()));
-
-    const std::vector<BankFaultSpec> events = {
-        {2, FaultModel::cluster(16, 4)},
-        {0, FaultModel::rowBurst(12)},
-        {2, FaultModel::columnBurst(3)},
-    };
-    // Seed re-tuned when injection events moved to their own seed
-    // domain: the three events must land recoverably for the sweep
-    // assertions below.
-    const CacheRecoveryReport report = store.injectAndRecover(events, 72);
-    EXPECT_TRUE(report.success);
-    // Banks 0 and 2 were swept (deduped, ascending); 1 and 3 untouched.
-    ASSERT_EQ(report.banks.size(), 2u);
-    EXPECT_EQ(report.banks[0].bank, 0u);
-    EXPECT_EQ(report.banks[1].bank, 2u);
-    EXPECT_EQ(store.bank(1).stats().recoveries, 0u);
-    EXPECT_EQ(store.bank(3).stats().recoveries, 0u);
-    EXPECT_EQ(store.bank(0).stats().recoveries, 1u);
-    EXPECT_EQ(store.bank(2).stats().recoveries, 1u);
-}
-
 TEST(TwoDimCacheStore, BatchSweepsBitIdenticalAtEveryThreadCount)
 {
     struct ThreadGuard
@@ -186,26 +117,25 @@ TEST(TwoDimCacheStore, BatchSweepsBitIdenticalAtEveryThreadCount)
     } guard;
 
     // One deterministic scenario, re-run at every pool size: same
-    // repaired words, same merged report, same aggregate stats.
+    // repaired words, same per-bank recovery reports, same stats.
     const auto scenario = [] {
         Rng rng(17);
         TwoDimCacheStore store(smallBank(), 4);
         for (size_t w = 0; w < store.totalWords(); ++w)
             store.writeWord(w, BitVector(64, rng.next()));
-        const std::vector<BankFaultSpec> events = {
-            {0, FaultModel::cluster(32, 8)},
-            {1, FaultModel::cluster(8, 8)},
-            {3, FaultModel::rowBurst(16)},
-        };
-        const CacheRecoveryReport rep = store.injectAndRecover(events, 5);
+        FaultInjector inj(rng);
+        inj.inject(store.bank(0).cells(), FaultModel::cluster(32, 8));
+        inj.inject(store.bank(1).cells(), FaultModel::cluster(8, 8));
+        inj.inject(store.bank(3).cells(), FaultModel::rowBurst(16));
         const bool scrubbed = store.scrubAll();
+        std::vector<uint64_t> row_reads;
+        for (size_t b = 0; b < store.banks(); ++b)
+            row_reads.push_back(store.bank(b).lastRecovery().rowReads);
         std::vector<uint64_t> words;
         for (size_t w = 0; w < store.totalWords(); ++w)
             words.push_back(store.readWord(w).data.toUint64());
-        return std::tuple(rep.success, rep.rowReads,
-                          rep.rowsReconstructed, rep.columnsRepaired,
-                          scrubbed, store.aggregateStats(),
-                          std::move(words));
+        return std::tuple(scrubbed, std::move(row_reads),
+                          store.aggregateStats(), std::move(words));
     };
 
     setParallelThreads(1);
@@ -219,8 +149,9 @@ TEST(TwoDimCacheStore, BatchSweepsBitIdenticalAtEveryThreadCount)
 
 TEST(TwoDimCacheStore, InjectionStreamsLiveInTheirOwnSeedDomain)
 {
-    // Regression for the seed-stream collision bug class: event i of
-    // injectAndRecover used to draw from the *un-domained* stream
+    // Regression for the seed-stream collision bug class: per-event
+    // fault injection (the lifetime engine, the cache service's fault
+    // pressure) used to draw from the *un-domained* stream
     // shardSeed(seed, i) — the very stream any other per-event
     // consumer of the same campaign seed (scrub scheduling, service
     // traffic) naturally counts through, so "independent" random
@@ -236,34 +167,18 @@ TEST(TwoDimCacheStore, InjectionStreamsLiveInTheirOwnSeedDomain)
             << "event " << i << " collides with the scrub domain";
     }
 
-    // The store's injector really consumes the domain stream: a
-    // single-bit event replayed through the documented contract lands
-    // on the same cell, while the legacy stream picks a different one.
+    // The two namespaces really pick different cells for the same
+    // single-bit event on a store bank.
     TwoDimCacheStore store(smallBank(), 2);
-    for (size_t w = 0; w < store.totalWords(); ++w)
-        store.writeWord(w, BitVector(64, w));
-    TwoDimCacheStore replay(smallBank(), 2);
-    for (size_t w = 0; w < replay.totalWords(); ++w)
-        replay.writeWord(w, BitVector(64, w));
-
     const FaultModel single = FaultModel::singleBit();
-    store.injectAndRecover({{0, single}}, seed);
-
     Rng domain_rng(shardSeed(seed, kSeedDomainInjection, 0));
     FaultInjector domain_inj(domain_rng);
     const FaultEvent domain_event =
-        domain_inj.inject(replay.bank(0).cells(), single);
-
+        domain_inj.inject(store.bank(0).cells(), single);
     Rng legacy_rng(shardSeed(seed, 0));
     FaultInjector legacy_inj(legacy_rng);
-    MemoryArray scratch(replay.bank(0).cells().rows(),
-                        replay.bank(0).cells().cols());
-    const FaultEvent legacy_event = legacy_inj.inject(scratch, single);
-
-    // Store and domain-replay recovered identical sweeps (same cell
-    // hit => same rows reconstructed / reads charged).
-    replay.recoverBanks({0});
-    EXPECT_EQ(store.bank(0).stats(), replay.bank(0).stats());
+    const FaultEvent legacy_event =
+        legacy_inj.inject(store.bank(1).cells(), single);
     EXPECT_NE(domain_event.cells, legacy_event.cells)
         << "injection still draws from the legacy counter namespace";
 }

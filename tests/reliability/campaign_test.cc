@@ -35,31 +35,28 @@ arithmeticGrid()
         // produce the same table.
         return std::to_string(shardSeed(41, row * 2 + col) % 1000);
     };
-    grid.summary = [](const std::vector<std::vector<std::string>> &cells) {
-        std::vector<std::string> row{"sum-rows",
-                                     std::to_string(cells.size())};
-        return std::vector<std::vector<std::string>>{row};
-    };
     return grid;
 }
 
-TEST(Campaign, GridAssemblesLabelsCellsAndSummary)
+TEST(Campaign, GridAssemblesLabelsAndCells)
 {
     const CampaignResult res = runCampaignGrid(arithmeticGrid());
     ASSERT_EQ(res.headers.size(), 3u);
     EXPECT_EQ(res.headers[0], "Row");
-    ASSERT_EQ(res.cells.size(), 3u);
-    ASSERT_EQ(res.cells[0].size(), 2u);
-    // rows = 3 grid rows + 1 summary row, each led by its label.
-    ASSERT_EQ(res.rows.size(), 4u);
-    EXPECT_EQ(res.rows[1][0], "r1");
-    EXPECT_EQ(res.rows[1][1], res.cells[1][0]);
-    EXPECT_EQ(res.rows[3][0], "sum-rows");
-    EXPECT_EQ(res.rows[3][1], "3");
-    // The rendered output embeds the title and all four rows.
+    EXPECT_EQ(res.headers[2], "c1");
+    // One row per grid row: its label, then cell (row, col) per column.
+    ASSERT_EQ(res.rows.size(), 3u);
+    for (size_t r = 0; r < 3; ++r) {
+        ASSERT_EQ(res.rows[r].size(), 3u);
+        EXPECT_EQ(res.rows[r][0], "r" + std::to_string(r));
+        for (size_t c = 0; c < 2; ++c)
+            EXPECT_EQ(res.rows[r][1 + c],
+                      std::to_string(shardSeed(41, r * 2 + c) % 1000));
+    }
+    // The rendered output embeds the title and every row label.
     const std::string text = res.render();
     EXPECT_NE(text.find("--- test ---"), std::string::npos);
-    EXPECT_NE(text.find("sum-rows"), std::string::npos);
+    EXPECT_NE(text.find("r2"), std::string::npos);
 }
 
 TEST(Campaign, GridIdenticalAtEveryThreadCount)

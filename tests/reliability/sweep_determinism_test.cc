@@ -1,16 +1,15 @@
 /**
  * @file
- * Determinism contract of the threaded reliability sweeps:
- * counter-based RNG streams make every Monte-Carlo result a pure
- * function of its parameters, so running with 1, 2, 4 or 8 workers
- * must reproduce the serial counters bit for bit. (Injection trials
- * are covered by SchemeInjection in tests/scheme.)
+ * Determinism contract of the threaded yield sweep: counter-based RNG
+ * streams make the Monte-Carlo result a pure function of its
+ * parameters, so running with 1, 2, 4 or 8 workers must reproduce the
+ * serial counters bit for bit. (Injection trials are covered by
+ * SchemeInjection in tests/scheme.)
  */
 
 #include <gtest/gtest.h>
 
 #include "common/parallel.hh"
-#include "reliability/soft_error_model.hh"
 #include "reliability/yield_model.hh"
 
 namespace tdc
@@ -22,21 +21,6 @@ struct ThreadGuard
 {
     ~ThreadGuard() { setParallelThreads(0); }
 };
-
-TEST(SweepDeterminism, SoftErrorMonteCarloIdenticalAtEveryThreadCount)
-{
-    ThreadGuard guard;
-    const SoftErrorModel model(ReliabilityParams::figure8b(1e-4));
-    setParallelThreads(1);
-    const double serial = model.monteCarloParallel(5.0, 2000, 77);
-    for (unsigned threads : {2u, 4u, 8u}) {
-        setParallelThreads(threads);
-        EXPECT_EQ(model.monteCarloParallel(5.0, 2000, 77), serial)
-            << threads << " threads";
-    }
-    // And it still estimates the analytic curve.
-    EXPECT_NEAR(serial, model.successProbability(5.0), 0.05);
-}
 
 TEST(SweepDeterminism, YieldMonteCarloIdenticalAtEveryThreadCount)
 {

@@ -93,9 +93,8 @@ TEST(YieldModel, MonteCarloAgreesWithAnalytic)
     p.words = 4096;
     p.wordBits = 72;
     YieldModel m(p);
-    Rng rng(1234);
     const size_t faults = 128;
-    const auto mc = m.monteCarlo(faults, 4, 400, rng);
+    const auto mc = m.monteCarloParallel(faults, 4, 400, 1234);
     EXPECT_NEAR(mc.eccOnly, m.yieldEccOnly(double(faults)), 0.08);
     EXPECT_NEAR(mc.eccPlusSpares, m.yieldEccPlusSpares(double(faults), 4),
                 0.08);

@@ -3,42 +3,25 @@
  * Golden pin of exact injection counts: one customInjectionCampaign
  * grid over every scheme family and a spread of fault shapes, rendered
  * as ';'-separated values (scheme labels contain commas) with each
- * cell's raw corrected/detected-only/silent counts next to its
- * verdict. Any change to a family's device model (golden fill, RNG
- * draw order, scrub or verify machinery) moves some count and fails
- * here, so refactors of the trial path must keep this string
- * byte-identical.
+ * rendered cell followed by the raw corrected/detected-only/silent
+ * counts of that cell's campaign (re-run through the documented
+ * shardSeed(seed, cell) contract). Any change to a family's device
+ * model (golden fill, RNG draw order, scrub or verify machinery) moves
+ * some count and fails here, so refactors of the trial path must keep
+ * this string byte-identical.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "common/parallel.hh"
 #include "scheme/figure_campaigns.hh"
 
 namespace tdc
 {
 namespace
 {
-
-/** @p res as header row, then label + "summary c/d/s" cells. */
-std::string
-countsCsv(const CampaignResult &res)
-{
-    std::string out;
-    for (size_t i = 0; i < res.headers.size(); ++i)
-        out += (i ? ";" : "") + res.headers[i];
-    out += '\n';
-    for (size_t r = 0; r < res.outcomes.size(); ++r) {
-        out += res.rows[r][0];
-        for (const InjectionOutcome &o : res.outcomes[r])
-            out += ";" + o.summary() + " " + std::to_string(o.corrected) +
-                   "/" + std::to_string(o.detectedOnly) + "/" +
-                   std::to_string(o.silent);
-        out += '\n';
-    }
-    return out;
-}
 
 const std::vector<std::string> kSchemes = {
     "conv:secded/i4/r64",    "wt:edc8/i4/r64",
@@ -51,6 +34,37 @@ const std::vector<std::string> kFaults = {
     "single",  "row:4",        "8x8",        "fullcol",
     "chip:any", "hammer:3@0.5", "senseamp:16",
 };
+
+constexpr int kTrials = 6;
+constexpr uint64_t kSeed = 2024;
+
+/** The grid as header row, then label + "summary c/d/s" cells. */
+std::string
+countsCsv()
+{
+    const CampaignResult res =
+        customInjectionCampaign(kSchemes, kFaults, kTrials, kSeed);
+    std::string out;
+    for (size_t i = 0; i < res.headers.size(); ++i)
+        out += (i ? ";" : "") + res.headers[i];
+    out += '\n';
+    for (size_t r = 0; r < res.rows.size(); ++r) {
+        out += res.rows[r][0];
+        for (size_t c = 0; c < kSchemes.size(); ++c) {
+            const InjectionOutcome o =
+                parseScheme(kSchemes[c])
+                    ->injectAndRecover(parseFaultModel(kFaults[r]), kTrials,
+                                       shardSeed(kSeed,
+                                                 r * kSchemes.size() + c));
+            out += ";" + res.rows[r][1 + c] + " " +
+                   std::to_string(o.corrected) + "/" +
+                   std::to_string(o.detectedOnly) + "/" +
+                   std::to_string(o.silent);
+        }
+        out += '\n';
+    }
+    return out;
+}
 
 const char *const kGolden = R"CSV(Fault;SECDED+Intv4;EDC8+Intv4(Wr-through);2D(EDC8+Intv4,EDC32);2D(SECDED+Intv4,EDC32);HVProd(64x64);Chipkill(x4,RS15/12);IECC+Chipkill(x8,RS11/8)
 1x1;corrected 6/6 6/0/0;detected only 0/6 0/6/0;corrected 6/6 6/0/0;corrected 6/6 6/0/0;corrected 6/6 6/0/0;corrected 6/6 6/0/0;corrected 6/6 6/0/0
@@ -65,8 +79,7 @@ sense-amp 2x16;corrected 6/6 6/0/0;detected only 0/6 0/6/0;corrected 6/6 6/0/0;c
 TEST(InjectionGoldenPins, CustomGridCountsAreByteIdentical)
 {
     // Thread invariance is SchemeInjection's job; this pins the values.
-    EXPECT_EQ(countsCsv(customInjectionCampaign(kSchemes, kFaults, 6, 2024)),
-              kGolden);
+    EXPECT_EQ(countsCsv(), kGolden);
 }
 
 } // namespace
