@@ -20,12 +20,6 @@ splitMix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(uint64_t seed)
@@ -33,22 +27,6 @@ Rng::Rng(uint64_t seed)
     uint64_t sm = seed;
     for (auto &s : state)
         s = splitMix64(sm);
-}
-
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(state[1] * 5, 7) * 9;
-    const uint64_t t = state[1] << 17;
-
-    state[2] ^= state[0];
-    state[3] ^= state[1];
-    state[1] ^= state[2];
-    state[0] ^= state[3];
-    state[2] ^= t;
-    state[3] = rotl(state[3], 45);
-
-    return result;
 }
 
 uint64_t
@@ -69,18 +47,6 @@ Rng::nextRange(int64_t lo, int64_t hi)
 {
     assert(lo <= hi);
     return lo + int64_t(nextBelow(uint64_t(hi - lo) + 1));
-}
-
-double
-Rng::nextDouble()
-{
-    return double(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
 }
 
 double
@@ -135,6 +101,17 @@ Rng::nextGaussian()
     spareGaussian = v * scale;
     haveSpareGaussian = true;
     return u * scale;
+}
+
+uint64_t
+bernoulliThreshold(double p)
+{
+    const double scaled = std::ldexp(p, 53);
+    if (!(scaled > 0.0))
+        return 0;
+    if (scaled >= 0x1.0p53)
+        return uint64_t(1) << 53;
+    return uint64_t(std::ceil(scaled));
 }
 
 } // namespace tdc

@@ -6,7 +6,7 @@ namespace tdc
 {
 
 PortScheduler::PortScheduler(unsigned ports_, unsigned steal_window)
-    : ports(ports_), stealWindow(steal_window)
+    : ports(ports_), stealWindow(steal_window), idleRing(steal_window, 0)
 {
     assert(ports > 0);
 }
@@ -20,21 +20,24 @@ PortScheduler::advanceTo(uint64_t cycle)
 
     // Account idle slots of every fully elapsed cycle for stealing.
     // The horizon cycle may be partially used; cycles between now and
-    // the horizon are fully booked (horizon invariant).
-    for (uint64_t c = now; c < cycle; ++c) {
-        unsigned used = 0;
-        if (c < horizonCycle)
-            used = ports;
-        else if (c == horizonCycle)
-            used = horizonUsed;
-        const unsigned idle = ports - used;
-        if (stealWindow > 0) {
-            idleHistory.push_back(idle);
+    // the horizon are fully booked (horizon invariant). Only the last
+    // stealWindow elapsed cycles can still be in the window, so older
+    // ones are not replayed.
+    if (stealWindow > 0) {
+        const uint64_t first =
+            cycle - now > stealWindow ? cycle - stealWindow : now;
+        for (uint64_t c = first; c < cycle; ++c) {
+            unsigned used = 0;
+            if (c < horizonCycle)
+                used = ports;
+            else if (c == horizonCycle)
+                used = horizonUsed;
+            const unsigned idle = ports - used;
+            idleBank -= idleRing[idleOldest];
             idleBank += idle;
-            while (idleHistory.size() > stealWindow) {
-                idleBank -= idleHistory.front();
-                idleHistory.pop_front();
-            }
+            idleRing[idleOldest] = idle;
+            if (++idleOldest == stealWindow)
+                idleOldest = 0;
         }
     }
 
@@ -67,14 +70,13 @@ PortScheduler::issueStolenRead()
         // read issued early from the store queue and costs nothing
         // now.
         --idleBank;
-        assert(!idleHistory.empty());
         // Consume the oldest recorded idle slot.
-        for (auto &slot : idleHistory) {
-            if (slot > 0) {
-                --slot;
-                break;
-            }
+        unsigned i = idleOldest;
+        while (idleRing[i] == 0) {
+            if (++i == stealWindow)
+                i = 0;
         }
+        --idleRing[i];
         ++absorbedCount;
         return 0;
     }

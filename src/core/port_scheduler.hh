@@ -8,7 +8,7 @@
 #define TDC_CORE_PORT_SCHEDULER_HH
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 namespace tdc
 {
@@ -37,7 +37,11 @@ class PortScheduler
      */
     PortScheduler(unsigned ports, unsigned steal_window);
 
-    /** Advance time to @p cycle (monotonic). */
+    /**
+     * Advance time to @p cycle (monotonic). Advancing straight to a
+     * later cycle leaves the same state as advancing one cycle at a
+     * time, so callers need only visit the cycles they access.
+     */
     void advanceTo(uint64_t cycle);
 
     /**
@@ -63,9 +67,6 @@ class PortScheduler
     double stealEfficiency() const;
 
   private:
-    /** Free slots at the horizon (cycle where the next access lands). */
-    void refreshHorizon();
-
     unsigned ports;
     unsigned stealWindow;
     uint64_t now = 0;
@@ -74,8 +75,13 @@ class PortScheduler
     uint64_t horizonCycle = 0;
     unsigned horizonUsed = 0;
 
-    /** Idle slots accumulated over the last stealWindow cycles. */
-    std::deque<unsigned> idleHistory;
+    /**
+     * Idle slots of each of the last stealWindow cycles: a ring whose
+     * oldest entry is at idleOldest. Cycles before time began count
+     * as zero idle slots. idleBank is the ring's sum.
+     */
+    std::vector<unsigned> idleRing;
+    unsigned idleOldest = 0;
     unsigned idleBank = 0;
 
     uint64_t demandCount = 0;

@@ -21,10 +21,10 @@ constexpr unsigned kDrainTimeout = 16;
 } // namespace
 
 CmpSimulator::CmpSimulator(const CmpConfig &machine_,
-                           const WorkloadProfile &workload_,
+                           const WorkloadProfile &workload,
                            const ProtectionConfig &protection_,
                            uint64_t seed)
-    : machine(machine_), workload(workload_), protection(protection_)
+    : machine(machine_), protection(protection_)
 {
     cores.resize(machine.cores);
     uint64_t stream_seed = seed * 7919;
@@ -43,6 +43,11 @@ CmpSimulator::CmpSimulator(const CmpConfig &machine_,
     }
     for (unsigned b = 0; b < machine.l2Banks; ++b)
         l2Banks.push_back(std::make_unique<PortScheduler>(1, 0));
+    for (unsigned b = 0; b < bubbleStall.size(); ++b) {
+        const double scaled = double(b) * machine.bubbleScale;
+        bubbleStall[b] = uint64_t(
+            (scaled + machine.issueWidth - 1) / machine.issueWidth);
+    }
 }
 
 unsigned
@@ -76,13 +81,31 @@ CmpSimulator::missLatency(const SyntheticInstr &instr,
     return latency;
 }
 
-unsigned
-CmpSimulator::outstandingMisses(const CoreState &core)
+void
+CmpSimulator::addPending(CoreState &core, const Pending &p)
 {
-    unsigned count = 0;
-    for (const Pending &p : core.pending)
-        count += p.fillsL1;
-    return count;
+    core.pending.push_back(p);
+    core.fillsInFlight += p.fillsL1;
+    core.nextDone = std::min(core.nextDone, p.doneCycle);
+}
+
+uint64_t
+CmpSimulator::wakeCycle(const CoreState &core) const
+{
+    if (core.storeQueueOcc >= kDrainBatch)
+        return now + 1; // a full batch drains every cycle
+    uint64_t wake = core.nextDone;
+    if (core.storeQueueOcc > 0)
+        wake = std::min(wake, core.lastDrain + kDrainTimeout);
+    if (machine.outOfOrder) {
+        // A full window issues nothing until a load completes.
+        if (core.pending.size() < machine.robSize)
+            wake = std::min(wake, core.fetchStallUntil);
+    } else {
+        for (const ThreadState &t : core.threads)
+            wake = std::min(wake, t.blockedUntil);
+    }
+    return std::max(wake, now + 1);
 }
 
 unsigned
@@ -117,13 +140,18 @@ CmpSimulator::serviceMiss(CoreState &core, const SyntheticInstr &instr,
 void
 CmpSimulator::completePending(CoreState &core)
 {
+    if (core.nextDone > now)
+        return;
+    uint64_t next_done = UINT64_MAX;
     for (size_t i = 0; i < core.pending.size();) {
         Pending &p = core.pending[i];
         if (p.doneCycle > now) {
+            next_done = std::min(next_done, p.doneCycle);
             ++i;
             continue;
         }
         if (p.fillsL1) {
+            --core.fillsInFlight;
             // The refill writes the L1 array; under 2D coding the
             // fill is a write and therefore a read-before-write.
             core.l1Ports->advanceTo(now);
@@ -142,11 +170,10 @@ CmpSimulator::completePending(CoreState &core)
                 ++result.l2Writes;
             }
         }
-        if (p.isIfetch && core.threads[p.thread].blockedUntil <= now)
-            core.threads[p.thread].blockedUntil = now;
         core.pending[i] = core.pending.back();
         core.pending.pop_back();
     }
+    core.nextDone = next_done;
 }
 
 void
@@ -232,7 +259,6 @@ CmpSimulator::stepOutOfOrderCore(CoreState &core)
             // OoO core loses some issue slots to dependents waiting.
             thread.bubbleDebt += port_delay * machine.loadUseSlots;
             Pending p;
-            p.thread = 0;
             if (instr.l1dMiss) {
                 const unsigned bank = instr.bankHash % machine.l2Banks;
                 p.doneCycle =
@@ -243,13 +269,11 @@ CmpSimulator::stepOutOfOrderCore(CoreState &core)
             } else {
                 p.doneCycle = now + port_delay + machine.l1HitLatency;
             }
-            core.pending.push_back(p);
+            addPending(core, p);
             // A full MSHR file is a structural hazard: no further
             // issue this cycle.
-            if (instr.l1dMiss &&
-                outstandingMisses(core) >= machine.mshrs) {
+            if (instr.l1dMiss && core.fillsInFlight >= machine.mshrs)
                 sq_stall = true;
-            }
             break;
           }
           case SyntheticInstr::Kind::kStore:
@@ -283,12 +307,14 @@ CmpSimulator::stepInOrderCore(CoreState &core)
     const unsigned nthreads = unsigned(core.threads.size());
     for (unsigned slot = 0; slot < machine.issueWidth; ++slot) {
         ThreadState *picked = nullptr;
+        unsigned t = core.nextThread;
         for (unsigned k = 0; k < nthreads; ++k) {
-            ThreadState &cand =
-                core.threads[(core.nextThread + k) % nthreads];
+            ThreadState &cand = core.threads[t];
+            if (++t == nthreads)
+                t = 0;
             if (cand.blockedUntil <= now) {
                 picked = &cand;
-                core.nextThread = (core.nextThread + k + 1) % nthreads;
+                core.nextThread = t;
                 break;
             }
         }
@@ -296,19 +322,13 @@ CmpSimulator::stepInOrderCore(CoreState &core)
             break; // every thread is blocked
 
         const SyntheticInstr instr = picked->stream->next();
-        const unsigned thread_id =
-            unsigned(picked - core.threads.data());
 
         // Dependency bubbles stall this thread; the other hardware
         // threads keep the issue slots busy (fine-grain SMT latency
         // hiding).
         if (instr.bubbles > 0) {
-            const double scaled =
-                double(instr.bubbles) * machine.bubbleScale;
-            const uint64_t stall = uint64_t(
-                (scaled + machine.issueWidth - 1) / machine.issueWidth);
-            picked->blockedUntil =
-                std::max(picked->blockedUntil, now + stall);
+            picked->blockedUntil = std::max(
+                picked->blockedUntil, now + bubbleStall[instr.bubbles]);
         }
 
         if (instr.ifetchMiss) {
@@ -330,7 +350,7 @@ CmpSimulator::stepInOrderCore(CoreState &core)
                 // A full MSHR file is a structural hazard: the thread
                 // stalls and the load replays once an MSHR frees up
                 // (the instruction is not committed now).
-                if (outstandingMisses(core) >= machine.mshrs) {
+                if (core.fillsInFlight >= machine.mshrs) {
                     picked->blockedUntil = now + 2;
                     continue;
                 }
@@ -345,8 +365,7 @@ CmpSimulator::stepInOrderCore(CoreState &core)
                 p.fillsL1 = true;
                 p.dirtyEvict = instr.dirtyEvict;
                 p.bank = bank;
-                p.thread = thread_id;
-                core.pending.push_back(p);
+                addPending(core, p);
             } else {
                 // In-order blocking load: the thread waits for the L1
                 // hit (plus any port-contention delay); the other
@@ -374,13 +393,21 @@ CmpSimResult
 CmpSimulator::run(uint64_t cycles)
 {
     const uint64_t end = now + cycles;
-    for (; now < end; ++now) {
+    while (now < end) {
+        // Step the due cores in core order, then jump to the earliest
+        // cycle in which any core is due again.
+        uint64_t next = end;
         for (CoreState &core : cores) {
-            if (machine.outOfOrder)
-                stepOutOfOrderCore(core);
-            else
-                stepInOrderCore(core);
+            if (core.wakeAt <= now) {
+                if (machine.outOfOrder)
+                    stepOutOfOrderCore(core);
+                else
+                    stepInOrderCore(core);
+                core.wakeAt = wakeCycle(core);
+            }
+            next = std::min(next, core.wakeAt);
         }
+        now = next;
     }
     result.cycles += cycles;
     return result;

@@ -14,6 +14,8 @@
 #ifndef TDC_CPU_CMP_SIMULATOR_HH
 #define TDC_CPU_CMP_SIMULATOR_HH
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -65,6 +67,13 @@ struct CmpSimResult
  * The simulator. One instance simulates one (machine, workload,
  * protection) combination. Pair baseline and protected runs on the
  * same seed for matched-pair IPC comparison.
+ *
+ * Time advances from one due core step to the next: after each step a
+ * core records the earliest cycle at which its next step could change
+ * any state (a load completing, the store queue draining, a thread or
+ * the fetch unit unblocking), and the cycles in which no core is due
+ * are skipped. A skipped step would have changed nothing, so every
+ * counter is the same as stepping each core on every cycle.
  */
 class CmpSimulator
 {
@@ -76,15 +85,13 @@ class CmpSimulator
     CmpSimResult run(uint64_t cycles);
 
   private:
-    /** One pending load (or ifetch miss) completion. */
+    /** One pending load completion. */
     struct Pending
     {
         uint64_t doneCycle = 0;
-        bool isIfetch = false;
         bool fillsL1 = false;     ///< refill writes the L1 array
         bool dirtyEvict = false;  ///< refill evicts a dirty line
         unsigned bank = 0;        ///< L2 bank (for fills / write-backs)
-        unsigned thread = 0;      ///< issuing hardware thread
     };
 
     /** Per-hardware-thread state (one per thread per core). */
@@ -103,13 +110,22 @@ class CmpSimulator
         unsigned nextThread = 0; ///< SMT round-robin pointer
         std::unique_ptr<PortScheduler> l1Ports;
         std::vector<Pending> pending; ///< outstanding loads (OoO window)
+        unsigned fillsInFlight = 0;   ///< pending L1 fills (MSHRs in use)
+        uint64_t nextDone = UINT64_MAX; ///< smallest pending doneCycle
         unsigned storeQueueOcc = 0;
         uint64_t lastDrain = 0;       ///< cycle of the last SQ drain
         uint64_t fetchStallUntil = 0; ///< OoO ifetch-miss stall
+        uint64_t wakeAt = 0;          ///< next cycle the core is stepped
     };
 
-    /** Outstanding L1 misses of a core (MSHR occupancy). */
-    static unsigned outstandingMisses(const CoreState &core);
+    /** Track a new pending load. */
+    static void addPending(CoreState &core, const Pending &p);
+
+    /**
+     * Lower bound on the next cycle after now in which stepping @p core
+     * would change any state.
+     */
+    uint64_t wakeCycle(const CoreState &core) const;
 
     /**
      * Service an L1 miss: either an L1-to-L1 dirty transfer from a
@@ -139,8 +155,10 @@ class CmpSimulator
         const;
 
     CmpConfig machine;
-    WorkloadProfile workload;
     ProtectionConfig protection;
+
+    /** In-order thread stall for each bubble count 0..kMaxBubbles. */
+    std::array<uint64_t, SyntheticInstr::kMaxBubbles + 1> bubbleStall{};
 
     std::vector<CoreState> cores;
     std::vector<std::unique_ptr<PortScheduler>> l2Banks;

@@ -5,10 +5,27 @@
 namespace tdc
 {
 
-InstructionStream::InstructionStream(const WorkloadProfile &profile_,
+InstructionStream::InstructionStream(const WorkloadProfile &profile,
                                      uint64_t seed)
-    : profile(profile_), rng(seed)
+    : rng(seed), burstOn(bernoulliThreshold(profile.burstOnProb)),
+      burstOff(bernoulliThreshold(profile.burstOffProb)),
+      l1iMiss(bernoulliThreshold(profile.l1iMissRate)),
+      ilpBubble(bernoulliThreshold(profile.ilpBubbleProb)),
+      bubbleGrow(bernoulliThreshold(0.45)),
+      l1dMiss(bernoulliThreshold(profile.l1dMissRate)),
+      l2Miss(bernoulliThreshold(profile.l2MissRate)),
+      dirtyEvict(bernoulliThreshold(profile.dirtyEvictFrac)),
+      dirtyShared(bernoulliThreshold(profile.dirtySharedFrac))
 {
+    const auto mix = [&](double boost) {
+        const double load_p = std::min(0.9, profile.loadFrac * boost);
+        const double store_p =
+            std::min(0.9 - load_p, profile.storeFrac * boost);
+        return MixThresholds{bernoulliThreshold(load_p),
+                             bernoulliThreshold(load_p + store_p)};
+    };
+    calmMix = mix(1.0);
+    burstMix = mix(profile.burstLoadBoost);
 }
 
 SyntheticInstr
@@ -16,43 +33,42 @@ InstructionStream::next()
 {
     // Markov burst phase transition.
     if (inBurst) {
-        if (rng.nextBool(profile.burstOffProb))
+        if (rng.nextBelow53(burstOff))
             inBurst = false;
     } else {
-        if (rng.nextBool(profile.burstOnProb))
+        if (rng.nextBelow53(burstOn))
             inBurst = true;
     }
-    const double boost = inBurst ? profile.burstLoadBoost : 1.0;
-    const double load_p = std::min(0.9, profile.loadFrac * boost);
-    const double store_p = std::min(0.9 - load_p, profile.storeFrac * boost);
+    const MixThresholds &mix = inBurst ? burstMix : calmMix;
 
     SyntheticInstr instr;
-    instr.ifetchMiss = rng.nextBool(profile.l1iMissRate);
+    instr.ifetchMiss = rng.nextBelow53(l1iMiss);
     instr.bankHash = uint32_t(rng.next());
 
     // ILP bubbles: geometric tail, capped so one draw cannot freeze a
     // core for long.
-    if (rng.nextBool(profile.ilpBubbleProb)) {
+    if (rng.nextBelow53(ilpBubble)) {
         instr.bubbles = 1;
-        while (instr.bubbles < 4 && rng.nextBool(0.45))
+        while (instr.bubbles < SyntheticInstr::kMaxBubbles &&
+               rng.nextBelow53(bubbleGrow))
             ++instr.bubbles;
     }
 
-    const double draw = rng.nextDouble();
-    if (draw < load_p)
+    const uint64_t draw = rng.next() >> 11;
+    if (draw < mix.load)
         instr.kind = SyntheticInstr::Kind::kLoad;
-    else if (draw < load_p + store_p)
+    else if (draw < mix.loadOrStore)
         instr.kind = SyntheticInstr::Kind::kStore;
     else
         instr.kind = SyntheticInstr::Kind::kNonMem;
 
     if (instr.kind != SyntheticInstr::Kind::kNonMem) {
-        instr.l1dMiss = rng.nextBool(profile.l1dMissRate);
+        instr.l1dMiss = rng.nextBelow53(l1dMiss);
         if (instr.l1dMiss) {
-            instr.l2Miss = rng.nextBool(profile.l2MissRate);
-            instr.dirtyEvict = rng.nextBool(profile.dirtyEvictFrac);
+            instr.l2Miss = rng.nextBelow53(l2Miss);
+            instr.dirtyEvict = rng.nextBelow53(dirtyEvict);
             instr.dirtyShared =
-                !instr.l2Miss && rng.nextBool(profile.dirtySharedFrac);
+                !instr.l2Miss && rng.nextBelow53(dirtyShared);
         }
     }
     return instr;

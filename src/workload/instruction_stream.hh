@@ -44,7 +44,11 @@ struct SyntheticInstr
     /** Uniform hash used to pick an L2 bank. */
     uint32_t bankHash = 0;
 
-    /** Dead issue slots preceding this instruction (ILP stalls). */
+    /** Most bubbles one instruction carries. */
+    static constexpr unsigned kMaxBubbles = 4;
+
+    /** Dead issue slots preceding this instruction (ILP stalls),
+     *  0..kMaxBubbles. */
     unsigned bubbles = 0;
 };
 
@@ -54,6 +58,11 @@ struct SyntheticInstr
  * independently, so runs are reproducible and baseline/protected
  * simulations can be paired sample-by-sample (the matched-pair
  * methodology the paper borrows from SimFlex).
+ *
+ * Every probability of the profile is turned into its 53-bit integer
+ * threshold once, at construction (Rng::nextBelow53): each draw then
+ * makes exactly the decision a floating-point nextBool would, from
+ * the same number of draws.
  */
 class InstructionStream
 {
@@ -67,9 +76,29 @@ class InstructionStream
     bool bursty() const { return inBurst; }
 
   private:
-    const WorkloadProfile profile;
+    /** Load/store split of one burst phase, as thresholds of one
+     *  uniform draw: load below `load`, store below `loadOrStore`. */
+    struct MixThresholds
+    {
+        uint64_t load = 0;
+        uint64_t loadOrStore = 0;
+    };
+
     Rng rng;
     bool inBurst = false;
+
+    /** bernoulliThreshold of each profile probability. */
+    uint64_t burstOn;
+    uint64_t burstOff;
+    uint64_t l1iMiss;
+    uint64_t ilpBubble;
+    uint64_t bubbleGrow; ///< a bubble run grows by one more (p = 0.45)
+    uint64_t l1dMiss;
+    uint64_t l2Miss;
+    uint64_t dirtyEvict;
+    uint64_t dirtyShared;
+    MixThresholds calmMix;
+    MixThresholds burstMix;
 };
 
 } // namespace tdc

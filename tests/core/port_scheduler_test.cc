@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "core/port_scheduler.hh"
 
 namespace tdc
@@ -110,6 +111,50 @@ TEST(PortScheduler, ChargedStolenReadOccupiesARealSlot)
     ps.advanceTo(0);
     ps.issueStolenRead();             // takes cycle 0
     EXPECT_EQ(ps.issueDemand(), 1u);  // demand pushed to cycle 1
+}
+
+TEST(PortScheduler, JumpingEqualsSteppingEveryCycle)
+{
+    // A caller may advance straight to the next cycle it needs the
+    // port. One scheduler visits every cycle, its twin jumps 1..40
+    // cycles at a time; the same seeded bursts of demands and stolen
+    // reads (some deeper than the ports, so a backlog builds) must see
+    // the same results on both.
+    for (const unsigned ports : {1u, 2u}) {
+        for (const unsigned window : {1u, 4u, 12u}) {
+            PortScheduler stepped(ports, window);
+            PortScheduler jumped(ports, window);
+            Rng rng(ports * 100 + window);
+            uint64_t cycle = 0;
+            for (int event = 0; event < 4000; ++event) {
+                // Mostly short gaps, so bursts overlap and drain the
+                // window; every fourth or so a jump of up to 40 cycles.
+                const uint64_t next =
+                    cycle + 1 + rng.nextBelow(rng.nextBool(0.25) ? 40 : 3);
+                while (cycle < next)
+                    stepped.advanceTo(++cycle);
+                jumped.advanceTo(cycle);
+                const uint64_t accesses = rng.nextBelow(3 * ports + 3);
+                for (uint64_t i = 0; i < accesses; ++i) {
+                    if (rng.nextBool(0.5)) {
+                        ASSERT_EQ(stepped.issueDemand(), jumped.issueDemand())
+                            << ports << "x" << window << " event " << event;
+                    } else {
+                        ASSERT_EQ(stepped.issueStolenRead(),
+                                  jumped.issueStolenRead())
+                            << ports << "x" << window << " event " << event;
+                    }
+                }
+                ASSERT_EQ(stepped.stolenAbsorbed(), jumped.stolenAbsorbed());
+                ASSERT_EQ(stepped.stolenCharged(), jumped.stolenCharged());
+                ASSERT_EQ(stepped.totalDelay(), jumped.totalDelay());
+            }
+            // Both outcomes actually occurred.
+            EXPECT_GT(jumped.stolenAbsorbed(), 0u) << ports << "x" << window;
+            EXPECT_GT(jumped.stolenCharged(), 0u) << ports << "x" << window;
+            EXPECT_GT(jumped.totalDelay(), 0u) << ports << "x" << window;
+        }
+    }
 }
 
 } // namespace

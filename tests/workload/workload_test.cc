@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/stable_hash.hh"
 #include "workload/instruction_stream.hh"
 #include "workload/workload_profile.hh"
 
@@ -73,6 +74,39 @@ TEST(InstructionStream, DeterministicPerSeed)
         ASSERT_EQ(x.l1dMiss, y.l1dMiss);
         ASSERT_EQ(x.bubbles, y.bubbles);
         ASSERT_EQ(x.bankHash, y.bankHash);
+    }
+}
+
+TEST(InstructionStream, GoldenStreamPerWorkload)
+{
+    // Digest of every field of the first 10^4 instructions of each
+    // standard workload: pins the exact draw sequence, so a faster
+    // generator must make the same decision on every draw.
+    const struct
+    {
+        const char *workload;
+        const char *digest;
+    } pins[] = {
+        {"OLTP", "c554e0b53179db5cdcc7349d45ca657b"},
+        {"DSS", "7099e2c4da5ff078418e17fccf3ecd8d"},
+        {"Web", "57074db3a04dd7ee50092ae5ee3c4f44"},
+        {"Moldyn", "ef23804955426360b21a80d6c6310225"},
+        {"Ocean", "93403f8a861fbd511d29062c9424fae3"},
+        {"Sparse", "ba49ff4bc1eb50bb71d3ec155b1030ef"},
+    };
+    for (const auto &pin : pins) {
+        InstructionStream s(workloadByName(pin.workload), 7);
+        StableHash h;
+        for (int i = 0; i < 10000; ++i) {
+            const SyntheticInstr x = s.next();
+            h.update(uint64_t(x.kind));
+            h.update(uint64_t(x.ifetchMiss) | uint64_t(x.l1dMiss) << 1 |
+                     uint64_t(x.l2Miss) << 2 | uint64_t(x.dirtyEvict) << 3 |
+                     uint64_t(x.dirtyShared) << 4);
+            h.update(uint64_t(x.bankHash));
+            h.update(uint64_t(x.bubbles));
+        }
+        EXPECT_EQ(h.digest().hex(), pin.digest) << pin.workload;
     }
 }
 
