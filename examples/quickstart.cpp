@@ -6,7 +6,7 @@
  *
  * Build & run:
  *   cmake -B build -G Ninja && cmake --build build
- *   ./build/examples/quickstart
+ *   ./build/examples/example_quickstart
  */
 
 #include <cstdio>

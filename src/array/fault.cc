@@ -557,26 +557,4 @@ FaultInjector::inject(MemoryArray &arr, const FaultModel &m)
     return {};
 }
 
-FaultEvent
-FaultInjector::injectRandomHardFaults(MemoryArray &arr, size_t count)
-{
-    FaultEvent event;
-    event.shape = FaultShape::kSingleBit;
-    event.persistence = FaultPersistence::kStuckAt;
-    size_t placed = 0;
-    while (placed < count) {
-        const size_t r = rng.nextBelow(arr.rows());
-        const size_t c = rng.nextBelow(arr.cols());
-        if (arr.isStuck(r, c))
-            continue;
-        applyCell(arr, r, c, FaultPersistence::kStuckAt, event);
-        ++placed;
-    }
-    event.rowLo = 0;
-    event.rowHi = arr.rows() - 1;
-    event.colLo = 0;
-    event.colHi = arr.cols() - 1;
-    return event;
-}
-
 } // namespace tdc

@@ -254,13 +254,6 @@ class FaultInjector
      */
     FaultEvent inject(MemoryArray &arr, const FaultModel &model);
 
-    /**
-     * Scatter @p count independent single-cell stuck-at faults
-     * uniformly over the array (the manufacture-time hard-error model
-     * of Section 5.2). Returns one event listing every cell.
-     */
-    FaultEvent injectRandomHardFaults(MemoryArray &arr, size_t count);
-
   private:
     void applyCell(MemoryArray &arr, size_t r, size_t c,
                    FaultPersistence p, FaultEvent &event);

@@ -7,7 +7,7 @@ namespace tdc
 {
 
 MemoryArray::MemoryArray(size_t rows, size_t cols)
-    : cells(rows, cols)
+    : numCols(cols), rowStore(rows, BitVector(cols))
 {
     assert(rows > 0 && cols > 0);
 }
@@ -32,7 +32,7 @@ void
 MemoryArray::copyRowInto(size_t r, BitVector &out) const
 {
     assert(r < rows());
-    out = cells.row(r);
+    out = rowStore[r];
     auto it = stuckByRow.find(r);
     if (it != stuckByRow.end()) {
         for (const auto &[c, v] : it->second)
@@ -46,7 +46,7 @@ MemoryArray::viewRow(size_t r) const
     assert(r < rows());
     assert(!rowHasStuck(r) && "stuck rows must be read through readRow");
     ++reads;
-    return ConstBitSpan(cells.row(r));
+    return ConstBitSpan(rowStore[r]);
 }
 
 void
@@ -55,7 +55,7 @@ MemoryArray::writeRow(size_t r, const BitVector &value)
     assert(r < rows());
     assert(value.size() == cols());
     ++writes;
-    cells.setRow(r, value);
+    rowStore[r] = value;
 }
 
 void
@@ -64,7 +64,7 @@ MemoryArray::xorRow(size_t r, const BitVector &delta)
     assert(r < rows());
     assert(delta.size() == cols());
     ++writes;
-    cells.row(r) ^= delta;
+    rowStore[r] ^= delta;
 }
 
 bool
@@ -77,21 +77,21 @@ MemoryArray::readBit(size_t r, size_t c) const
             if (col == c)
                 return v;
     }
-    return cells.get(r, c);
+    return rowStore[r].get(c);
 }
 
 void
 MemoryArray::writeBit(size_t r, size_t c, bool value)
 {
     assert(r < rows() && c < cols());
-    cells.set(r, c, value);
+    rowStore[r].set(c, value);
 }
 
 void
 MemoryArray::flipBit(size_t r, size_t c)
 {
     assert(r < rows() && c < cols());
-    cells.flip(r, c);
+    rowStore[r].flip(c);
 }
 
 void
@@ -126,13 +126,6 @@ MemoryArray::clearFault(size_t r, size_t c)
         stuckByRow.erase(it);
 }
 
-void
-MemoryArray::clearAllFaults()
-{
-    stuckByRow.clear();
-    stuckTotal = 0;
-}
-
 std::vector<std::pair<size_t, size_t>>
 MemoryArray::stuckRows() const
 {
@@ -153,7 +146,7 @@ MemoryArray::clearRowFaults(size_t r)
     // Materialize each stuck value into the stored state so the
     // visible row is unchanged by the overlay removal.
     for (const auto &[col, value] : it->second)
-        cells.set(r, col, value);
+        rowStore[r].set(col, value);
     stuckTotal -= it->second.size();
     stuckByRow.erase(it);
 }
@@ -168,13 +161,6 @@ MemoryArray::isStuck(size_t r, size_t c) const
         if (col == c)
             return true;
     return false;
-}
-
-void
-MemoryArray::resetCounters()
-{
-    reads = 0;
-    writes = 0;
 }
 
 } // namespace tdc

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/bit_matrix.hh"
 #include "common/bit_span.hh"
 #include "common/bit_vector.hh"
 
@@ -19,11 +18,13 @@ namespace tdc
 {
 
 /**
- * A rows x cols SRAM cell array. Stored state lives in a BitMatrix;
- * an overlay of stuck-at faults models manufacture-time and in-field
- * hard errors: a stuck cell reads its stuck value regardless of what
- * was written. Soft errors are injected by flipping stored state
- * directly (see FaultInjector).
+ * A rows x cols SRAM cell array. Stored state is one BitVector per
+ * physical row ("horizontal" is the wordline direction, "vertical"
+ * the bitline direction, as in the paper); an overlay of stuck-at
+ * faults models manufacture-time and in-field hard errors: a stuck
+ * cell reads its stuck value regardless of what was written. Soft
+ * errors are injected by flipping stored state directly (see
+ * FaultInjector).
  *
  * Reads and writes are whole physical rows, matching wordline
  * granularity; the interleave map slices words out of rows. The fault
@@ -36,8 +37,8 @@ class MemoryArray
   public:
     MemoryArray(size_t rows, size_t cols);
 
-    size_t rows() const { return cells.rows(); }
-    size_t cols() const { return cells.cols(); }
+    size_t rows() const { return rowStore.size(); }
+    size_t cols() const { return numCols; }
 
     /**
      * Symbol (device burst) width annotation: how many adjacent
@@ -102,14 +103,11 @@ class MemoryArray
     /** Flip stored state (models a soft-error upset). */
     void flipBit(size_t r, size_t c);
 
-    /** Pin cell (r, c) to @p value until clearFault/clearAllFaults. */
+    /** Pin cell (r, c) to @p value until clearFault/clearRowFaults. */
     void addStuckAt(size_t r, size_t c, bool value);
 
     /** Remove a stuck-at fault (cell reverts to stored state). */
     void clearFault(size_t r, size_t c);
-
-    /** Remove every stuck-at fault. */
-    void clearAllFaults();
 
     /**
      * Rows currently holding stuck-at cells, as (row, stuck-cell
@@ -137,10 +135,10 @@ class MemoryArray
 
     uint64_t readCount() const { return reads; }
     uint64_t writeCount() const { return writes; }
-    void resetCounters();
 
   private:
-    BitMatrix cells;
+    size_t numCols;
+    std::vector<BitVector> rowStore;
     /** Stuck cells of each faulty row, as (column, stuck value). */
     std::unordered_map<size_t, std::vector<std::pair<size_t, bool>>>
         stuckByRow;

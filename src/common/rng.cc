@@ -42,13 +42,6 @@ Rng::nextBelow(uint64_t bound)
     return value % bound;
 }
 
-int64_t
-Rng::nextRange(int64_t lo, int64_t hi)
-{
-    assert(lo <= hi);
-    return lo + int64_t(nextBelow(uint64_t(hi - lo) + 1));
-}
-
 double
 Rng::nextExponential(double lambda)
 {
@@ -58,49 +51,6 @@ Rng::nextExponential(double lambda)
         u = nextDouble();
     } while (u == 0.0);
     return -std::log(u) / lambda;
-}
-
-uint64_t
-Rng::nextPoisson(double mean)
-{
-    assert(mean >= 0.0);
-    if (mean == 0.0)
-        return 0;
-    if (mean < 30.0) {
-        // Knuth's product-of-uniforms method.
-        const double threshold = std::exp(-mean);
-        uint64_t k = 0;
-        double p = 1.0;
-        do {
-            ++k;
-            p *= nextDouble();
-        } while (p > threshold);
-        return k - 1;
-    }
-    // Normal approximation with continuity correction for large means;
-    // accurate enough for the reliability models that use it.
-    const double g = nextGaussian();
-    const double v = mean + g * std::sqrt(mean) + 0.5;
-    return v <= 0.0 ? 0 : uint64_t(v);
-}
-
-double
-Rng::nextGaussian()
-{
-    if (haveSpareGaussian) {
-        haveSpareGaussian = false;
-        return spareGaussian;
-    }
-    double u, v, s;
-    do {
-        u = 2.0 * nextDouble() - 1.0;
-        v = 2.0 * nextDouble() - 1.0;
-        s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double scale = std::sqrt(-2.0 * std::log(s) / s);
-    spareGaussian = v * scale;
-    haveSpareGaussian = true;
-    return u * scale;
 }
 
 uint64_t

@@ -47,9 +47,6 @@ class Rng
     /** Uniform integer in [0, bound). @pre bound > 0 */
     uint64_t nextBelow(uint64_t bound);
 
-    /** Uniform integer in [lo, hi] inclusive. @pre lo <= hi */
-    int64_t nextRange(int64_t lo, int64_t hi);
-
     /** Uniform double in [0, 1): the top 53 bits of next(), scaled. */
     double nextDouble() { return double(next() >> 11) * 0x1.0p-53; }
 
@@ -71,12 +68,6 @@ class Rng
     /** Exponentially distributed value with rate @p lambda. */
     double nextExponential(double lambda);
 
-    /** Poisson-distributed count with mean @p mean (mean < ~700). */
-    uint64_t nextPoisson(double mean);
-
-    /** Standard normal via Box-Muller. */
-    double nextGaussian();
-
   private:
     static uint64_t rotl(uint64_t x, int k)
     {
@@ -84,8 +75,6 @@ class Rng
     }
 
     uint64_t state[4];
-    bool haveSpareGaussian = false;
-    double spareGaussian = 0.0;
 };
 
 /**

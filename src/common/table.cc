@@ -64,10 +64,4 @@ Table::render() const
     return os.str();
 }
 
-void
-Table::print() const
-{
-    std::fputs(render().c_str(), stdout);
-}
-
 } // namespace tdc

@@ -34,9 +34,6 @@ class Table
     /** Render the whole table to a string. */
     std::string render() const;
 
-    /** Render and write to stdout. */
-    void print() const;
-
     /** Header cells (for structured re-rendering, e.g. CSV/JSON). */
     const std::vector<std::string> &headers() const { return header; }
 

@@ -86,11 +86,4 @@ PortScheduler::issueStolenRead()
     return 1;
 }
 
-double
-PortScheduler::stealEfficiency() const
-{
-    const uint64_t total = absorbedCount + chargedCount;
-    return total == 0 ? 0.0 : double(absorbedCount) / double(total);
-}
-
 } // namespace tdc

@@ -63,9 +63,6 @@ class PortScheduler
     uint64_t stolenCharged() const { return chargedCount; }
     uint64_t totalDelay() const { return delaySum; }
 
-    /** Fraction of RBW reads hidden by stealing (0 if none issued). */
-    double stealEfficiency() const;
-
   private:
     unsigned ports;
     unsigned stealWindow;

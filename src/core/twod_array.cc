@@ -345,17 +345,6 @@ TwoDimArray::verifyClean() const
     return true;
 }
 
-void
-TwoDimArray::rebuildParity()
-{
-    for (size_t g = 0; g < parity.groups(); ++g) {
-        BitVector acc(map.rowBits());
-        for (size_t r = g; r < rows(); r += parity.groups())
-            acc ^= data.readRow(r);
-        parity.writeGroup(g, acc);
-    }
-}
-
 bool
 TwoDimArray::verifyParity() const
 {

@@ -150,9 +150,6 @@ class TwoDimArray
     /** Verify every word decodes clean (no repair side effects). */
     bool verifyClean() const;
 
-    /** Rebuild every vertical parity row from the data (BIST init). */
-    void rebuildParity();
-
     /** Check all parity rows against the data (no repair). */
     bool verifyParity() const;
 

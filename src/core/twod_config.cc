@@ -29,18 +29,6 @@ TwoDimConfig::l2Default()
     return cfg;
 }
 
-TwoDimConfig
-TwoDimConfig::secdedHorizontal(size_t word_bits, size_t degree)
-{
-    TwoDimConfig cfg;
-    cfg.horizontalKind = CodeKind::kSecDed;
-    cfg.wordBits = word_bits;
-    cfg.interleaveDegree = degree;
-    cfg.verticalParityRows = 32;
-    cfg.dataRows = 256;
-    return cfg;
-}
-
 size_t
 TwoDimConfig::clusterWidthCoverage() const
 {

@@ -52,10 +52,6 @@ struct TwoDimConfig
     /** The paper's L2 configuration (EDC16+Intv2, EDC32). */
     static TwoDimConfig l2Default();
 
-    /** Yield-enhancing variant: SECDED horizontal (Section 5.2). */
-    static TwoDimConfig secdedHorizontal(size_t word_bits = 64,
-                                         size_t degree = 4);
-
     /** Guaranteed correctable cluster width (physical columns). */
     size_t clusterWidthCoverage() const;
 

@@ -33,11 +33,4 @@ VerticalParity::applyDelta(size_t r, const BitVector &delta)
     ++updates;
 }
 
-void
-VerticalParity::writeGroup(size_t g, const BitVector &value)
-{
-    assert(g < groups());
-    parity.writeRow(g, value);
-}
-
 } // namespace tdc

@@ -51,9 +51,6 @@ class VerticalParity
      */
     void applyDelta(size_t r, const BitVector &delta);
 
-    /** Overwrite parity row @p g (used by recovery / rebuild). */
-    void writeGroup(size_t g, const BitVector &value);
-
     /** Storage for fault injection into the vertical code itself. */
     MemoryArray &cells() { return parity; }
     const MemoryArray &cells() const { return parity; }

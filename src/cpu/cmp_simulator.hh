@@ -19,7 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/stats.hh"
 #include "core/port_scheduler.hh"
 #include "cpu/cmp_config.hh"
 #include "workload/instruction_stream.hh"

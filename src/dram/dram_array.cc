@@ -88,15 +88,6 @@ DramArray::stuckColumns() const
     return toPairs(counts);
 }
 
-std::vector<std::pair<size_t, size_t>>
-DramArray::stuckBanks() const
-{
-    std::map<size_t, size_t> counts;
-    for (const auto &[row, count] : array.stuckRows())
-        counts[bankOfRow(row)] += count;
-    return toPairs(counts);
-}
-
 void
 DramArray::repairChip(size_t chip)
 {

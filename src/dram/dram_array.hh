@@ -78,9 +78,6 @@ class DramArray
     /** Per-column twin of stuckChips() for spare-column repair. */
     std::vector<std::pair<size_t, size_t>> stuckColumns() const;
 
-    /** Per-bank stuck-cell summary (bank, count), sorted by bank. */
-    std::vector<std::pair<size_t, size_t>> stuckBanks() const;
-
     /** Drop every stuck-at fault in chip @p chip's column group. */
     void repairChip(size_t chip);
 

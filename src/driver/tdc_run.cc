@@ -1,5 +1,7 @@
 #include "driver/tdc_run.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -304,21 +306,28 @@ parseCount(const std::string &flag, const std::string &value, double max)
 {
     char *end = nullptr;
     const double v = std::strtod(value.c_str(), &end);
-    if (value.empty() || end != value.c_str() + value.size() || v < 1.0 ||
-        v > max)
+    // Written so that NaN fails the range test too.
+    if (value.empty() || end != value.c_str() + value.size() ||
+        !(v >= 1.0 && v <= max))
         usageError(flag + " expects a count in [1, " +
                    std::to_string(size_t(max)) + "], got \"" + value +
                    "\"");
     return v;
 }
 
-/** Parse a plain non-negative integer (0 allowed — "disabled"). */
+/**
+ * Parse a plain non-negative integer (0 allowed — "disabled") at full
+ * uint64 precision. strtoull would skip leading space and wrap a
+ * leading '-', so the token must start with a digit.
+ */
 uint64_t
 parseU64(const std::string &flag, const std::string &value)
 {
     char *end = nullptr;
+    errno = 0;
     const uint64_t v = std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || end != value.c_str() + value.size())
+    if (value.empty() || !std::isdigit((unsigned char)value[0]) ||
+        end != value.c_str() + value.size() || errno == ERANGE)
         usageError(flag + " expects an unsigned integer, got \"" + value +
                    "\"");
     return v;
@@ -391,15 +400,9 @@ parseCli(const std::vector<std::string> &args)
         } else if (arg == "--cycles") {
             opt.cycles = parseCount(arg, value(i), 1e9);
         } else if (arg == "--seed") {
-            // Full-precision uint64 (0 is a legitimate seed); the
-            // scientific-notation count parser would round through
-            // double.
-            const std::string &v = value(i);
-            char *end = nullptr;
-            opt.seed = std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || end != v.c_str() + v.size())
-                usageError("--seed expects an unsigned integer, got \"" +
-                           v + "\"");
+            // Not parseCount: a seed of 0 is legitimate, and rounding
+            // through double would lose uint64 precision.
+            opt.seed = parseU64(arg, value(i));
         } else if (arg == "--serve") {
             opt.serve = true;
             opt.serveSpec = value(i);

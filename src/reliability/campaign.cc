@@ -1,7 +1,5 @@
 #include "reliability/campaign.hh"
 
-#include <cstdio>
-
 #include "common/parallel.hh"
 
 namespace tdc
@@ -24,12 +22,6 @@ CampaignResult::render() const
         out += title + "\n\n";
     out += toTable().render();
     return out;
-}
-
-void
-CampaignResult::print() const
-{
-    std::fputs(render().c_str(), stdout);
 }
 
 CampaignResult

@@ -70,8 +70,6 @@ struct CampaignResult
 
     /** Title (when present), blank line, then the table. */
     std::string render() const;
-
-    void print() const;
 };
 
 /** Execute the grid: every cell, assembled in row-major order. */

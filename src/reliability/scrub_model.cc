@@ -1,8 +1,6 @@
 #include "reliability/scrub_model.hh"
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
 
 namespace tdc
 {
@@ -32,51 +30,6 @@ double
 ScrubModel::survivalProbability(double mission_hours) const
 {
     return std::exp(-expectedUncorrectable(mission_hours));
-}
-
-double
-ScrubModel::monteCarlo(double mission_hours, int trials, Rng &rng) const
-{
-    if (p.scrubIntervalHours <= 0.0)
-        return 1.0;
-    int survived = 0;
-    const double per_interval_mean =
-        p.errorsPerHour * p.scrubIntervalHours;
-    // The mission rarely divides into whole scrub windows: the final
-    // partial window (mean scaled by the residual hours) accumulates
-    // upsets like any other. Dropping it made every sub-interval
-    // mission survive with probability exactly 1.
-    const uint64_t full = uint64_t(mission_hours / p.scrubIntervalHours);
-    const double residual_mean =
-        p.errorsPerHour *
-        (mission_hours - double(full) * p.scrubIntervalHours);
-    // One scratch buffer reused across every interval of every trial;
-    // the handful of upsets per window makes a linear scan cheaper
-    // than rebuilding a hash set per interval.
-    std::vector<uint64_t> hit;
-    for (int t = 0; t < trials; ++t) {
-        bool ok = true;
-        for (uint64_t i = 0; i <= full && ok; ++i) {
-            const bool partial = i == full;
-            if (partial && residual_mean <= 0.0)
-                break;
-            const uint64_t upsets =
-                rng.nextPoisson(partial ? residual_mean
-                                        : per_interval_mean);
-            hit.clear();
-            for (uint64_t u = 0; u < upsets; ++u) {
-                const uint64_t word = rng.nextBelow(p.words);
-                if (std::find(hit.begin(), hit.end(), word) !=
-                    hit.end()) {
-                    ok = false; // second upset in an unscrubbed word
-                    break;
-                }
-                hit.push_back(word);
-            }
-        }
-        survived += ok;
-    }
-    return double(survived) / double(trials);
 }
 
 } // namespace tdc

@@ -10,8 +10,6 @@
 
 #include <cstddef>
 
-#include "common/rng.hh"
-
 namespace tdc
 {
 
@@ -20,8 +18,6 @@ struct ScrubParams
 {
     /** Protected words in the memory. */
     size_t words = 2 * 1024 * 1024;
-    /** Bits per word (data + check). */
-    size_t wordBits = 72;
     /** Single-bit soft-error rate for the whole memory, per hour. */
     double errorsPerHour = 1.28e-3;
     /** Scrub interval in hours (0 = check on every read, i.e. the
@@ -60,15 +56,6 @@ class ScrubModel
 
     /** P(no uncorrectable event over @p hours). */
     double survivalProbability(double mission_hours) const;
-
-    /**
-     * Monte-Carlo cross-check of survivalProbability: simulate
-     * Poisson upsets onto random words, clearing all words at every
-     * scrub boundary. A mission that is not a whole number of scrub
-     * intervals ends with a partial window whose upset mean is scaled
-     * by the residual hours.
-     */
-    double monteCarlo(double mission_hours, int trials, Rng &rng) const;
 
   private:
     ScrubParams p;

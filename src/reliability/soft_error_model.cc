@@ -42,22 +42,4 @@ SoftErrorModel::successProbability(double years) const
     return std::exp(-expectedSoftErrors(years) * q);
 }
 
-double
-SoftErrorModel::monteCarlo(double years, int trials, Rng &rng) const
-{
-    const double mean = expectedSoftErrors(years);
-    const double q = faultyWordFraction();
-    int survived = 0;
-    for (int t = 0; t < trials; ++t) {
-        // A trial survives iff every soft error of the mission lands in
-        // a word without a pre-existing hard fault.
-        const uint64_t n = rng.nextPoisson(mean);
-        bool ok = true;
-        for (uint64_t i = 0; i < n && ok; ++i)
-            ok = !rng.nextBool(q);
-        survived += ok;
-    }
-    return double(survived) / double(trials);
-}
-
 } // namespace tdc

@@ -10,8 +10,6 @@
 
 #include <cstddef>
 
-#include "common/rng.hh"
-
 namespace tdc
 {
 
@@ -75,12 +73,6 @@ class SoftErrorModel
 
     /** Same quantity with 2D coding: always 1 (vertical recovery). */
     double successProbabilityWith2D(double /*years*/) const { return 1.0; }
-
-    /**
-     * Monte-Carlo cross-check: draw the Poisson soft-error count and
-     * test each error against the faulty-word fraction.
-     */
-    double monteCarlo(double years, int trials, Rng &rng) const;
 
   private:
     ReliabilityParams p;

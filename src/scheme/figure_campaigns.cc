@@ -1,5 +1,7 @@
 #include "scheme/figure_campaigns.hh"
 
+#include <stdexcept>
+
 #include "common/parallel.hh"
 #include "core/twod_array.hh"
 #include "ecc/cost_model.hh"
@@ -13,6 +15,14 @@ namespace tdc
 
 namespace
 {
+
+/**
+ * Cap on a mix's expected arrivals per trial mission. Every trial
+ * materializes its whole event timeline, so an unbounded rate (or an
+ * infinite one, whose exponential gaps are all 0) would grow it until
+ * memory runs out. jaguar*10000 over 5 years expects about 29.
+ */
+constexpr double kMaxEventsPerMission = 1e5;
 
 /** Extra read energy of a coded array vs. a plain one (Figure 1(c)). */
 double
@@ -481,8 +491,16 @@ customLifetimeCampaign(const std::vector<std::string> &scheme_specs,
     const std::vector<SchemePtr> schemes = parseAll(scheme_specs);
     std::vector<FitMix> mixes;
     mixes.reserve(mix_specs.size());
-    for (const std::string &spec : mix_specs)
+    for (const std::string &spec : mix_specs) {
         mixes.push_back(parseFitMix(spec));
+        const double expected = mixes.back().eventsPerHour() * mission_hours;
+        if (!(expected <= kMaxEventsPerMission))
+            throw std::invalid_argument(
+                "fit-mix spec \"" + spec + "\": expects " +
+                Table::num(expected, 0) + " events per " +
+                exactDouble(mission_hours) + "h mission (at most " +
+                Table::num(kMaxEventsPerMission, 0) + ")");
+    }
 
     // Row axis: every (mix, scrub, spares) combination, in that
     // nesting order.

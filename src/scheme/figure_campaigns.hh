@@ -118,7 +118,8 @@ CampaignResult lifetimeSpareCampaign(int trials = 60, uint64_t seed = 7777);
  * scheme specs, each cell one cachedSchemeLifetime evaluation seeded
  * with shardSeed(seed, column) — rows of one column replay identical
  * event timelines, so sweeps read as paired comparisons. Malformed
- * mix specs throw std::invalid_argument quoting the offending token.
+ * mix specs, and mixes expecting more than 1e5 events per mission,
+ * throw std::invalid_argument quoting the offending token.
  */
 CampaignResult customLifetimeCampaign(
     const std::vector<std::string> &scheme_specs,

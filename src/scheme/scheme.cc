@@ -666,16 +666,6 @@ parseTwoDimConfig(const std::string &spec)
     return cfg;
 }
 
-std::vector<std::string>
-exampleSchemeSpecs()
-{
-    std::vector<std::string> specs;
-    for (const SchemeFamily &family : schemeFamilies())
-        specs.insert(specs.end(), family.examples.begin(),
-                     family.examples.end());
-    return specs;
-}
-
 SchemePtr
 makeConventionalScheme(CodeKind code, size_t degree, size_t word_bits,
                        size_t rows)

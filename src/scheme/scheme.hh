@@ -178,9 +178,6 @@ const std::vector<SchemeFamily> &schemeFamilies();
  */
 SchemePtr parseScheme(const std::string &spec);
 
-/** Every family's canonical examples (round-trip axis). */
-std::vector<std::string> exampleSchemeSpecs();
-
 /**
  * Parse a "2d:" spec straight to its bank configuration — for callers
  * that need the raw TwoDimConfig (e.g. the cache-service front end)

@@ -127,19 +127,6 @@ TEST(FaultInjector, HardFaultsAreStuckAt)
     EXPECT_EQ(arr.readBit(r, c), observed);
 }
 
-TEST(FaultInjector, RandomHardFaultsAreDistinct)
-{
-    Rng rng(88);
-    FaultInjector inj(rng);
-    MemoryArray arr(64, 64);
-    const FaultEvent ev = inj.injectRandomHardFaults(arr, 100);
-    EXPECT_EQ(ev.cells.size(), 100u);
-    EXPECT_EQ(arr.faultCount(), 100u);
-    std::set<std::pair<size_t, size_t>> unique(ev.cells.begin(),
-                                               ev.cells.end());
-    EXPECT_EQ(unique.size(), 100u);
-}
-
 TEST(FaultEvent, DescribeMentionsShapeAndSize)
 {
     Rng rng(89);

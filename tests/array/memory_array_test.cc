@@ -67,18 +67,6 @@ TEST(MemoryArray, ClearFaultRestoresStoredState)
     EXPECT_EQ(arr.faultCount(), 0u);
 }
 
-TEST(MemoryArray, ClearAllFaults)
-{
-    MemoryArray arr(4, 4);
-    arr.addStuckAt(0, 0, true);
-    arr.addStuckAt(1, 1, true);
-    arr.addStuckAt(2, 2, true);
-    EXPECT_EQ(arr.faultCount(), 3u);
-    arr.clearAllFaults();
-    EXPECT_EQ(arr.faultCount(), 0u);
-    EXPECT_FALSE(arr.isStuck(0, 0));
-}
-
 TEST(MemoryArray, AccessCounters)
 {
     MemoryArray arr(4, 8);
@@ -87,9 +75,6 @@ TEST(MemoryArray, AccessCounters)
     arr.writeRow(2, BitVector(8));
     EXPECT_EQ(arr.readCount(), 2u);
     EXPECT_EQ(arr.writeCount(), 1u);
-    arr.resetCounters();
-    EXPECT_EQ(arr.readCount(), 0u);
-    EXPECT_EQ(arr.writeCount(), 0u);
 }
 
 TEST(MemoryArray, IsStuckQuery)

@@ -90,13 +90,5 @@ TEST(VerticalParity, UpdateCountTracksWrites)
     EXPECT_EQ(vp.updateCount(), 2u);
 }
 
-TEST(VerticalParity, WriteGroupOverrides)
-{
-    VerticalParity vp(16, 8, 4);
-    BitVector v(8, 0x3C);
-    vp.writeGroup(3, v);
-    EXPECT_EQ(vp.readGroup(3), v);
-}
-
 } // namespace
 } // namespace tdc

@@ -99,11 +99,6 @@ TEST(DramArray, StuckSummariesGroupByRepairUnit)
     EXPECT_EQ(cols[0], std::make_pair(size_t(5), size_t(1)));
     EXPECT_EQ(cols[1], std::make_pair(size_t(6), size_t(1)));
     EXPECT_EQ(cols[2], std::make_pair(size_t(13), size_t(1)));
-
-    const auto banks = dram.stuckBanks();
-    ASSERT_EQ(banks.size(), 2u);
-    EXPECT_EQ(banks[0], std::make_pair(size_t(0), size_t(2))); // rows 0,1
-    EXPECT_EQ(banks[1], std::make_pair(size_t(1), size_t(1))); // row 6
 }
 
 TEST(DramArray, RepairChipClearsOnlyThatGroup)

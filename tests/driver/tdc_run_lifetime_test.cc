@@ -112,6 +112,18 @@ TEST(TdcRunLifetime, MalformedFitMixExitsTwo)
     EXPECT_NE(runUsageError({"--lifetime", "--fit-mix", "jaguar*0"})
                   .find("jaguar*0"),
               std::string::npos);
+    // Each trial materializes its event timeline: an infinite rate
+    // (exponential gaps of 0) or ~4e9 expected events per 5-year
+    // mission is rejected before any trial runs. The cap is per
+    // mission, so the same rate over one hour runs.
+    EXPECT_NE(runUsageError({"--lifetime", "--fit-mix", "single*1e308"})
+                  .find("\"single*1e308\""),
+              std::string::npos);
+    EXPECT_NE(runUsageError({"--lifetime", "--fit-mix", "single*1e12"})
+                  .find("\"single*1e12\""),
+              std::string::npos);
+    runOk({"--lifetime", "--scheme", "conv:secded/i4/r16", "--fit-mix",
+           "single*1e9", "--mission", "1", "--trials", "2"});
 }
 
 TEST(TdcRunLifetime, MisusedFlagsExitTwo)
@@ -140,6 +152,15 @@ TEST(TdcRunLifetime, MisusedFlagsExitTwo)
     EXPECT_NE(runUsageError({"--lifetime", "--scrub-interval", "-5"})
                   .find("-5"),
               std::string::npos);
+    // A NaN mission would never end a timeline.
+    EXPECT_NE(runUsageError({"--lifetime", "--mission", "nan"})
+                  .find("\"nan\""),
+              std::string::npos);
+    // A negative spare budget is malformed, not a wrapped huge one.
+    const std::string spares =
+        runUsageError({"--lifetime", "--spares", "-3"});
+    EXPECT_NE(spares.find("\"-3\""), std::string::npos) << spares;
+    EXPECT_EQ(spares.find("at most"), std::string::npos) << spares;
 }
 
 } // namespace

@@ -201,6 +201,16 @@ TEST(TdcRun, UsageErrorsExitTwoWithQuotedToken)
     expectUsageError({"--format", "xml"}, "\"xml\"");
     expectUsageError({"--events", "0", "--figure", "fig1"}, "--events");
     expectUsageError({"--seed", "12x", "--figure", "fig1"}, "\"12x\"");
+    // NaN fails every range test written as v < lo || v > hi, and
+    // strtoull wraps a leading '-' to a huge value.
+    expectUsageError({"--events", "nan", "--figure", "fig1"}, "\"nan\"");
+    expectUsageError({"--trials", "nan", "--scheme", "conv:secded/i4"},
+                     "\"nan\"");
+    expectUsageError({"--cycles", "nan", "--protection", "l1"}, "\"nan\"");
+    expectUsageError({"--seed", "-1", "--figure", "fig1"}, "\"-1\"");
+    expectUsageError({"--seed", " 7", "--figure", "fig1"}, "\" 7\"");
+    expectUsageError({"--seed", "18446744073709551616", "--figure", "fig1"},
+                     "\"18446744073709551616\"");
     expectUsageError({"--protection", "l3"}, "\"l3\"");
     expectUsageError({"--protection", "l1", "--workload", "NoSuch"},
                      "\"NoSuch\"");

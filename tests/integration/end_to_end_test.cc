@@ -74,7 +74,8 @@ TEST(EndToEnd, Section52YieldScenario)
     // field: soft-error clusters arrive; the vertical dimension keeps
     // recovering them even in words that carry a hard fault.
     Rng rng(777);
-    TwoDimConfig cfg = TwoDimConfig::secdedHorizontal();
+    TwoDimConfig cfg;
+    cfg.horizontalKind = CodeKind::kSecDed;
     cfg.dataRows = 128;
     cfg.verticalParityRows = 16;
     TwoDimArray bank(cfg);
@@ -89,7 +90,8 @@ TEST(EndToEnd, Section52YieldScenario)
 
     // 12 manufacture-time hard faults (well below one per word-pair).
     FaultInjector inj(rng);
-    inj.injectRandomHardFaults(bank.cells(), 12);
+    for (int i = 0; i < 12; ++i)
+        inj.injectSingleBit(bank.cells(), FaultPersistence::kStuckAt);
 
     // All data still readable (inline SECDED corrections).
     for (size_t r = 0; r < bank.rows(); ++r)
@@ -162,7 +164,8 @@ TEST(EndToEnd, RecoveryUnderConcurrentHardAndSoftFaults)
     // the same bank. Scrub must repair the transients; the stuck
     // cells keep being inline-corrected (SECDED horizontal).
     Rng rng(31415);
-    TwoDimConfig cfg = TwoDimConfig::secdedHorizontal();
+    TwoDimConfig cfg;
+    cfg.horizontalKind = CodeKind::kSecDed;
     cfg.dataRows = 64;
     cfg.verticalParityRows = 8;
     TwoDimArray bank(cfg);
@@ -175,7 +178,8 @@ TEST(EndToEnd, RecoveryUnderConcurrentHardAndSoftFaults)
         }
 
     FaultInjector inj(rng);
-    inj.injectRandomHardFaults(bank.cells(), 5);
+    for (int i = 0; i < 5; ++i)
+        inj.injectSingleBit(bank.cells(), FaultPersistence::kStuckAt);
     inj.injectCluster(bank.cells(), 8, 4, 1.0);
 
     ASSERT_TRUE(bank.scrub());

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <unordered_set>
-
 #include "reliability/scrub_model.hh"
 
 namespace tdc
@@ -14,7 +12,6 @@ baseParams(double interval_hours)
 {
     ScrubParams p;
     p.words = 2 * 1024 * 1024;
-    p.wordBits = 72;
     p.errorsPerHour = 1.28e-3;
     p.scrubIntervalHours = interval_hours;
     return p;
@@ -59,94 +56,6 @@ TEST(ScrubModel, ExpectedEventsLinearInInterval)
     const double e1 = day.expectedUncorrectable(mission);
     const double e2 = two_days.expectedUncorrectable(mission);
     EXPECT_NEAR(e2 / e1, 2.0, 0.01);
-}
-
-TEST(ScrubModel, MonteCarloAgreesWithClosedForm)
-{
-    // Scale the rate up so double upsets are common enough to sample.
-    ScrubParams p = baseParams(24.0);
-    p.words = 4096;
-    p.errorsPerHour = 2.0;
-    ScrubModel m(p);
-    Rng rng(123);
-    const double mission = 24.0 * 30;
-    const double analytic = m.survivalProbability(mission);
-    const double mc = m.monteCarlo(mission, 500, rng);
-    EXPECT_NEAR(mc, analytic, 0.07);
-}
-
-TEST(ScrubModel, MonteCarloCoversThePartialFinalWindow)
-{
-    // Regression: a mission that is not a whole number of scrub
-    // intervals used to drop the residual window (uint64_t
-    // truncation), biasing the simulated survival high. Half a window
-    // of extra exposure is enough to show up against the closed form.
-    ScrubParams p = baseParams(24.0);
-    p.words = 4096;
-    p.errorsPerHour = 2.0;
-    ScrubModel m(p);
-    Rng rng(123);
-    const double mission = 24.0 * 30 + 12.0;
-    const double analytic = m.survivalProbability(mission);
-    const double mc = m.monteCarlo(mission, 500, rng);
-    EXPECT_NEAR(mc, analytic, 0.07);
-}
-
-TEST(ScrubModel, SubIntervalMissionCanStillFail)
-{
-    // Regression: with mission < interval the truncated loop ran zero
-    // windows and every trial "survived" regardless of the upset
-    // rate. A mission half a window long at an extreme rate must lose
-    // most trials.
-    ScrubParams p = baseParams(24.0);
-    p.words = 16;
-    p.errorsPerHour = 0.5;
-    ScrubModel m(p);
-    Rng rng(7);
-    const double mc = m.monteCarlo(12.0, 400, rng);
-    EXPECT_LT(mc, 0.7);
-    EXPECT_GT(mc, 0.0);
-}
-
-TEST(ScrubModel, ScratchRewriteMatchesHashSetOracle)
-{
-    // The reusable scratch vector must consume the RNG stream draw for
-    // draw like the original per-interval unordered_set (insert, then
-    // detect the duplicate): same seed, same survival estimate. The
-    // oracle reimplements the original loop over whole windows only,
-    // so use an exact-multiple mission where the partial-window branch
-    // draws nothing.
-    ScrubParams p = baseParams(24.0);
-    p.words = 512;
-    p.errorsPerHour = 1.0;
-    ScrubModel m(p);
-    const double mission = 24.0 * 20;
-    const int trials = 300;
-
-    Rng oracle_rng(2024);
-    const double mean = p.errorsPerHour * p.scrubIntervalHours;
-    const uint64_t intervals =
-        uint64_t(mission / p.scrubIntervalHours);
-    int survived = 0;
-    for (int t = 0; t < trials; ++t) {
-        bool ok = true;
-        for (uint64_t i = 0; i < intervals && ok; ++i) {
-            const uint64_t upsets = oracle_rng.nextPoisson(mean);
-            std::unordered_set<uint64_t> hit;
-            for (uint64_t u = 0; u < upsets; ++u) {
-                const uint64_t word = oracle_rng.nextBelow(p.words);
-                if (!hit.insert(word).second) {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        survived += ok;
-    }
-
-    Rng rng(2024);
-    const double mc = m.monteCarlo(mission, trials, rng);
-    EXPECT_DOUBLE_EQ(mc, double(survived) / double(trials));
 }
 
 } // namespace

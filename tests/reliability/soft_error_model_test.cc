@@ -68,14 +68,5 @@ TEST(SoftErrorModel, TwoDimCodingStaysPerfect)
               m.successProbability(5.0));
 }
 
-TEST(SoftErrorModel, MonteCarloMatchesClosedForm)
-{
-    SoftErrorModel m(ReliabilityParams::figure8b(0.0001));
-    Rng rng(777);
-    const double analytic = m.successProbability(3.0);
-    const double mc = m.monteCarlo(3.0, 4000, rng);
-    EXPECT_NEAR(mc, analytic, 0.03);
-}
-
 } // namespace
 } // namespace tdc

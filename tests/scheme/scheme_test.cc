@@ -48,7 +48,10 @@ TEST(SchemeRegistry, BuiltinFamiliesArePresent)
 
 TEST(SchemeRegistry, EveryRegisteredExampleRoundTrips)
 {
-    const std::vector<std::string> examples = exampleSchemeSpecs();
+    std::vector<std::string> examples;
+    for (const SchemeFamily &family : schemeFamilies())
+        examples.insert(examples.end(), family.examples.begin(),
+                        family.examples.end());
     ASSERT_FALSE(examples.empty());
     for (const std::string &example : examples) {
         const SchemePtr s = parseScheme(example);
