@@ -140,15 +140,18 @@ BchCode::BchCode(size_t data_bits, size_t t)
 
     // Cache the fan-in of each systematic check equation: the column
     // of data bit j is x^(r+j) mod g(x); row i's weight counts the
-    // data bits whose column has coefficient i set.
+    // data bits whose column has coefficient i set. Column 0 is
+    // x^r mod g(x), the low r generator coefficients, and each next
+    // column is one LFSR step (multiply by x, reduce by g) away.
     rowWeights.assign(r, 0);
+    std::vector<bool> col(gen.begin(), gen.begin() + std::ptrdiff_t(r));
     for (size_t j = 0; j < k; ++j) {
-        BitVector unit(k);
-        unit.set(j, true);
-        const BitVector col = polyRemainder(unit);
         for (size_t i = 0; i < r; ++i)
-            if (col.get(i))
-                ++rowWeights[i];
+            rowWeights[i] += col[i];
+        const bool feedback = col[r - 1];
+        for (size_t i = r - 1; i > 0; --i)
+            col[i] = col[i - 1] ^ (feedback && gen[i]);
+        col[0] = feedback && gen[0];
     }
 }
 

@@ -412,18 +412,10 @@ LifetimeResult
 cachedLifetime(const LifetimeParams &params,
                const DeviceSessionFactory &factory)
 {
-    const std::string key = lifetimeCacheKey(params);
-    ResultCache &cache = resultCache();
-    const ResultCache::Record rec = cache.memoize(
-        key, [&] { return packLifetime(runLifetime(params, factory)); });
-    if (rec.ints.size() != kLifetimeInts || rec.reals.size() != 1) {
-        // Width mismatch (a foreign record type under this key):
-        // recompute and overwrite rather than fabricate counters.
-        const LifetimeResult fresh = runLifetime(params, factory);
-        cache.store(key, packLifetime(fresh));
-        return fresh;
-    }
-    return unpackLifetime(rec);
+    return unpackLifetime(resultCache().memoize(
+        lifetimeCacheKey(params),
+        [&] { return packLifetime(runLifetime(params, factory)); },
+        kLifetimeInts, 1));
 }
 
 } // namespace tdc

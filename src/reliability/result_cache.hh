@@ -132,6 +132,16 @@ class ResultCache
     Record memoize(const std::string &key,
                    const std::function<Record()> &compute);
 
+    /**
+     * memoize() for records of a fixed shape. A cached record holding
+     * other than @p num_ints integers and @p num_reals doubles (a
+     * foreign record type under this key) counts as corrupt, and is
+     * recomputed and overwritten rather than trusted.
+     */
+    Record memoize(const std::string &key,
+                   const std::function<Record()> &compute,
+                   size_t num_ints, size_t num_reals);
+
     /** memoize() specialized to injection outcomes. */
     InjectionOutcome
     outcome(const std::string &key,

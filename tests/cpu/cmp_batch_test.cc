@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <set>
+#include <string>
+
 #include "common/parallel.hh"
 #include "cpu/cmp_batch.hh"
+#include "memory_only_cache.hh"
+#include "reliability/result_cache.hh"
 
 namespace tdc
 {
@@ -13,9 +20,33 @@ struct ThreadGuard
     ~ThreadGuard() { setParallelThreads(0); }
 };
 
+// A new field in any of these structs changes its size: add the field
+// to cmpRunCacheKey (and a mutation below) before updating the size, or
+// runs that differ only in that field share one cache entry.
+static_assert(sizeof(CmpConfig) == sizeof(std::string) + 72,
+              "CmpConfig changed: add the new field to cmpRunCacheKey");
+static_assert(sizeof(WorkloadProfile) == sizeof(std::string) + 96,
+              "WorkloadProfile changed: add the new field to "
+              "cmpRunCacheKey");
+static_assert(sizeof(ProtectionConfig) == 4,
+              "ProtectionConfig changed: add the new field to "
+              "cmpRunCacheKey");
+
+using Counters = std::array<uint64_t, 12>;
+
+Counters
+countersOf(const CmpSimResult &r)
+{
+    return {r.cycles,           r.instructions, r.l1ReadsData,
+            r.l1Writes,         r.l1FillEvict,  r.l1ExtraReads,
+            r.l1DirtyTransfers, r.l2ReadsInst,  r.l2ReadsData,
+            r.l2Writes,         r.l2FillEvict,  r.l2ExtraReads};
+}
+
 TEST(CmpBatch, MatchesIndividualRunsAtEveryThreadCount)
 {
     ThreadGuard guard;
+    MemoryOnlyCache memory_only;
     constexpr uint64_t kCycles = 20000;
     const std::vector<WorkloadProfile> &workloads = standardWorkloads();
     std::vector<CmpRunSpec> specs;
@@ -27,25 +58,135 @@ TEST(CmpBatch, MatchesIndividualRunsAtEveryThreadCount)
     }
 
     // Ground truth: direct serial simulation per spec.
-    std::vector<CmpSimResult> expected;
+    std::vector<Counters> expected;
     for (const CmpRunSpec &spec : specs) {
         CmpSimulator sim(spec.machine, spec.workload, spec.protection,
                          spec.seed);
-        expected.push_back(sim.run(kCycles));
+        expected.push_back(countersOf(sim.run(kCycles)));
     }
 
+    ResultCache &cache = resultCache();
     for (unsigned threads : {1u, 2u, 4u}) {
+        // Every thread count simulates: no run is served from memory.
+        cache.clearMemory();
+        cache.resetStats();
         setParallelThreads(threads);
         const std::vector<CmpSimResult> got = runCmpBatch(specs, kCycles);
+        EXPECT_EQ(cache.stats().misses, specs.size());
         ASSERT_EQ(got.size(), expected.size());
-        for (size_t i = 0; i < got.size(); ++i) {
-            EXPECT_EQ(got[i].cycles, expected[i].cycles) << i;
-            EXPECT_EQ(got[i].instructions, expected[i].instructions)
+        for (size_t i = 0; i < got.size(); ++i)
+            EXPECT_EQ(countersOf(got[i]), expected[i])
                 << i << " at " << threads << " threads";
-            EXPECT_EQ(got[i].l1Writes, expected[i].l1Writes) << i;
-            EXPECT_EQ(got[i].l2Writes, expected[i].l2Writes) << i;
-        }
     }
+
+    // An immediate repeat is served from the memory tier, unchanged.
+    cache.resetStats();
+    const std::vector<CmpSimResult> again = runCmpBatch(specs, kCycles);
+    EXPECT_EQ(cache.stats().memoryHits, specs.size());
+    EXPECT_EQ(cache.stats().misses, 0u);
+    for (size_t i = 0; i < again.size(); ++i)
+        EXPECT_EQ(countersOf(again[i]), expected[i]) << i;
+}
+
+TEST(CmpBatch, KeyCoversEveryField)
+{
+    const CmpRunSpec base{CmpConfig::fat(), workloadByName("OLTP"),
+                          ProtectionConfig::none(), 42};
+    const uint64_t cycles = 150000;
+    using Mutation = std::function<void(CmpRunSpec &, uint64_t &)>;
+    const std::vector<Mutation> mutations = {
+        [](CmpRunSpec &s, uint64_t &) { s.machine.name = "other"; },
+        [](CmpRunSpec &s, uint64_t &) { ++s.machine.cores; },
+        [](CmpRunSpec &s, uint64_t &) { ++s.machine.issueWidth; },
+        [](CmpRunSpec &s, uint64_t &) { s.machine.outOfOrder = false; },
+        [](CmpRunSpec &s, uint64_t &) { ++s.machine.threadsPerCore; },
+        [](CmpRunSpec &s, uint64_t &) { ++s.machine.robSize; },
+        [](CmpRunSpec &s, uint64_t &) { ++s.machine.storeQueue; },
+        [](CmpRunSpec &s, uint64_t &) { ++s.machine.l1Ports; },
+        [](CmpRunSpec &s, uint64_t &) { ++s.machine.l1HitLatency; },
+        [](CmpRunSpec &s, uint64_t &) { ++s.machine.l2Banks; },
+        [](CmpRunSpec &s, uint64_t &) { ++s.machine.l2HitLatency; },
+        [](CmpRunSpec &s, uint64_t &) { ++s.machine.l2BankBusy; },
+        [](CmpRunSpec &s, uint64_t &) { ++s.machine.loadUseSlots; },
+        [](CmpRunSpec &s, uint64_t &) { s.machine.bubbleScale += 0.5; },
+        [](CmpRunSpec &s, uint64_t &) { ++s.machine.stealWindow; },
+        [](CmpRunSpec &s, uint64_t &) { ++s.machine.memLatency; },
+        [](CmpRunSpec &s, uint64_t &) { ++s.machine.mshrs; },
+        [](CmpRunSpec &s, uint64_t &) { s.workload.name = "other"; },
+        [](CmpRunSpec &s, uint64_t &) { s.workload.loadFrac += 0.01; },
+        [](CmpRunSpec &s, uint64_t &) { s.workload.storeFrac += 0.01; },
+        [](CmpRunSpec &s, uint64_t &) { s.workload.l1iMissRate += 0.01; },
+        [](CmpRunSpec &s, uint64_t &) { s.workload.l1dMissRate += 0.01; },
+        [](CmpRunSpec &s, uint64_t &) { s.workload.l2MissRate += 0.01; },
+        [](CmpRunSpec &s, uint64_t &) {
+            s.workload.dirtyEvictFrac += 0.01;
+        },
+        [](CmpRunSpec &s, uint64_t &) {
+            s.workload.dirtySharedFrac += 0.01;
+        },
+        [](CmpRunSpec &s, uint64_t &) {
+            s.workload.ilpBubbleProb += 0.01;
+        },
+        [](CmpRunSpec &s, uint64_t &) { s.workload.burstOnProb += 0.01; },
+        [](CmpRunSpec &s, uint64_t &) { s.workload.burstOffProb += 0.01; },
+        [](CmpRunSpec &s, uint64_t &) {
+            s.workload.burstLoadBoost += 0.01;
+        },
+        [](CmpRunSpec &s, uint64_t &) {
+            s.workload.scientific = !s.workload.scientific;
+        },
+        [](CmpRunSpec &s, uint64_t &) { s.protection.l1TwoDim = true; },
+        [](CmpRunSpec &s, uint64_t &) {
+            s.protection.l1PortStealing = true;
+        },
+        [](CmpRunSpec &s, uint64_t &) { s.protection.l2TwoDim = true; },
+        [](CmpRunSpec &s, uint64_t &) {
+            s.protection.l1WriteThrough = true;
+        },
+        [](CmpRunSpec &s, uint64_t &) { ++s.seed; },
+        [](CmpRunSpec &, uint64_t &c) { ++c; },
+    };
+
+    std::set<std::string> keys = {cmpRunCacheKey(base, cycles)};
+    for (size_t i = 0; i < mutations.size(); ++i) {
+        CmpRunSpec spec = base;
+        uint64_t c = cycles;
+        mutations[i](spec, c);
+        ASSERT_FALSE(spec == base && c == cycles) << "mutation " << i;
+        EXPECT_TRUE(keys.insert(cmpRunCacheKey(spec, c)).second)
+            << "mutation " << i << " aliases another key";
+    }
+    // Equal specs share a key, and the salt leads it.
+    EXPECT_EQ(cmpRunCacheKey(base, cycles), cmpRunCacheKey(base, cycles));
+    EXPECT_EQ(cmpRunCacheKey(base, cycles).rfind(
+                  "cmp/v" + std::to_string(kCmpRecordVersion) + "|", 0),
+              0u);
+}
+
+TEST(CmpBatch, ForeignWidthRecordIsRecomputed)
+{
+    MemoryOnlyCache memory_only;
+    constexpr uint64_t kCycles = 5000;
+    const CmpRunSpec spec{CmpConfig::lean(), workloadByName("Ocean"),
+                          ProtectionConfig::full(true), 3};
+    CmpSimulator sim(spec.machine, spec.workload, spec.protection,
+                     spec.seed);
+    const Counters truth = countersOf(sim.run(kCycles));
+
+    ResultCache &cache = resultCache();
+    const std::string key = cmpRunCacheKey(spec, kCycles);
+    cache.store(key, ResultCache::Record{{1, 2, 3, 4}, {}});
+    cache.resetStats();
+    const std::vector<CmpSimResult> got = runCmpBatch({spec}, kCycles);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(countersOf(got[0]), truth);
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+
+    // The foreign record was overwritten with the true counters.
+    const std::optional<ResultCache::Record> rec = cache.lookup(key);
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->ints.size(), truth.size());
+    EXPECT_EQ(countersOf(runCmpBatch({spec}, kCycles)[0]), truth);
 }
 
 } // namespace

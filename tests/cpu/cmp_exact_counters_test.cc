@@ -17,6 +17,8 @@
 #include <string>
 
 #include "common/rng.hh"
+#include "common/stable_hash.hh"
+#include "cpu/cmp_batch.hh"
 #include "cpu/cmp_simulator.hh"
 
 namespace tdc
@@ -126,6 +128,26 @@ TEST(CmpExactCounters, EveryFieldMatchesThePin)
             << pin.machine << " " << pin.protection << " "
             << pin.workload;
     }
+}
+
+TEST(CmpExactCounters, RecordSaltMatchesThePins)
+{
+    // runCmpBatch memoises runs under keys salted with
+    // kCmpRecordVersion, so a warm cache replays the counters of the
+    // simulator that stored them. Re-pinning any counter above changes
+    // this digest: bump kCmpRecordVersion in the same change and pin
+    // the new (salt, digest) pair here.
+    StableHash h;
+    for (const Pin &pin : kPins) {
+        h.update(std::string_view(pin.machine));
+        h.update(std::string_view(pin.protection));
+        h.update(std::string_view(pin.workload));
+        for (uint64_t c : pin.counters)
+            h.update(c);
+    }
+    EXPECT_EQ(std::to_string(kCmpRecordVersion) + ":" + h.digest().hex(),
+              "1:4df9a2d35e5b11c7f7969524d463e7f7")
+        << "re-pinned counters need a kCmpRecordVersion bump";
 }
 
 TEST(CmpExactCounters, SplitRunEqualsOneRun)

@@ -11,6 +11,8 @@
 #include "common/parallel.hh"
 #include "common/table.hh"
 #include "cpu/ipc_campaign.hh"
+#include "memory_only_cache.hh"
+#include "reliability/result_cache.hh"
 
 namespace tdc
 {
@@ -34,6 +36,7 @@ smallSpec()
 
 TEST(IpcCampaign, MatchesHandComputedLossTable)
 {
+    MemoryOnlyCache memory_only;
     const IpcLossCampaignSpec spec = smallSpec();
     const CampaignResult res = runIpcLossCampaign(spec);
 
@@ -41,7 +44,9 @@ TEST(IpcCampaign, MatchesHandComputedLossTable)
     ASSERT_EQ(res.rows.size(), workloads.size() + 1); // + Average row
     EXPECT_EQ(res.rows.back()[0], "Average");
 
-    // Recompute one workload row with plain matched-pair runs.
+    // Recompute one workload row with plain matched-pair runs, simulated
+    // afresh rather than served from the campaign's cached runs.
+    resultCache().clearMemory();
     const size_t wi = 2;
     std::vector<CmpRunSpec> pair = {
         {spec.machine, workloads[wi], ProtectionConfig::none(), spec.seed},
@@ -60,9 +65,14 @@ TEST(IpcCampaign, MatchesHandComputedLossTable)
 TEST(IpcCampaign, IdenticalAtEveryThreadCount)
 {
     ThreadGuard guard;
+    MemoryOnlyCache memory_only;
+    // Each thread count simulates its runs: the campaign memoises them
+    // in the process-wide result cache, so drop its memory tier first.
+    resultCache().clearMemory();
     setParallelThreads(1);
     const std::string serial = runIpcLossCampaign(smallSpec()).render();
     for (unsigned threads : {2u, 4u, 8u}) {
+        resultCache().clearMemory();
         setParallelThreads(threads);
         EXPECT_EQ(runIpcLossCampaign(smallSpec()).render(), serial)
             << threads << " threads";

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.hh"
 #include "ecc/bch.hh"
@@ -217,6 +219,35 @@ TEST(BchCode, RowWeightAccessors)
     EXPECT_GT(code.maxRowWeight(), 1u);
     EXPECT_LE(code.maxRowWeight(), 65u);
     EXPECT_GT(code.totalRowWeight(), code.checkBits());
+}
+
+TEST(BchCode, RowWeightsMatchTheUnitVectorOracle)
+{
+    // The constructor walks the H-matrix columns x^(r+j) mod g(x) one
+    // LFSR step at a time; the oracle encodes each unit data vector.
+    // DECTED, QECPED and OECNED over the 64- and 256-bit words.
+    for (size_t k : {size_t(64), size_t(256)}) {
+        for (size_t t : {size_t(2), size_t(4), size_t(8)}) {
+            const BchCode code(k, t);
+            std::vector<size_t> weights(code.checkBits(), 0);
+            for (size_t j = 0; j < k; ++j) {
+                BitVector unit(k);
+                unit.set(j, true);
+                const BitVector col = code.computeCheck(unit);
+                for (size_t i = 0; i < weights.size(); ++i)
+                    weights[i] += col.get(i);
+            }
+            // Both accessors count each row's stored check bit too.
+            size_t total = code.checkBits();
+            for (size_t w : weights)
+                total += w;
+            EXPECT_EQ(code.maxRowWeight(),
+                      *std::max_element(weights.begin(), weights.end()) + 1)
+                << k << " bits, t=" << t;
+            EXPECT_EQ(code.totalRowWeight(), total)
+                << k << " bits, t=" << t;
+        }
+    }
 }
 
 TEST(BchCode, GeneratorDividesEncoding)

@@ -290,6 +290,27 @@ TEST_F(ResultCacheTest, ConcurrentWritersSharingDirectory)
     EXPECT_EQ(tmp_files, 0u);
 }
 
+TEST_F(ResultCacheTest, ShapedMemoizeRecomputesAForeignWidth)
+{
+    ResultCache cache(dir());
+    cache.store("key", record({1, 2, 3}, {}));
+    int calls = 0;
+    const auto compute = [&] {
+        ++calls;
+        return record({4, 5}, {0.5});
+    };
+    // Wrong width: counted corrupt, recomputed, and overwritten.
+    EXPECT_EQ(cache.memoize("key", compute, 2, 1), record({4, 5}, {0.5}));
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+    // The disk copy was overwritten too: a fresh process hits it.
+    cache.clearMemory();
+    EXPECT_EQ(cache.memoize("key", compute, 2, 1), record({4, 5}, {0.5}));
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+    EXPECT_EQ(cache.stats().diskHits, 1u);
+}
+
 TEST_F(ResultCacheTest, StatsDescribeMentionsEveryCounter)
 {
     ResultCache cache(dir());
@@ -298,6 +319,8 @@ TEST_F(ResultCacheTest, StatsDescribeMentionsEveryCounter)
     const std::string line = cache.stats().describe();
     EXPECT_NE(line.find("hit"), std::string::npos) << line;
     EXPECT_NE(line.find("miss"), std::string::npos) << line;
+    EXPECT_NE(line.find("stored"), std::string::npos) << line;
+    EXPECT_NE(line.find("corrupt"), std::string::npos) << line;
     cache.resetStats();
     EXPECT_EQ(cache.stats(), CacheStats{});
 }
