@@ -3,7 +3,7 @@
  * google-benchmark microbenchmarks of the codec substrate: encode and
  * decode throughput of every code used in the study, plus the
  * 2D-array access paths (fast-path read, read-before-write, full
- * recovery sweep). These quantify the software cost of the models,
+ * recovery sweep, the unrecoverable-fault recovery storm). These quantify the software cost of the models,
  * not the hardware latencies (those are in tdc_run --figure fig7).
  */
 
@@ -133,6 +133,53 @@ BM_RecoverySweep(benchmark::State &state)
 BENCHMARK(BM_RecoverySweep)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * The recovery storm: 16 trials of a dead chip on the L1 2D bank,
+ * single-threaded. EDC8 horizontal cannot recover it, so every read of
+ * a word that detects requests a recovery (257 per trial). Counters,
+ * per trial, from the same 16 trials replayed on a bare TwoDimArray
+ * (fill, inject, scrub, read every word, as the 2d session does):
+ * recoveries requested, recovery sweeps executed, and physical row
+ * reads of the data array.
+ */
+void
+BM_RecoveryStorm(benchmark::State &state)
+{
+    setParallelThreads(1);
+    const TwoDimConfig cfg = TwoDimConfig::l1Default();
+    const SchemePtr scheme = makeTwoDimScheme(cfg);
+    const FaultModel fault = FaultModel::chipKill();
+    constexpr int kTrials = 16;
+    constexpr uint64_t kSeed = 99;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            scheme->injectAndRecover(fault, kTrials, kSeed));
+    }
+    setParallelThreads(0);
+
+    uint64_t recoveries = 0, sweeps = 0, row_reads = 0;
+    for (int t = 0; t < kTrials; ++t) {
+        TwoDimArray arr(cfg);
+        Rng rng(shardSeed(kSeed, uint64_t(t)));
+        for (size_t r = 0; r < arr.rows(); ++r)
+            for (size_t s = 0; s < arr.wordsPerRow(); ++s)
+                arr.writeWord(r, s, BitVector(64, rng.next()));
+        FaultInjector(rng).inject(arr.cells(), fault);
+        arr.scrub();
+        for (size_t r = 0; r < arr.rows(); ++r)
+            for (size_t s = 0; s < arr.wordsPerRow(); ++s)
+                arr.readWord(r, s);
+        recoveries += arr.stats().recoveries;
+        sweeps += arr.stats().recoverySweeps;
+        row_reads += arr.cells().readCount();
+    }
+    state.counters["recoveries"] = double(recoveries) / kTrials;
+    state.counters["sweeps"] = double(sweeps) / kTrials;
+    state.counters["row_reads"] = double(row_reads) / kTrials;
+    state.SetLabel("16 trials of chip:any, 1 thread");
+}
+BENCHMARK(BM_RecoveryStorm)->Unit(benchmark::kMillisecond);
 
 /**
  * Whole-cache scrub with a multi-bit event in every bank — the

@@ -55,7 +55,10 @@ MemoryArray::writeRow(size_t r, const BitVector &value)
     assert(r < rows());
     assert(value.size() == cols());
     ++writes;
+    if (rowStore[r] == value)
+        return;
     rowStore[r] = value;
+    ++epoch;
 }
 
 void
@@ -64,7 +67,10 @@ MemoryArray::xorRow(size_t r, const BitVector &delta)
     assert(r < rows());
     assert(delta.size() == cols());
     ++writes;
+    if (delta.none())
+        return;
     rowStore[r] ^= delta;
+    ++epoch;
 }
 
 bool
@@ -84,7 +90,10 @@ void
 MemoryArray::writeBit(size_t r, size_t c, bool value)
 {
     assert(r < rows() && c < cols());
+    if (rowStore[r].get(c) == value)
+        return;
     rowStore[r].set(c, value);
+    ++epoch;
 }
 
 void
@@ -92,6 +101,7 @@ MemoryArray::flipBit(size_t r, size_t c)
 {
     assert(r < rows() && c < cols());
     rowStore[r].flip(c);
+    ++epoch;
 }
 
 void
@@ -101,12 +111,16 @@ MemoryArray::addStuckAt(size_t r, size_t c, bool value)
     auto &row_faults = stuckByRow[r];
     for (auto &[col, v] : row_faults) {
         if (col == c) {
-            v = value;
+            if (v != value) {
+                v = value;
+                ++epoch;
+            }
             return;
         }
     }
     row_faults.emplace_back(c, value);
     ++stuckTotal;
+    ++epoch;
 }
 
 void
@@ -122,6 +136,7 @@ MemoryArray::clearFault(size_t r, size_t c)
         return;
     row_faults.erase(pos);
     --stuckTotal;
+    ++epoch;
     if (row_faults.empty())
         stuckByRow.erase(it);
 }
@@ -149,6 +164,7 @@ MemoryArray::clearRowFaults(size_t r)
         rowStore[r].set(col, value);
     stuckTotal -= it->second.size();
     stuckByRow.erase(it);
+    ++epoch;
 }
 
 bool

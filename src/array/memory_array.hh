@@ -136,6 +136,18 @@ class MemoryArray
     uint64_t readCount() const { return reads; }
     uint64_t writeCount() const { return writes; }
 
+    /**
+     * Mutation epoch: moves exactly when stored bits or the stuck-at
+     * overlay change, never on reads and never on a write that leaves
+     * the state as it was (writeRow of the same row, xorRow of a zero
+     * delta, writeBit of the stored value, re-pinning a stuck cell to
+     * its stuck value, clearing a fault that is not there). Equal
+     * epochs therefore mean equal state, which lets TwoDimArray skip a
+     * recovery sweep it already knows fails. Content-aware on purpose:
+     * a failing reconstruction rewrites the same row on every attempt.
+     */
+    uint64_t version() const { return epoch; }
+
   private:
     size_t numCols;
     std::vector<BitVector> rowStore;
@@ -146,6 +158,7 @@ class MemoryArray
     size_t symbolWidth = 1;
     mutable uint64_t reads = 0;
     uint64_t writes = 0;
+    uint64_t epoch = 0;
 };
 
 } // namespace tdc

@@ -258,6 +258,14 @@ RecoveryReport
 TwoDimArray::recover()
 {
     ++stat.recoveries;
+    const uint64_t data_epoch = data.version();
+    const uint64_t parity_epoch = parity.cells().version();
+    if (failedAtFixedPoint && data_epoch == fixedDataEpoch &&
+        parity_epoch == fixedParityEpoch) {
+        ++stat.recoveryFailures;
+        return lastReport;
+    }
+    ++stat.recoverySweeps;
     RecoveryReport report;
 
     // Sweep the bank (BIST-style march): collect faulty rows.
@@ -307,6 +315,10 @@ TwoDimArray::recover()
     report.success = ok && verifyClean();
     if (!report.success)
         ++stat.recoveryFailures;
+    fixedDataEpoch = data.version();
+    fixedParityEpoch = parity.cells().version();
+    failedAtFixedPoint = !report.success && fixedDataEpoch == data_epoch &&
+                         fixedParityEpoch == parity_epoch;
     lastReport = report;
     return report;
 }

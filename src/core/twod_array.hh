@@ -53,8 +53,18 @@ struct TwoDimStats
     uint64_t writes = 0;
     uint64_t readBeforeWrites = 0; ///< extra reads caused by writes
     uint64_t inlineCorrections = 0; ///< horizontal (SECDED) fixes
+    /** Recoveries requested (and charged: lastRecovery().rowReads
+     *  each), and how many of them failed. */
     uint64_t recoveries = 0;
     uint64_t recoveryFailures = 0;
+    /**
+     * Recovery sweeps actually executed. recover() replays, rather
+     * than re-runs, a failed recovery that changed nothing for as long
+     * as the bank stays unchanged, so recoverySweeps <= recoveries; the
+     * difference is simulator work saved, not modelled latency. A work
+     * counter only: no table renders it.
+     */
+    uint64_t recoverySweeps = 0;
 
     /**
      * readWord accesses served by borrowing the stored row as a span
@@ -76,6 +86,7 @@ struct TwoDimStats
         inlineCorrections += o.inlineCorrections;
         recoveries += o.recoveries;
         recoveryFailures += o.recoveryFailures;
+        recoverySweeps += o.recoverySweeps;
         rowBorrows += o.rowBorrows;
         rowCopies += o.rowCopies;
         return *this;
@@ -137,6 +148,13 @@ class TwoDimArray
      * group holds multiple faulty rows, fall back to the column-
      * location path. Clears transient faults it repairs; stuck-at
      * cells will re-corrupt on the next write (as in hardware).
+     *
+     * A failed sweep that changed neither cell array is a fixed point:
+     * until cells() or vertical().cells() changes (MemoryArray::
+     * version()), every further call would repeat it exactly, so it
+     * returns the same report without sweeping again. The call is still
+     * counted and charged as a recovery; only stats().recoverySweeps
+     * tells the two apart.
      */
     RecoveryReport recover();
 
@@ -190,6 +208,11 @@ class TwoDimArray
     VerticalParity parity;
     TwoDimStats stat;
     RecoveryReport lastReport;
+    /** Cell-array epochs at which lastReport is a failed fixed point;
+     *  valid only while failedAtFixedPoint. */
+    bool failedAtFixedPoint = false;
+    uint64_t fixedDataEpoch = 0;
+    uint64_t fixedParityEpoch = 0;
 
     /**
      * Reusable scratch buffers for the access hot paths (readWord /

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <functional>
+
 #include "array/fault.hh"
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/twod_array.hh"
 
@@ -338,6 +342,279 @@ TEST(TwoDimArray, L2ConfigurationAlsoCovers32x32)
     FaultInjector inj(rng);
     inj.injectCluster(arr.cells(), 32, 16, 1.0);
     ASSERT_TRUE(arr.scrub());
+    expectAllGolden(arr, golden);
+}
+
+// --- Recovery memo: a failed fixed-point sweep is replayed, not re-run
+
+/**
+ * Trial 0 of ProtectionScheme::injectAndRecover on a 2D bank, step for
+ * step as the scheme layer's session runs it: a golden fill of 64-bit
+ * words drawn from Rng(shardSeed(seed, 0)), one @p fault from the same
+ * generator, a scrub, then a read of every word.
+ */
+void
+sessionTrial(TwoDimArray &arr, const FaultModel &fault, uint64_t seed)
+{
+    ASSERT_EQ(arr.dataBits(), 64u);
+    Rng rng(shardSeed(seed, 0));
+    for (size_t r = 0; r < arr.rows(); ++r)
+        for (size_t s = 0; s < arr.wordsPerRow(); ++s)
+            arr.writeWord(r, s, BitVector(64, rng.next()));
+    FaultInjector(rng).inject(arr.cells(), fault);
+    arr.scrub();
+    for (size_t r = 0; r < arr.rows(); ++r)
+        for (size_t s = 0; s < arr.wordsPerRow(); ++s)
+            arr.readWord(r, s);
+}
+
+/**
+ * The recovery storm: under an EDC8 horizontal code, a full column
+ * (1x256, even rows per parity group, so the vertical code is blind)
+ * or a dead chip cannot be recovered. The scrub requests one recovery
+ * and each of the 256 reads of a word that detects requests another;
+ * all 257 are charged, but only the first sweeps the bank: it fails
+ * without writing anything, so the bank is a fixed point. The row-read
+ * figure is cells().readCount() for the whole trial (fill, scrub,
+ * sweeps, reads); a replayed recovery adds none.
+ */
+TEST(TwoDimRecoveryMemo, StormTrialChargesEveryRecoveryButSweepsOnce)
+{
+    for (const char *fault : {"1x256", "chip:any"}) {
+        TwoDimArray arr(TwoDimConfig::l1Default());
+        sessionTrial(arr, parseFaultModel(fault), 77);
+        EXPECT_EQ(arr.stats().recoveries, 257u) << fault;
+        EXPECT_EQ(arr.stats().recoveryFailures, 257u) << fault;
+        EXPECT_EQ(arr.stats().recoverySweeps, 1u) << fault;
+        EXPECT_EQ(arr.cells().readCount(), 2819u) << fault;
+        EXPECT_FALSE(arr.lastRecovery().success) << fault;
+    }
+}
+
+TEST(TwoDimRecoveryMemo, RecoverableTrialSweepsOnce)
+{
+    TwoDimArray arr(TwoDimConfig::l1Default());
+    sessionTrial(arr, FaultModel::cluster(32, 32), 77);
+    EXPECT_EQ(arr.stats().recoveries, 1u);
+    EXPECT_EQ(arr.stats().recoverySweeps, 1u);
+    EXPECT_EQ(arr.stats().recoveryFailures, 0u);
+}
+
+TEST(TwoDimRecoveryMemo, SweepCounterMergesAcrossBanks)
+{
+    TwoDimStats a, b;
+    a.recoverySweeps = 2;
+    b.recoverySweeps = 3;
+    a += b;
+    EXPECT_EQ(a.recoverySweeps, 5u);
+}
+
+/** Every field of a RecoveryReport, element for element. */
+void
+expectSameReport(const RecoveryReport &a, const RecoveryReport &b,
+                 const std::string &what)
+{
+    EXPECT_EQ(a.success, b.success) << what;
+    EXPECT_EQ(a.rowReads, b.rowReads) << what;
+    EXPECT_EQ(a.rowsReconstructed, b.rowsReconstructed) << what;
+    EXPECT_EQ(a.columnsRepaired, b.columnsRepaired) << what;
+    EXPECT_EQ(a.usedColumnPath, b.usedColumnPath) << what;
+}
+
+struct MemoDiffCase
+{
+    CodeKind horizontal;
+    const char *fault;
+    bool permanent;
+    /** The first recovery fails at a fixed point, so bank A's second
+     *  call replays it (otherwise both banks sweep twice). */
+    bool memoHit;
+};
+
+std::string
+memoCaseName(const MemoDiffCase &c)
+{
+    return std::string(c.horizontal == CodeKind::kSecDed ? "secded" : "edc8") +
+           " " + c.fault + (c.permanent ? " hard" : "");
+}
+
+/** Stable test-list text (the raw bytes would print pointers). */
+void
+PrintTo(const MemoDiffCase &c, std::ostream *os)
+{
+    *os << memoCaseName(c);
+}
+
+class RecoveryMemoDiffTest : public ::testing::TestWithParam<MemoDiffCase>
+{
+};
+
+/**
+ * A memo hit equals a re-run. Twin banks get the same fill and the
+ * same fault. Bank A recovers twice; bank B recovers, flips one cell
+ * twice (the epoch moves, the content does not) and recovers again,
+ * so its second call is a real sweep from the state A's second call
+ * may have replayed. Reports, every data and parity row and the
+ * verdict of every word must agree.
+ */
+TEST_P(RecoveryMemoDiffTest, MemoHitEqualsRerun)
+{
+    const MemoDiffCase &c = GetParam();
+    const std::string name = memoCaseName(c);
+    TwoDimConfig cfg = TwoDimConfig::l1Default();
+    cfg.horizontalKind = c.horizontal;
+    FaultModel fault = parseFaultModel(c.fault);
+    if (c.permanent)
+        fault.persistence = FaultPersistence::kStuckAt;
+
+    TwoDimArray a(cfg), b(cfg);
+    for (TwoDimArray *arr : {&a, &b}) {
+        Rng rng(4242);
+        fill(*arr, rng);
+        FaultInjector(rng).inject(arr->cells(), fault);
+    }
+
+    expectSameReport(a.recover(), b.recover(), name + ": first call");
+    const RecoveryReport replayed = a.recover();
+    b.cells().flipBit(0, 0);
+    b.cells().flipBit(0, 0);
+    const RecoveryReport rerun = b.recover();
+    EXPECT_EQ(b.stats().recoverySweeps, 2u) << name;
+    EXPECT_EQ(a.stats().recoverySweeps, c.memoHit ? 1u : 2u) << name;
+    expectSameReport(replayed, rerun, name + ": second call");
+
+    for (size_t r = 0; r < a.rows(); ++r)
+        ASSERT_EQ(a.cells().readRow(r), b.cells().readRow(r))
+            << name << ": data row " << r;
+    for (size_t g = 0; g < a.vertical().groups(); ++g)
+        ASSERT_EQ(a.vertical().readGroup(g), b.vertical().readGroup(g))
+            << name << ": parity row " << g;
+    for (size_t r = 0; r < a.rows(); ++r) {
+        for (size_t s = 0; s < a.wordsPerRow(); ++s) {
+            const AccessResult ra = a.readWord(r, s);
+            const AccessResult rb = b.readWord(r, s);
+            ASSERT_EQ(ra.status, rb.status) << name << ": word " << r
+                                            << "/" << s;
+            ASSERT_EQ(ra.data, rb.data) << name << ": word " << r << "/"
+                                        << s;
+        }
+    }
+    EXPECT_EQ(a.stats().recoveries, b.stats().recoveries) << name;
+    EXPECT_EQ(a.stats().recoveryFailures, b.stats().recoveryFailures)
+        << name;
+}
+
+constexpr CodeKind kEdc8 = CodeKind::kEdc8;
+constexpr CodeKind kSecDed = CodeKind::kSecDed;
+
+INSTANTIATE_TEST_SUITE_P(
+    StormAndRecoverableFaults, RecoveryMemoDiffTest,
+    ::testing::Values(MemoDiffCase{kEdc8, "1x256", false, true},
+                      MemoDiffCase{kEdc8, "chip:any", false, true},
+                      MemoDiffCase{kEdc8, "fullcol", false, true},
+                      MemoDiffCase{kEdc8, "33x33", false, false},
+                      MemoDiffCase{kEdc8, "hammer:3@0.5", false, false},
+                      MemoDiffCase{kEdc8, "row:32", true, true},
+                      MemoDiffCase{kSecDed, "1x256", false, false},
+                      MemoDiffCase{kSecDed, "chip:any", false, false},
+                      MemoDiffCase{kSecDed, "fullcol", false, false},
+                      MemoDiffCase{kSecDed, "33x33", false, true},
+                      MemoDiffCase{kSecDed, "hammer:3@0.5", false, false},
+                      MemoDiffCase{kSecDed, "row:32", true, true}),
+    [](const ::testing::TestParamInfo<MemoDiffCase> &info) {
+        std::string name = memoCaseName(info.param);
+        for (char &ch : name)
+            if (!std::isalnum(static_cast<unsigned char>(ch)))
+                ch = '_';
+        return name;
+    });
+
+/**
+ * A small bank whose recovery fails at a fixed point: a transient
+ * full-height column (even rows per parity group, so the vertical
+ * code cannot see it) under EDC8. The second recover() is a memo hit.
+ */
+struct FailedBank
+{
+    TwoDimArray arr{smallConfig()};
+    Rng rng{131};
+    std::vector<std::vector<BitVector>> golden = fill(arr, rng);
+
+    FailedBank()
+    {
+        FaultInjector(rng).injectFullColumn(arr.cells(), 9);
+        EXPECT_FALSE(arr.recover().success);
+        EXPECT_FALSE(arr.recover().success);
+        EXPECT_EQ(arr.stats().recoveries, 2u);
+        EXPECT_EQ(arr.stats().recoverySweeps, 1u);
+    }
+};
+
+TEST(TwoDimRecoveryMemo, AnyChangeToTheBankForcesARealSweep)
+{
+    const std::pair<const char *, std::function<void(FailedBank &)>>
+        invalidators[] = {
+            {"writeWord",
+             [](FailedBank &f) {
+                 BitVector other = f.golden[3][1];
+                 other.flip(0);
+                 f.arr.writeWord(3, 1, other);
+             }},
+            {"injection",
+             [](FailedBank &f) {
+                 FaultInjector(f.rng).injectSingleBit(f.arr.cells());
+             }},
+            {"parity-cell flip",
+             [](FailedBank &f) { f.arr.vertical().cells().flipBit(2, 17); }},
+        };
+    for (const auto &[name, invalidate] : invalidators) {
+        FailedBank f;
+        invalidate(f);
+        f.arr.recover();
+        EXPECT_EQ(f.arr.stats().recoverySweeps, 2u) << name;
+        f.arr.recover();
+        EXPECT_EQ(f.arr.stats().recoveries, 4u) << name;
+    }
+}
+
+TEST(TwoDimRecoveryMemo, WritingTheSameWordKeepsTheMemo)
+{
+    // writeWord of a word's current contents changes no stored bit and
+    // no parity bit, so the failed sweep is still a fixed point.
+    FailedBank f;
+    const AccessResult current = f.arr.readWord(5, 2);
+    ASSERT_TRUE(current.ok());
+    f.arr.writeWord(5, 2, current.data);
+    f.arr.recover();
+    EXPECT_EQ(f.arr.stats().recoverySweeps, 1u);
+}
+
+TEST(TwoDimRecoveryMemo, RowRepairAfterAHardFaultLetsRecoverySucceed)
+{
+    // A stuck-at row burst under EDC8: reconstruction writes the
+    // row's original content, which the stored bits under the stuck
+    // overlay still hold, so nothing changes; the stuck cells keep the
+    // row corrupt and recovery fails at a fixed point. A spare-row
+    // style repair (clearRowFaults, then the golden words rewritten)
+    // changes the bank, and the next recovery runs for real and
+    // succeeds.
+    TwoDimArray arr(smallConfig());
+    Rng rng(137);
+    const auto golden = fill(arr, rng);
+    FaultInjector(rng).injectRowBurst(arr.cells(), 21, 32, -1,
+                                      FaultPersistence::kStuckAt);
+    for (int i = 0; i < 3; ++i)
+        EXPECT_FALSE(arr.recover().success);
+    EXPECT_EQ(arr.stats().recoverySweeps, 1u);
+
+    const auto stuck = arr.cells().stuckRows();
+    ASSERT_EQ(stuck.size(), 1u);
+    const size_t row = stuck[0].first;
+    arr.cells().clearRowFaults(row);
+    for (size_t s = 0; s < arr.wordsPerRow(); ++s)
+        arr.writeWord(row, s, golden[row][s]);
+    EXPECT_TRUE(arr.recover().success);
+    EXPECT_EQ(arr.stats().recoverySweeps, 2u);
     expectAllGolden(arr, golden);
 }
 
