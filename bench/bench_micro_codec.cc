@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks of the codec substrate: encode and
  * decode throughput of every code used in the study, plus the
  * 2D-array access paths (fast-path read, read-before-write, full
- * recovery sweep, the unrecoverable-fault recovery storm). These quantify the software cost of the models,
+ * recovery sweep, the unrecoverable-fault recovery storm) and one
+ * injection cell. These quantify the software cost of the models,
  * not the hardware latencies (those are in tdc_run --figure fig7).
  */
 
@@ -113,6 +114,33 @@ BENCHMARK(BM_DecodeDirty64)
     ->Args({4, 1})->Args({4, 4})->Args({4, 8}); // OECNED (t=8)
 
 /**
+ * One injection cell at 1 thread: injectAndRecover of 16 trials of a
+ * 32x32 cluster, i.e. 16 sessions that fill, scrub and verify the bank
+ * a line at a time. Arg: scheme (0 = 2d:edc32/i8+vp32, the widest
+ * fused fold; 1 = 2d:edc8/i4+vp32, the paper's L1 bank;
+ * 2 = conv:secded/i4).
+ */
+void
+BM_InjectionTrial(benchmark::State &state)
+{
+    static const char *const kSpecs[] = {"2d:edc32/i8+vp32",
+                                         "2d:edc8/i4+vp32",
+                                         "conv:secded/i4"};
+    constexpr int kTrials = 16;
+    const char *spec = kSpecs[state.range(0)];
+    setParallelThreads(1);
+    const SchemePtr scheme = parseScheme(spec);
+    const FaultModel fault = FaultModel::cluster(32, 32);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(scheme->injectAndRecover(fault, kTrials, 99));
+    }
+    setParallelThreads(0);
+    state.SetItemsProcessed(state.iterations() * kTrials);
+    state.SetLabel(std::string(spec) + " 32x32, 16 trials, 1 thread");
+}
+BENCHMARK(BM_InjectionTrial)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
+
+/**
  * Monte-Carlo recovery sweep (Figure 3-style injection campaign: 16
  * trials of a 32x32 cluster on the L1 2D bank) at a given worker-pool
  * thread count. Arg: threads.
@@ -138,8 +166,8 @@ BENCHMARK(BM_RecoverySweep)
  * The recovery storm: 16 trials of a dead chip on the L1 2D bank,
  * single-threaded. EDC8 horizontal cannot recover it, so every read of
  * a word that detects requests a recovery (257 per trial). Counters,
- * per trial, from the same 16 trials replayed on a bare TwoDimArray
- * (fill, inject, scrub, read every word, as the 2d session does):
+ * per trial, from the same 16 trials replayed word by word on a bare
+ * TwoDimArray (fill, inject, scrub, read every word):
  * recoveries requested, recovery sweeps executed, and physical row
  * reads of the data array.
  */

@@ -151,10 +151,23 @@ void
 BM_LineClean(benchmark::State &state)
 {
     // Clean whole-line check: the scrub/recovery hot predicate. The
-    // fused EDC fold engages on the accelerated tiers.
-    const bool l2 = state.range(0) != 0;
-    const InterleavedParityCode code(l2 ? 256 : 64, l2 ? 16 : 8);
-    const InterleaveMap map(code.codewordBits(), l2 ? 2 : 4);
+    // fused EDC fold engages on the accelerated tiers. Arg: 0 = the
+    // L1 bank's edc8/i4, 1 = the L2 bank's edc16/i2 over 256-bit
+    // words (both fold within one word), 2 = edc32/i8 (period 256,
+    // four fold lanes).
+    struct LineGeometry
+    {
+        size_t dataBits, checkBits, degree;
+        const char *label;
+    };
+    static const LineGeometry kGeometries[] = {
+        {64, 8, 4, "edc8/i4"},
+        {256, 16, 2, "edc16/i2"},
+        {64, 32, 8, "edc32/i8"},
+    };
+    const LineGeometry &g = kGeometries[state.range(0)];
+    const InterleavedParityCode code(g.dataBits, g.checkBits);
+    const InterleaveMap map(code.codewordBits(), g.degree);
     const LineCodec line(code, map);
     std::vector<BitVector> words(map.degree(),
                                  randomRow(code.dataBits(), 108));
@@ -163,10 +176,9 @@ BM_LineClean(benchmark::State &state)
     for (auto _ : state) {
         benchmark::DoNotOptimize(line.lineClean(row));
     }
-    labelBackend(state, std::string("lineClean ") +
-                            (l2 ? "edc16/i2" : "edc8/i4"));
+    labelBackend(state, std::string("lineClean ") + g.label);
 }
-BENCHMARK(BM_LineClean)->DenseRange(0, 1);
+BENCHMARK(BM_LineClean)->DenseRange(0, 2);
 
 void
 BM_LineEncode(benchmark::State &state)

@@ -72,8 +72,12 @@ InterleaveMap::extractWordInto(ConstBitSpan row, size_t slot,
     for (size_t i = 0; i < srcWords; ++i) {
         const size_t valid = std::min<size_t>(rowBits() - i * 64, 64);
         if (valid > phase) {
-            const size_t cnt = (valid - phase + intvDegree - 1) / intvDegree;
-            uint64_t chunk = plans[phase].compress(src[i]);
+            const BitCompressPlan &plan = plans[phase];
+            // A full row word holds every position of the phase.
+            const size_t cnt =
+                valid == 64 ? plan.count()
+                            : (valid - phase + intvDegree - 1) / intvDegree;
+            uint64_t chunk = plan.compress(src[i]);
             if (cnt < 64)
                 chunk &= (uint64_t(1) << cnt) - 1;
             const size_t off = dstPos % 64;
@@ -113,7 +117,14 @@ InterleaveMap::depositWord(BitVector &row, size_t slot,
     for (size_t i = 0; i < dstWords; ++i) {
         const size_t valid = std::min<size_t>(rowBits() - i * 64, 64);
         if (valid > phase) {
-            const size_t cnt = (valid - phase + intvDegree - 1) / intvDegree;
+            const BitCompressPlan &plan = plans[phase];
+            // A full row word holds every position of the phase, so its
+            // count and lanes are the plan's; only a partial top word
+            // takes the low cnt of them.
+            const bool full = valid == 64;
+            const size_t cnt =
+                full ? plan.count()
+                     : (valid - phase + intvDegree - 1) / intvDegree;
             // Gather cnt source bits starting at srcPos (spans <= 2
             // words).
             const size_t off = srcPos % 64;
@@ -122,11 +133,9 @@ InterleaveMap::depositWord(BitVector &row, size_t slot,
                 chunk |= src[srcPos / 64 + 1] << (64 - off);
             if (cnt < 64)
                 chunk &= (uint64_t(1) << cnt) - 1;
-            const BitCompressPlan &plan = plans[phase];
             const uint64_t spread = plan.expand(chunk);
-            const uint64_t lanes = cnt < 64
-                                       ? plan.expand((uint64_t(1) << cnt) - 1)
-                                       : plan.mask();
+            const uint64_t lanes =
+                full ? plan.mask() : plan.expand((uint64_t(1) << cnt) - 1);
             dst[i] = (dst[i] & ~lanes) | spread;
             srcPos += cnt;
         }

@@ -40,6 +40,17 @@ MemoryArray::copyRowInto(size_t r, BitVector &out) const
     }
 }
 
+bool
+MemoryArray::rowEquals(size_t r, const BitVector &value) const
+{
+    assert(r < rows());
+    if (!rowHasStuck(r))
+        return rowStore[r] == value;
+    BitVector visible;
+    copyRowInto(r, visible);
+    return visible == value;
+}
+
 ConstBitSpan
 MemoryArray::viewRow(size_t r) const
 {

@@ -77,6 +77,13 @@ class MemoryArray
      */
     ConstBitSpan viewRow(size_t r) const;
 
+    /**
+     * True iff row @p r as readRow would return it (stuck-at overlay
+     * applied) equals @p value. A simulator-side comparison against
+     * golden content, not a modelled access: charges no port read.
+     */
+    bool rowEquals(size_t r, const BitVector &value) const;
+
     /** True iff any cell of row @p r has a stuck-at fault. */
     bool rowHasStuck(size_t r) const
     {

@@ -21,6 +21,13 @@ ProtectedArray::writeWord(size_t row, size_t slot, const BitVector &data)
     array.writeRow(row, phys_row);
 }
 
+void
+ProtectedArray::writeLine(size_t row, const BitVector &line_bits)
+{
+    assert(line_bits.size() == map.rowBits());
+    array.writeRow(row, line_bits);
+}
+
 AccessResult
 ProtectedArray::readWord(size_t row, size_t slot)
 {

@@ -63,6 +63,14 @@ class ProtectedArray
     void writeWord(size_t row, size_t slot, const BitVector &data);
 
     /**
+     * Store a whole encoded line into row @p row in one row write:
+     * @p line_bits holds wordsPerRow() codewords interleaved as the
+     * map lays them out. On a row without stuck-at cells the result
+     * equals wordsPerRow() writeWord calls storing the same words.
+     */
+    void writeLine(size_t row, const BitVector &line_bits);
+
+    /**
      * Read and decode word @p slot of row @p row. On kCorrected the
      * repaired codeword is written back (in-line correction).
      */

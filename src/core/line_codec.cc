@@ -13,32 +13,53 @@ LineCodec::LineCodec(const Code &code, const InterleaveMap &map)
 {
     assert(map.rowBits() == code.codewordBits() * map.degree());
     // Fused clean check: with a degree-d interleave, codeword bit b of
-    // slot s sits at physical column b*d + s, so column c mod (d*n)
-    // equals (b mod n)*d + s whenever d*n divides 64. When the data
-    // width is also a multiple of n, check bit j lands in parity
-    // class j, and the whole-row fold down to p = d*n bits is the
-    // concatenation of every slot's n-bit syndrome: zero iff the
-    // entire line is clean.
+    // slot s sits at physical column c = b*d + s, so c mod (d*n) equals
+    // (b mod n)*d + s. When the data width is a multiple of n, check
+    // bit j lands in parity class j, and the whole-row fold down to
+    // p = d*n bits is the concatenation of every slot's n-bit
+    // syndrome: zero iff the entire line is clean. The fold is one
+    // pass over the row words when p divides 64 or 64 divides p.
     const auto *edc = dynamic_cast<const InterleavedParityCode *>(&code);
     if (edc != nullptr) {
         const size_t n = code.checkBits();
         const size_t p = map.degree() * n;
-        if (code.dataBits() % n == 0 && p <= 64 && 64 % p == 0)
+        if (code.dataBits() % n == 0 && (64 % p == 0 || p % 64 == 0))
             fusedFoldBits = p;
     }
+}
+
+bool
+LineCodec::fusedActive() const
+{
+    return fusedFoldBits != 0 && simdBmi2Active();
 }
 
 bool
 LineCodec::lineClean(const BitVector &row_bits) const
 {
     assert(row_bits.size() == map.rowBits());
-    if (fusedFoldBits != 0 && simdBmi2Active()) {
+    if (fusedActive()) {
         // One pass over the packed row words. Bits past the row size
         // are zero (BitVector invariant), so partial top words fold
-        // harmlessly; 64 is a multiple of the period, so in-word bit
-        // position mod p equals column mod p.
+        // harmlessly.
         const uint64_t *words = row_bits.wordData();
         const size_t nwords = row_bits.wordCount();
+        if (fusedFoldBits > 64) {
+            // Wide period: row word i covers columns [64i, 64i+64),
+            // whose residues mod p are those of lane i mod p/64. The
+            // lanes are the p-bit fold; clean iff every lane is zero.
+            const size_t lanes = fusedFoldBits / 64;
+            for (size_t l = 0; l < lanes; ++l) {
+                uint64_t acc = 0;
+                for (size_t w = l; w < nwords; w += lanes)
+                    acc ^= words[w];
+                if (acc != 0)
+                    return false;
+            }
+            return true;
+        }
+        // Narrow period: 64 is a multiple of p, so in-word bit
+        // position mod p equals column mod p.
         uint64_t acc;
         if (nwords >= 4 && simdAvx2Active()) {
             acc = simd::xorFoldAvx2(words, nwords);
@@ -77,6 +98,8 @@ LineCodec::correctLine(BitVector &row_bits, bool &changed) const
 {
     assert(row_bits.size() == map.rowBits());
     changed = false;
+    if (fusedActive() && lineClean(row_bits))
+        return true;
     for (size_t slot = 0; slot < map.degree(); ++slot) {
         map.extractWordInto(row_bits, slot, cwScratch);
         if (code.syndromeClean(cwScratch))

@@ -26,14 +26,18 @@ namespace tdc
  * instead of being re-rolled at every call site.
  *
  * The payoff is the fused clean check: for an interleaved-parity
- * (EDCn) horizontal code whose period p = degree * n divides 64 and
- * whose data width is a multiple of n, the concatenation of all
- * slots' syndromes is exactly the whole row XOR-folded down to p
- * bits. One pass over the row words (vectorized on the AVX2 dispatch
- * tier) replaces degree extract+syndrome rounds. The fused path is
- * engaged on the accelerated dispatch tiers only; the scalar tier
- * keeps the per-slot reference loop (identical verdicts, so outputs
- * never depend on TDC_SIMD).
+ * (EDCn) horizontal code whose data width is a multiple of n, column
+ * c of the row lands in parity class c mod p of the period
+ * p = degree * n, and the concatenation of all slots' syndromes is
+ * exactly the whole row XOR-folded down to p bits. The fold is one
+ * pass over the packed row words whenever p divides 64 (fold in-word,
+ * vectorized on the AVX2 dispatch tier) or p is a multiple of 64
+ * (fold row word i into lane i mod p/64); it replaces degree
+ * extract+syndrome rounds, and correctLine returns at once on a line
+ * it finds clean. Other periods (e.g. edc8/i3, p = 24) keep the
+ * per-slot loop. The fused path is engaged on the accelerated
+ * dispatch tiers only; the scalar tier keeps the per-slot reference
+ * loop (identical verdicts, so outputs never depend on TDC_SIMD).
  *
  * Holds references to the code and map; both must outlive the codec.
  */
@@ -59,7 +63,8 @@ class LineCodec
      * untouched. Returns false as soon as a slot is uncorrectable
      * (the row is then partially repaired, matching the historical
      * slot-loop semantics). @p changed reports whether any bit of the
-     * row was rewritten.
+     * row was rewritten. A line the fused fold finds clean returns
+     * true at once, unchanged.
      */
     bool correctLine(BitVector &row_bits, bool &changed) const;
 
@@ -70,9 +75,13 @@ class LineCodec
     const Code &code;
     const InterleaveMap &map;
 
+    /** fusedCheck() on an accelerated dispatch tier: lineClean folds. */
+    bool fusedActive() const;
+
     /**
      * Fold period p = degree * checkBits when the fused EDC clean
-     * check applies (interleaved-parity code, n | k, p | 64), else 0.
+     * check applies (interleaved-parity code, n | k, and p | 64 or
+     * 64 | p), else 0.
      */
     size_t fusedFoldBits;
 

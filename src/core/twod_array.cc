@@ -2,18 +2,26 @@
 
 #include <cassert>
 #include <set>
+#include <utility>
 
 namespace tdc
 {
 
 TwoDimArray::TwoDimArray(const TwoDimConfig &config)
+    : TwoDimArray(config, makeCode(config.horizontalKind, config.wordBits))
+{
+}
+
+TwoDimArray::TwoDimArray(const TwoDimConfig &config,
+                         CodePtr horizontal_code)
     : cfg(config),
-      horizontal(makeCode(cfg.horizontalKind, cfg.wordBits)),
+      horizontal(std::move(horizontal_code)),
       map(horizontal->codewordBits(), cfg.interleaveDegree),
       line(*horizontal, map),
       data(cfg.dataRows, map.rowBits()),
       parity(cfg.dataRows, map.rowBits(), cfg.verticalParityRows)
 {
+    assert(horizontal->dataBits() == cfg.wordBits);
 }
 
 void
@@ -35,6 +43,20 @@ TwoDimArray::writeWord(size_t row, size_t slot, const BitVector &value)
     deltaScratch ^= rowScratch; // old ^ new
     parity.applyDelta(row, deltaScratch);
     ++stat.writes;
+}
+
+void
+TwoDimArray::writeLine(size_t row, const BitVector &line_bits)
+{
+    assert(line_bits.size() == map.rowBits());
+    // writeWord for a whole row at once: one read-before-write, the
+    // new line stored, old ^ new folded into the parity row.
+    data.readRowInto(row, deltaScratch);
+    ++stat.readBeforeWrites;
+    data.writeRow(row, line_bits);
+    deltaScratch ^= line_bits;
+    parity.applyDelta(row, deltaScratch);
+    stat.writes += map.degree();
 }
 
 AccessResult
@@ -113,14 +135,14 @@ TwoDimArray::rowHealthy(const BitVector &row_bits, bool &any_detect) const
 bool
 TwoDimArray::inlineCorrectRow(size_t row)
 {
-    BitVector fixed_row = data.readRow(row);
+    data.readRowInto(row, rowScratch);
     bool changed = false;
-    if (!line.correctLine(fixed_row, changed))
+    if (!line.correctLine(rowScratch, changed))
         return false;
     if (changed) {
         // Corrections restore the value the parity already accounts
         // for, so no parity delta is applied (see readWord).
-        data.writeRow(row, fixed_row);
+        data.writeRow(row, rowScratch);
     }
     return true;
 }
@@ -328,7 +350,8 @@ TwoDimArray::scrub()
 {
     for (size_t r = 0; r < rows(); ++r) {
         bool detect = false;
-        if (!rowHealthy(data.readRow(r), detect)) {
+        data.readRowInto(r, rowScratch);
+        if (!rowHealthy(rowScratch, detect)) {
             const RecoveryReport report = recover();
             return report.success;
         }

@@ -50,8 +50,11 @@ struct RecoveryReport
 struct TwoDimStats
 {
     uint64_t reads = 0;
+    /** Words written: one per writeWord, wordsPerRow() per writeLine. */
     uint64_t writes = 0;
-    uint64_t readBeforeWrites = 0; ///< extra reads caused by writes
+    /** Extra reads caused by writes: one per writeWord and one per
+     *  writeLine (a whole line shares one read-before-write). */
+    uint64_t readBeforeWrites = 0;
     uint64_t inlineCorrections = 0; ///< horizontal (SECDED) fixes
     /** Recoveries requested (and charged: lastRecovery().rowReads
      *  each), and how many of them failed. */
@@ -114,6 +117,14 @@ class TwoDimArray
   public:
     explicit TwoDimArray(const TwoDimConfig &config);
 
+    /**
+     * A bank over an already-built horizontal code, which must be
+     * config.horizontalKind over config.wordBits. Codes are immutable,
+     * so every bank of a scheme (and every worker thread) can share
+     * one instance.
+     */
+    TwoDimArray(const TwoDimConfig &config, CodePtr horizontal_code);
+
     const TwoDimConfig &config() const { return cfg; }
     size_t rows() const { return data.rows(); }
     size_t wordsPerRow() const { return map.degree(); }
@@ -127,11 +138,25 @@ class TwoDimArray
     /** Interleave geometry (physical column <-> word/bit mapping). */
     const InterleaveMap &interleave() const { return map; }
 
+    /** The horizontal per-word code. */
+    const Code &code() const { return *horizontal; }
+
     /**
      * Write @p value into word @p slot of row @p row. Performs the
      * read-before-write and the incremental vertical parity update.
      */
     void writeWord(size_t row, size_t slot, const BitVector &value);
+
+    /**
+     * Store a whole encoded line into row @p row in one access:
+     * @p line_bits holds wordsPerRow() codewords interleaved as
+     * LineCodec::encodeLine lays them out. One read-before-write, one
+     * row write and one vertical parity delta, counted in stats() as
+     * one readBeforeWrites and wordsPerRow() writes. On a row without
+     * stuck-at cells the resulting data and parity equal those of
+     * wordsPerRow() writeWord calls storing the same words.
+     */
+    void writeLine(size_t row, const BitVector &line_bits);
 
     /**
      * Read word @p slot of row @p row. Horizontal-clean reads return
@@ -216,7 +241,7 @@ class TwoDimArray
 
     /**
      * Reusable scratch buffers for the access hot paths (readWord /
-     * writeWord): row-sized and codeword-sized temporaries are built
+     * writeWord / writeLine) and the scrub sweep: row-sized and codeword-sized temporaries are built
      * once and recycled, so steady-state accesses allocate nothing.
      * Accesses are consequently not reentrant per instance — same as
      * the underlying stats, and matching the single-ported banks the

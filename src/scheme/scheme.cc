@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <mutex>
 #include <stdexcept>
 
 #include "array/product_code_array.hh"
 #include "array/protected_array.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
+#include "core/line_codec.hh"
 #include "core/twod_array.hh"
 #include "scheme/dram_scheme.hh"
 
@@ -241,30 +243,92 @@ BitVector
 randomWord(size_t bits, Rng &rng)
 {
     BitVector d(bits);
-    for (size_t w = 0; w < bits; w += 64) {
-        const size_t len = std::min<size_t>(64, bits - w);
-        d.setSlice(w, BitVector(len, rng.next()));
-    }
+    for (size_t w = 0; w < bits; w += 64)
+        d.setBits(w, rng.next(), std::min<size_t>(64, bits - w));
     return d;
 }
 
-/** conv/wt session: a ProtectedArray, scrubbed by per-word readback
- *  (in-line correction is the conventional scrub). */
+/**
+ * A session's golden content, one encoded line per row: row r holds
+ * degree data words drawn from @p rng row by row, slot by slot (each
+ * as randomWord draws it), encoded and interleaved by a LineCodec.
+ * Fill, repair and verify all work a line at a time against it.
+ * Holds references to the code and map; both must outlive it.
+ */
+class GoldenLines
+{
+  public:
+    GoldenLines(const Code &code, const InterleaveMap &map, size_t rows,
+                Rng &rng)
+        : code(code), map(map), lines(rows, BitVector(map.rowBits()))
+    {
+        const LineCodec codec(code, map);
+        std::vector<BitVector> words(map.degree());
+        for (BitVector &line : lines) {
+            for (BitVector &w : words)
+                w = randomWord(code.dataBits(), rng);
+            codec.encodeLine(words, line);
+        }
+    }
+
+    const BitVector &line(size_t row) const { return lines[row]; }
+
+    /** Golden data word @p slot of @p row: its codeword's data bits
+     *  (codewords are laid out [data | check]). */
+    BitVector word(size_t row, size_t slot) const
+    {
+        return map.extractWord(lines[row], slot).slice(0, code.dataBits());
+    }
+
+  private:
+    const Code &code;
+    const InterleaveMap &map;
+    std::vector<BitVector> lines;
+};
+
+/**
+ * Verify @p arr's words against @p golden in row, then slot order. A
+ * row whose visible content equals its golden line is skipped: its
+ * reads would decode clean to the golden data, request no recovery
+ * and write nothing back. Every other row is read word by word, so a
+ * recovery or in-line correction happens exactly where a word-by-word
+ * pass would request it. @p due seeds the detected-loss flag.
+ */
+template <class Array>
+DeviceSession::Verdict
+verifyLines(Array &arr, const GoldenLines &golden, bool due)
+{
+    using Verdict = DeviceSession::Verdict;
+    bool silent = false;
+    for (size_t r = 0; r < arr.rows(); ++r) {
+        if (arr.cells().rowEquals(r, golden.line(r)))
+            continue;
+        for (size_t slot = 0; slot < arr.wordsPerRow(); ++slot) {
+            const AccessResult res = arr.readWord(r, slot);
+            if (!res.ok())
+                due = true;
+            else if (res.data != golden.word(r, slot))
+                silent = true;
+        }
+    }
+    // A silently wrong word dominates: the device lost data without
+    // flagging it somewhere, however many words it also detected.
+    return silent ? Verdict::kSdc
+           : due  ? Verdict::kDue
+                  : Verdict::kCorrected;
+}
+
+/** conv/wt session: a ProtectedArray, scrubbed by the verify pass's
+ *  reads (in-line correction is the conventional scrub). */
 class ConvSession final : public DeviceSession
 {
   public:
-    ConvSession(CodeKind code, size_t degree, size_t word_bits,
-                size_t rows, Rng &rng)
-        : arr(rows, makeCode(code, word_bits), degree)
+    ConvSession(CodePtr code, size_t degree, size_t rows, Rng &rng)
+        : arr(rows, std::move(code), degree),
+          golden(arr.code(), arr.interleave(), arr.rows(), rng)
     {
-        golden.assign(arr.rows(),
-                      std::vector<BitVector>(arr.wordsPerRow()));
-        for (size_t r = 0; r < arr.rows(); ++r) {
-            for (size_t slot = 0; slot < arr.wordsPerRow(); ++slot) {
-                golden[r][slot] = randomWord(word_bits, rng);
-                arr.writeWord(r, slot, golden[r][slot]);
-            }
-        }
+        for (size_t r = 0; r < arr.rows(); ++r)
+            arr.writeLine(r, golden.line(r));
     }
 
     void inject(const FaultModel &fault, Rng &rng) override
@@ -275,21 +339,7 @@ class ConvSession final : public DeviceSession
 
     Verdict scrubAndVerify() override
     {
-        bool due = false, silent = false;
-        for (size_t r = 0; r < arr.rows(); ++r) {
-            for (size_t slot = 0; slot < arr.wordsPerRow(); ++slot) {
-                const AccessResult res = arr.readWord(r, slot);
-                if (!res.ok())
-                    due = true;
-                else if (res.data != golden[r][slot])
-                    silent = true;
-            }
-        }
-        // A silently wrong word dominates: the device lost data without
-        // flagging it somewhere, however many words it also detected.
-        return silent ? Verdict::kSdc
-               : due  ? Verdict::kDue
-                      : Verdict::kCorrected;
+        return verifyLines(arr, golden, false);
     }
 
     std::vector<std::pair<size_t, size_t>> stuckRows() override
@@ -300,30 +350,25 @@ class ConvSession final : public DeviceSession
     void repairRow(size_t row) override
     {
         arr.cells().clearRowFaults(row);
-        for (size_t slot = 0; slot < arr.wordsPerRow(); ++slot)
-            arr.writeWord(row, slot, golden[row][slot]);
+        arr.writeLine(row, golden.line(row));
     }
 
   private:
     ProtectedArray arr;
-    std::vector<std::vector<BitVector>> golden;
+    GoldenLines golden;
 };
 
 /** 2d session: a TwoDimArray bank; scrub runs the Figure 4(b)
- *  recovery process, then reads every word back. */
+ *  recovery process, then the verify pass checks every row. */
 class TwoDimSession final : public DeviceSession
 {
   public:
-    TwoDimSession(const TwoDimConfig &config, Rng &rng) : arr(config)
+    TwoDimSession(const TwoDimConfig &config, CodePtr horizontal, Rng &rng)
+        : arr(config, std::move(horizontal)),
+          golden(arr.code(), arr.interleave(), arr.rows(), rng)
     {
-        golden.assign(arr.rows(),
-                      std::vector<BitVector>(arr.wordsPerRow()));
-        for (size_t r = 0; r < arr.rows(); ++r) {
-            for (size_t slot = 0; slot < arr.wordsPerRow(); ++slot) {
-                golden[r][slot] = randomWord(arr.dataBits(), rng);
-                arr.writeWord(r, slot, golden[r][slot]);
-            }
-        }
+        for (size_t r = 0; r < arr.rows(); ++r)
+            arr.writeLine(r, golden.line(r));
     }
 
     void inject(const FaultModel &fault, Rng &rng) override
@@ -334,20 +379,7 @@ class TwoDimSession final : public DeviceSession
 
     Verdict scrubAndVerify() override
     {
-        const bool scrubbed = arr.scrub();
-        bool due = !scrubbed, silent = false;
-        for (size_t r = 0; r < arr.rows(); ++r) {
-            for (size_t slot = 0; slot < arr.wordsPerRow(); ++slot) {
-                const AccessResult res = arr.readWord(r, slot);
-                if (!res.ok())
-                    due = true;
-                else if (res.data != golden[r][slot])
-                    silent = true;
-            }
-        }
-        return silent ? Verdict::kSdc
-               : due  ? Verdict::kDue
-                      : Verdict::kCorrected;
+        return verifyLines(arr, golden, !arr.scrub());
     }
 
     std::vector<std::pair<size_t, size_t>> stuckRows() override
@@ -358,16 +390,15 @@ class TwoDimSession final : public DeviceSession
     void repairRow(size_t row) override
     {
         // clearRowFaults preserves visible values, so the vertical
-        // parity stays consistent; rewriting the golden words through
-        // writeWord then maintains it incrementally as usual.
+        // parity stays consistent; rewriting the golden line through
+        // writeLine then maintains it incrementally as usual.
         arr.cells().clearRowFaults(row);
-        for (size_t slot = 0; slot < arr.wordsPerRow(); ++slot)
-            arr.writeWord(row, slot, golden[row][slot]);
+        arr.writeLine(row, golden.line(row));
     }
 
   private:
     TwoDimArray arr;
-    std::vector<std::vector<BitVector>> golden;
+    GoldenLines golden;
 };
 
 /** prod session: an HV product-code array; scrub is checkAndCorrect
@@ -420,6 +451,33 @@ class ProdSession final : public DeviceSession
 // --- conv / wt ------------------------------------------------------
 
 /**
+ * A scheme's horizontal code, built on first use and from then on
+ * shared by every session the scheme opens, on any worker thread
+ * (codes have no mutable state). Built lazily so that a scheme parsed
+ * only for its name, cost or cached results never builds one.
+ */
+class SharedCode
+{
+  public:
+    SharedCode(CodeKind kind, size_t data_bits)
+        : kind(kind), dataBits(data_bits)
+    {
+    }
+
+    const CodePtr &get() const
+    {
+        std::call_once(built, [this] { code = makeCode(kind, dataBits); });
+        return code;
+    }
+
+  private:
+    CodeKind kind;
+    size_t dataBits;
+    mutable std::once_flag built;
+    mutable CodePtr code;
+};
+
+/**
  * Conventional 1D protection: per-word code + physical interleaving
  * on a ProtectedArray. Also the injection backend of wt (the
  * write-through L1 array is the same EDC-coded array; duplication
@@ -431,7 +489,7 @@ class ConventionalScheme : public ProtectionScheme
     ConventionalScheme(CodeKind code, size_t degree, size_t word_bits,
                        size_t rows, bool write_through)
         : code_(code), degree_(degree), wordBits_(word_bits), rows_(rows),
-          writeThrough_(write_through)
+          writeThrough_(write_through), horizontal_(code, word_bits)
     {
     }
 
@@ -451,7 +509,7 @@ class ConventionalScheme : public ProtectionScheme
 
     double storageOverhead() const override
     {
-        return makeCode(code_, wordBits_)->storageOverhead();
+        return horizontal_.get()->storageOverhead();
     }
 
     bool hasCostModel() const override { return true; }
@@ -464,7 +522,7 @@ class ConventionalScheme : public ProtectionScheme
 
     std::unique_ptr<DeviceSession> openSession(Rng &rng) const override
     {
-        return std::make_unique<ConvSession>(code_, degree_, wordBits_,
+        return std::make_unique<ConvSession>(horizontal_.get(), degree_,
                                              rows_, rng);
     }
 
@@ -474,6 +532,7 @@ class ConventionalScheme : public ProtectionScheme
     size_t wordBits_;
     size_t rows_;
     bool writeThrough_;
+    SharedCode horizontal_;
 };
 
 // --- 2d -------------------------------------------------------------
@@ -482,7 +541,11 @@ class ConventionalScheme : public ProtectionScheme
 class TwoDimScheme : public ProtectionScheme
 {
   public:
-    explicit TwoDimScheme(const TwoDimConfig &config) : config_(config) {}
+    explicit TwoDimScheme(const TwoDimConfig &config)
+        : config_(config),
+          horizontal_(config.horizontalKind, config.wordBits)
+    {
+    }
 
     std::string name() const override
     {
@@ -501,7 +564,7 @@ class TwoDimScheme : public ProtectionScheme
 
     double storageOverhead() const override
     {
-        return TwoDimArray(config_).storageOverhead();
+        return TwoDimArray(config_, horizontal_.get()).storageOverhead();
     }
 
     bool hasCostModel() const override { return true; }
@@ -515,11 +578,13 @@ class TwoDimScheme : public ProtectionScheme
 
     std::unique_ptr<DeviceSession> openSession(Rng &rng) const override
     {
-        return std::make_unique<TwoDimSession>(config_, rng);
+        return std::make_unique<TwoDimSession>(config_, horizontal_.get(),
+                                               rng);
     }
 
   private:
     TwoDimConfig config_;
+    SharedCode horizontal_;
 };
 
 // --- prod -----------------------------------------------------------

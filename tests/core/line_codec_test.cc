@@ -65,6 +65,13 @@ geometries()
         // L2: EDC16 over 256-bit words, 2-way interleave -> p = 32.
         {"edc16/i2", std::make_shared<InterleavedParityCode>(256, 16), 2,
          true},
+        // Wide periods, multiples of 64: the fold keeps p/64 lanes.
+        {"edc16/i8", std::make_shared<InterleavedParityCode>(64, 16), 8,
+         true}, // p = 128
+        {"edc32/i4", std::make_shared<InterleavedParityCode>(64, 32), 4,
+         true}, // p = 128
+        {"edc32/i8", std::make_shared<InterleavedParityCode>(64, 32), 8,
+         true}, // p = 256
         // Non-dividing period 3*8 = 24: fused fold must stay off.
         {"edc8/i3", std::make_shared<InterleavedParityCode>(64, 8), 3,
          false},
@@ -72,6 +79,20 @@ geometries()
         {"secded/i4", std::make_shared<HsiaoSecDedCode>(64), 4, false},
         {"qecped-inner/i2", std::make_shared<BchCode>(64, 4), 2, false},
     };
+}
+
+/** One random data word per slot of @p g. */
+std::vector<BitVector>
+randomWords(const Geometry &g, Rng &rng)
+{
+    std::vector<BitVector> words;
+    for (size_t s = 0; s < g.degree; ++s) {
+        BitVector w(g.code->dataBits());
+        for (size_t i = 0; i < w.size(); ++i)
+            w.set(i, rng.nextBool());
+        words.push_back(w);
+    }
+    return words;
 }
 
 TEST(LineCodec, FusedFoldEngagesExactlyForAlignedEdcGeometries)
@@ -91,14 +112,10 @@ TEST(LineCodec, LineCleanMatchesPerSlotTruthOnEveryBackend)
         const LineCodec line(*g.code, map);
 
         // A clean row, that row with one flip at every single column,
-        // and fully random rows.
-        std::vector<BitVector> words;
-        for (size_t s = 0; s < g.degree; ++s) {
-            BitVector w(g.code->dataBits());
-            for (size_t i = 0; i < w.size(); ++i)
-                w.set(i, rng.nextBool());
-            words.push_back(w);
-        }
+        // sparse multi-bit patterns on it (including flip pairs one
+        // fold period or one row word apart, which a wrong fold would
+        // cancel or keep apart), and fully random rows.
+        const std::vector<BitVector> words = randomWords(g, rng);
         BitVector cleanRow(map.rowBits());
         line.encodeLine(words, cleanRow);
 
@@ -106,6 +123,24 @@ TEST(LineCodec, LineCleanMatchesPerSlotTruthOnEveryBackend)
         for (size_t col = 0; col < map.rowBits(); ++col) {
             BitVector r = cleanRow;
             r.flip(col);
+            rows.push_back(r);
+        }
+        const size_t period = g.degree * g.code->checkBits();
+        for (size_t col = 0; col < map.rowBits(); ++col) {
+            for (size_t dist : {period, size_t(64)}) {
+                if (col + dist >= map.rowBits())
+                    continue;
+                BitVector r = cleanRow;
+                r.flip(col);
+                r.flip(col + dist);
+                rows.push_back(r);
+            }
+        }
+        for (int trial = 0; trial < 200; ++trial) {
+            BitVector r = cleanRow;
+            const size_t flips = 2 + rng.nextBelow(7);
+            for (size_t f = 0; f < flips; ++f)
+                r.flip(rng.nextBelow(map.rowBits()));
             rows.push_back(r);
         }
         for (int trial = 0; trial < 20; ++trial) {
@@ -129,18 +164,13 @@ TEST(LineCodec, LineCleanMatchesPerSlotTruthOnEveryBackend)
 TEST(LineCodec, CorrectLineReproducesTheSlotLoopRepair)
 {
     Rng rng(52);
-    const Geometry g = geometries()[3]; // secded/i4: correctable slots
+    const Geometry g = geometries()[6]; // secded/i4: correctable slots
+    ASSERT_STREQ(g.label, "secded/i4");
     const InterleaveMap map(g.code->codewordBits(), g.degree);
     const LineCodec line(*g.code, map);
 
     for (int trial = 0; trial < 100; ++trial) {
-        std::vector<BitVector> words;
-        for (size_t s = 0; s < g.degree; ++s) {
-            BitVector w(g.code->dataBits());
-            for (size_t i = 0; i < w.size(); ++i)
-                w.set(i, rng.nextBool());
-            words.push_back(w);
-        }
+        const std::vector<BitVector> words = randomWords(g, rng);
         BitVector row(map.rowBits());
         line.encodeLine(words, row);
 
@@ -187,19 +217,36 @@ TEST(LineCodec, CorrectLineReproducesTheSlotLoopRepair)
     }
 }
 
+TEST(LineCodec, CorrectLineLeavesACleanLineUnchanged)
+{
+    // On a fused geometry a clean line returns from the fold alone; on
+    // every geometry and tier it must report success and no change.
+    Rng rng(54);
+    for (const Geometry &g : geometries()) {
+        const InterleaveMap map(g.code->codewordBits(), g.degree);
+        const LineCodec line(*g.code, map);
+        const std::vector<BitVector> words = randomWords(g, rng);
+        BitVector clean(map.rowBits());
+        line.encodeLine(words, clean);
+        for (SimdBackend b : availableBackends()) {
+            ScopedSimdBackend guard(b);
+            BitVector row = clean;
+            bool changed = true;
+            EXPECT_TRUE(line.correctLine(row, changed))
+                << g.label << " backend=" << simdBackendName(b);
+            EXPECT_FALSE(changed) << g.label;
+            EXPECT_EQ(row, clean) << g.label;
+        }
+    }
+}
+
 TEST(LineCodec, EncodeLineRoundTripsThroughExtract)
 {
     Rng rng(53);
     for (const Geometry &g : geometries()) {
         const InterleaveMap map(g.code->codewordBits(), g.degree);
         const LineCodec line(*g.code, map);
-        std::vector<BitVector> words;
-        for (size_t s = 0; s < g.degree; ++s) {
-            BitVector w(g.code->dataBits());
-            for (size_t i = 0; i < w.size(); ++i)
-                w.set(i, rng.nextBool());
-            words.push_back(w);
-        }
+        const std::vector<BitVector> words = randomWords(g, rng);
         BitVector row(map.rowBits());
         line.encodeLine(words, row);
         EXPECT_TRUE(line.lineClean(row)) << g.label;

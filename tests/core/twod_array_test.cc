@@ -7,6 +7,7 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/twod_array.hh"
+#include "word_trial.hh"
 
 namespace tdc
 {
@@ -346,27 +347,10 @@ TEST(TwoDimArray, L2ConfigurationAlsoCovers32x32)
 }
 
 // --- Recovery memo: a failed fixed-point sweep is replayed, not re-run
-
-/**
- * Trial 0 of ProtectionScheme::injectAndRecover on a 2D bank, step for
- * step as the scheme layer's session runs it: a golden fill of 64-bit
- * words drawn from Rng(shardSeed(seed, 0)), one @p fault from the same
- * generator, a scrub, then a read of every word.
- */
-void
-sessionTrial(TwoDimArray &arr, const FaultModel &fault, uint64_t seed)
-{
-    ASSERT_EQ(arr.dataBits(), 64u);
-    Rng rng(shardSeed(seed, 0));
-    for (size_t r = 0; r < arr.rows(); ++r)
-        for (size_t s = 0; s < arr.wordsPerRow(); ++s)
-            arr.writeWord(r, s, BitVector(64, rng.next()));
-    FaultInjector(rng).inject(arr.cells(), fault);
-    arr.scrub();
-    for (size_t r = 0; r < arr.rows(); ++r)
-        for (size_t s = 0; s < arr.wordsPerRow(); ++s)
-            arr.readWord(r, s);
-}
+//
+// The trials below are sessionTrial (word_trial.hh): trial 0 of an
+// injection cell run word by word through writeWord / readWord, the
+// reference the scheme layer's line-granular session agrees with.
 
 /**
  * The recovery storm: under an EDC8 horizontal code, a full column
