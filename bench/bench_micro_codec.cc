@@ -226,7 +226,7 @@ BM_CacheStoreScrubAll(benchmark::State &state)
         state.PauseTiming();
         FaultInjector inj(rng);
         for (size_t b = 0; b < store.banks(); ++b)
-            inj.injectCluster(store.bank(b).cells(), 32, 32, 1.0);
+            inj.inject(store.bank(b).cells(), FaultModel::cluster(32, 32));
         state.ResumeTiming();
         // Transient clusters are repaired back to the stored data, so
         // the store is clean again before the next iteration.
@@ -279,8 +279,7 @@ BM_TwoDimRecovery32x32(benchmark::State &state)
         for (size_t r = 0; r < arr.rows(); ++r)
             for (size_t s = 0; s < arr.wordsPerRow(); ++s)
                 arr.writeWord(r, s, BitVector(64, rng.next()));
-        FaultInjector inj(rng);
-        inj.injectCluster(arr.cells(), 32, 32, 1.0);
+        FaultInjector(rng).inject(arr.cells(), FaultModel::cluster(32, 32));
         state.ResumeTiming();
         benchmark::DoNotOptimize(arr.recover());
     }

@@ -48,9 +48,11 @@ main()
                 (unsigned long long)bank.vertical().updateCount());
 
     // A single energetic particle strike flips a solid 32x32 block.
-    FaultInjector injector(rng);
-    const FaultEvent hit = injector.injectCluster(bank.cells(), 32, 32);
-    std::printf("injected: %s\n", hit.describe().c_str());
+    const FaultModel strike = FaultModel::cluster(32, 32);
+    const FaultEvent hit = FaultInjector(rng).inject(bank.cells(), strike);
+    std::printf("injected: %s cluster at rows %zu-%zu, columns %zu-%zu\n",
+                strike.describe().c_str(), hit.rowLo, hit.rowHi, hit.colLo,
+                hit.colHi);
 
     // The next read of an affected word sees a horizontal detection,
     // triggers the Figure 4(b) recovery sweep, and returns the

@@ -1,9 +1,11 @@
 #include "array/fault.hh"
 
-#include <cassert>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace tdc
 {
@@ -95,28 +97,6 @@ parseFaultModel(const std::string &spec)
     const size_t w = parseDim(spec, body.substr(0, x));
     const size_t h = parseDim(spec, body.substr(x + 1));
     return FaultModel::cluster(w, h, density);
-}
-
-std::string
-FaultEvent::describe() const
-{
-    const char *shape_name = nullptr;
-    switch (shape) {
-      case FaultShape::kSingleBit: shape_name = "single-bit"; break;
-      case FaultShape::kRowBurst: shape_name = "row-burst"; break;
-      case FaultShape::kColumnBurst: shape_name = "column-burst"; break;
-      case FaultShape::kCluster: shape_name = "cluster"; break;
-      case FaultShape::kFullRow: shape_name = "full-row"; break;
-      case FaultShape::kFullColumn: shape_name = "full-column"; break;
-      case FaultShape::kChipKill: shape_name = "chip-kill"; break;
-      case FaultShape::kRowHammer: shape_name = "row-hammer"; break;
-      case FaultShape::kSenseAmp: shape_name = "sense-amp"; break;
-    }
-    return std::string(shape_name) + " " + std::to_string(width()) + "x" +
-           std::to_string(height()) + " (" + std::to_string(cells.size()) +
-           " cells, " +
-           (persistence == FaultPersistence::kTransient ? "soft" : "hard") +
-           ")";
 }
 
 FaultModel
@@ -286,275 +266,101 @@ FaultModel::spec() const
     return base;
 }
 
-void
-FaultInjector::applyCell(MemoryArray &arr, size_t r, size_t c,
-                         FaultPersistence p, FaultEvent &event)
-{
-    if (p == FaultPersistence::kTransient) {
-        arr.flipBit(r, c);
-    } else {
-        // Stick at the complement of the stored value so the fault is
-        // observable immediately.
-        arr.addStuckAt(r, c, !arr.readBit(r, c));
-    }
-    event.cells.emplace_back(r, c);
-}
-
-FaultEvent
-FaultInjector::injectSingleBit(MemoryArray &arr, FaultPersistence p)
-{
-    FaultEvent event;
-    event.shape = FaultShape::kSingleBit;
-    event.persistence = p;
-    const size_t r = rng.nextBelow(arr.rows());
-    const size_t c = rng.nextBelow(arr.cols());
-    applyCell(arr, r, c, p, event);
-    event.rowLo = event.rowHi = r;
-    event.colLo = event.colHi = c;
-    return event;
-}
-
-FaultEvent
-FaultInjector::injectRowBurst(MemoryArray &arr, size_t row, size_t width,
-                              long col_lo, FaultPersistence p)
-{
-    assert(width >= 1 && width <= arr.cols());
-    FaultEvent event;
-    event.shape = FaultShape::kRowBurst;
-    event.persistence = p;
-    const size_t lo = col_lo >= 0 ? size_t(col_lo)
-                                  : rng.nextBelow(arr.cols() - width + 1);
-    assert(lo + width <= arr.cols());
-    for (size_t c = lo; c < lo + width; ++c)
-        applyCell(arr, row, c, p, event);
-    event.rowLo = event.rowHi = row;
-    event.colLo = lo;
-    event.colHi = lo + width - 1;
-    return event;
-}
-
-FaultEvent
-FaultInjector::injectColumnBurst(MemoryArray &arr, size_t col,
-                                 size_t height, long row_lo,
-                                 FaultPersistence p)
-{
-    assert(height >= 1 && height <= arr.rows());
-    FaultEvent event;
-    event.shape = FaultShape::kColumnBurst;
-    event.persistence = p;
-    const size_t lo = row_lo >= 0 ? size_t(row_lo)
-                                  : rng.nextBelow(arr.rows() - height + 1);
-    assert(lo + height <= arr.rows());
-    for (size_t r = lo; r < lo + height; ++r)
-        applyCell(arr, r, col, p, event);
-    event.rowLo = lo;
-    event.rowHi = lo + height - 1;
-    event.colLo = event.colHi = col;
-    return event;
-}
-
-FaultEvent
-FaultInjector::injectCluster(MemoryArray &arr, size_t width, size_t height,
-                             double density, long row_lo, long col_lo,
-                             FaultPersistence p)
-{
-    assert(width >= 1 && width <= arr.cols());
-    assert(height >= 1 && height <= arr.rows());
-    assert(density > 0.0 && density <= 1.0);
-
-    FaultEvent event;
-    event.shape = FaultShape::kCluster;
-    event.persistence = p;
-    const size_t rlo = row_lo >= 0
-                           ? size_t(row_lo)
-                           : rng.nextBelow(arr.rows() - height + 1);
-    const size_t clo = col_lo >= 0
-                           ? size_t(col_lo)
-                           : rng.nextBelow(arr.cols() - width + 1);
-    assert(rlo + height <= arr.rows());
-    assert(clo + width <= arr.cols());
-
-    // Choose the footprint first (re-rolling until every row of the
-    // footprint participates), then apply, so the advertised bounding
-    // box matches what was really flipped.
-    std::vector<std::pair<size_t, size_t>> chosen;
-    for (int attempt = 0; attempt < 1000; ++attempt) {
-        chosen.clear();
-        bool all_rows_hit = true;
-        for (size_t r = 0; r < height; ++r) {
-            bool row_hit = false;
-            for (size_t c = 0; c < width; ++c) {
-                if (density >= 1.0 || rng.nextBool(density)) {
-                    chosen.emplace_back(rlo + r, clo + c);
-                    row_hit = true;
-                }
-            }
-            all_rows_hit &= row_hit;
-        }
-        if (all_rows_hit)
-            break;
-    }
-    for (auto [r, c] : chosen)
-        applyCell(arr, r, c, p, event);
-
-    event.rowLo = rlo;
-    event.rowHi = rlo + height - 1;
-    event.colLo = clo;
-    event.colHi = clo + width - 1;
-    return event;
-}
-
-FaultEvent
-FaultInjector::injectFullRow(MemoryArray &arr, size_t row,
-                             FaultPersistence p)
-{
-    FaultEvent event;
-    event.shape = FaultShape::kFullRow;
-    event.persistence = p;
-    for (size_t c = 0; c < arr.cols(); ++c)
-        applyCell(arr, row, c, p, event);
-    event.rowLo = event.rowHi = row;
-    event.colLo = 0;
-    event.colHi = arr.cols() - 1;
-    return event;
-}
-
-FaultEvent
-FaultInjector::injectFullColumn(MemoryArray &arr, size_t col,
-                                FaultPersistence p)
-{
-    FaultEvent event;
-    event.shape = FaultShape::kFullColumn;
-    event.persistence = p;
-    for (size_t r = 0; r < arr.rows(); ++r)
-        applyCell(arr, r, col, p, event);
-    event.rowLo = 0;
-    event.rowHi = arr.rows() - 1;
-    event.colLo = event.colHi = col;
-    return event;
-}
-
-FaultEvent
-FaultInjector::injectChipKill(MemoryArray &arr, long chip,
-                              FaultPersistence p)
-{
-    const size_t bits = arr.symbolBits();
-    const size_t chips = arr.cols() / bits;
-    assert(chips >= 1 && arr.cols() % bits == 0);
-    FaultEvent event;
-    event.shape = FaultShape::kChipKill;
-    event.persistence = p;
-    const size_t which =
-        chip >= 0 ? size_t(chip) % chips : rng.nextBelow(chips);
-    const size_t lo = which * bits;
-    for (size_t r = 0; r < arr.rows(); ++r)
-        for (size_t c = lo; c < lo + bits; ++c)
-            applyCell(arr, r, c, p, event);
-    event.rowLo = 0;
-    event.rowHi = arr.rows() - 1;
-    event.colLo = lo;
-    event.colHi = lo + bits - 1;
-    return event;
-}
-
-FaultEvent
-FaultInjector::injectRowHammer(MemoryArray &arr, size_t rows,
-                               double density, long row_lo,
-                               FaultPersistence p)
-{
-    assert(rows >= 1 && density > 0.0 && density <= 1.0);
-    const size_t band = rows < arr.rows() ? rows : arr.rows();
-    FaultEvent event;
-    event.shape = FaultShape::kRowHammer;
-    event.persistence = p;
-    const size_t lo = row_lo >= 0
-                          ? size_t(row_lo) % (arr.rows() - band + 1)
-                          : rng.nextBelow(arr.rows() - band + 1);
-    // A hammer band is stochastic per cell; re-roll only until the
-    // event is non-empty so every injection is observable.
-    std::vector<std::pair<size_t, size_t>> chosen;
-    for (int attempt = 0; attempt < 1000 && chosen.empty(); ++attempt) {
-        for (size_t r = lo; r < lo + band; ++r)
-            for (size_t c = 0; c < arr.cols(); ++c)
-                if (density >= 1.0 || rng.nextBool(density))
-                    chosen.emplace_back(r, c);
-    }
-    for (auto [r, c] : chosen)
-        applyCell(arr, r, c, p, event);
-    event.rowLo = lo;
-    event.rowHi = lo + band - 1;
-    event.colLo = 0;
-    event.colHi = arr.cols() - 1;
-    return event;
-}
-
-FaultEvent
-FaultInjector::injectSenseAmp(MemoryArray &arr, size_t height,
-                              long row_lo, long col_lo,
-                              FaultPersistence p)
-{
-    assert(height >= 1);
-    const size_t span = height < arr.rows() ? height : arr.rows();
-    const size_t width = arr.cols() >= 2 ? 2 : 1;
-    FaultEvent event;
-    event.shape = FaultShape::kSenseAmp;
-    event.persistence = p;
-    const size_t rlo = row_lo >= 0
-                           ? size_t(row_lo) % (arr.rows() - span + 1)
-                           : rng.nextBelow(arr.rows() - span + 1);
-    const size_t clo = col_lo >= 0
-                           ? size_t(col_lo) % (arr.cols() - width + 1)
-                           : rng.nextBelow(arr.cols() - width + 1);
-    for (size_t r = rlo; r < rlo + span; ++r)
-        for (size_t c = clo; c < clo + width; ++c)
-            applyCell(arr, r, c, p, event);
-    event.rowLo = rlo;
-    event.rowHi = rlo + span - 1;
-    event.colLo = clo;
-    event.colHi = clo + width - 1;
-    return event;
-}
-
 FaultEvent
 FaultInjector::inject(MemoryArray &arr, const FaultModel &m)
 {
+    const size_t rows = arr.rows(), cols = arr.cols();
+    // Where a span starts on an axis of dim cells: one of the dim -
+    // span + 1 positions it fits at, fixed (reduced modulo their
+    // count) or drawn.
+    const auto anchor = [this](long fixed, size_t dim, size_t span) {
+        const size_t fits = dim - span + 1;
+        return fixed >= 0 ? size_t(fixed) % fits : rng.nextBelow(fits);
+    };
+
+    // Placement: one clipped rectangle per shape, anchors drawn in the
+    // shape's order; a whole-axis span starts at 0 without a draw.
+    size_t h = std::clamp<size_t>(m.height, 1, rows);
+    size_t w = std::clamp<size_t>(m.width, 1, cols);
+    size_t r0 = 0, c0 = 0;
+    double density = 1.0;
     switch (m.shape) {
-      case FaultShape::kSingleBit:
-        return injectSingleBit(arr, m.persistence);
-      case FaultShape::kRowBurst: {
-        const size_t row = m.rowLo >= 0 ? size_t(m.rowLo)
-                                        : rng.nextBelow(arr.rows());
-        return injectRowBurst(arr, row, m.width, m.colLo, m.persistence);
-      }
-      case FaultShape::kColumnBurst: {
-        const size_t col = m.colLo >= 0 ? size_t(m.colLo)
-                                        : rng.nextBelow(arr.cols());
-        return injectColumnBurst(arr, col, m.height, m.rowLo,
-                                 m.persistence);
-      }
+      case FaultShape::kSingleBit: // always drawn, even if anchored
+        h = w = 1;
+        r0 = rng.nextBelow(rows);
+        c0 = rng.nextBelow(cols);
+        break;
+      case FaultShape::kRowBurst:
+        h = 1;
+        r0 = anchor(m.rowLo, rows, h);
+        c0 = anchor(m.colLo, cols, w);
+        break;
+      case FaultShape::kColumnBurst:
+        w = 1;
+        c0 = anchor(m.colLo, cols, w);
+        r0 = anchor(m.rowLo, rows, h);
+        break;
       case FaultShape::kCluster:
-        return injectCluster(arr, m.width, m.height, m.density, m.rowLo,
-                             m.colLo, m.persistence);
-      case FaultShape::kFullRow: {
-        const size_t row = m.rowLo >= 0 ? size_t(m.rowLo)
-                                        : rng.nextBelow(arr.rows());
-        return injectFullRow(arr, row, m.persistence);
-      }
-      case FaultShape::kFullColumn: {
-        const size_t col = m.colLo >= 0 ? size_t(m.colLo)
-                                        : rng.nextBelow(arr.cols());
-        return injectFullColumn(arr, col, m.persistence);
-      }
+        density = m.density;
+        r0 = anchor(m.rowLo, rows, h);
+        c0 = anchor(m.colLo, cols, w);
+        break;
+      case FaultShape::kFullRow:
+        h = 1;
+        w = cols;
+        r0 = anchor(m.rowLo, rows, h);
+        break;
+      case FaultShape::kFullColumn:
+        h = rows;
+        w = 1;
+        c0 = anchor(m.colLo, cols, w);
+        break;
       case FaultShape::kChipKill:
-        return injectChipKill(arr, m.colLo, m.persistence);
+        // colLo selects a chip: a symbol-wide column group.
+        h = rows;
+        w = std::min(arr.symbolBits(), cols);
+        c0 = anchor(m.colLo, cols / w, 1) * w;
+        break;
       case FaultShape::kRowHammer:
-        return injectRowHammer(arr, m.height, m.density, m.rowLo,
-                               m.persistence);
+        density = m.density;
+        w = cols;
+        r0 = anchor(m.rowLo, rows, h);
+        break;
       case FaultShape::kSenseAmp:
-        return injectSenseAmp(arr, m.height, m.rowLo, m.colLo,
-                              m.persistence);
+        w = std::min<size_t>(2, cols);
+        r0 = anchor(m.rowLo, rows, h);
+        c0 = anchor(m.colLo, cols, w);
+        break;
     }
-    return {};
+
+    // Apply: choose the cells first, so a re-roll discards a whole
+    // draw. A solid footprint is chosen whole on the first attempt.
+    std::vector<std::pair<size_t, size_t>> chosen;
+    chosen.reserve(h * w);
+    for (int attempt = 0; attempt < 1000; ++attempt) {
+        chosen.clear();
+        bool every_row_hit = true;
+        for (size_t r = r0; r < r0 + h; ++r) {
+            bool row_hit = false;
+            for (size_t c = c0; c < c0 + w; ++c) {
+                if (density >= 1.0 || rng.nextBool(density)) {
+                    chosen.emplace_back(r, c);
+                    row_hit = true;
+                }
+            }
+            every_row_hit &= row_hit;
+        }
+        if (m.shape == FaultShape::kRowHammer ? !chosen.empty()
+                                              : every_row_hit)
+            break;
+    }
+    for (const auto &[r, c] : chosen) {
+        if (m.persistence == FaultPersistence::kTransient)
+            arr.flipBit(r, c);
+        else // stuck at the complement, so it is observable at once
+            arr.addStuckAt(r, c, !arr.readBit(r, c));
+    }
+    return {r0, r0 + h - 1, c0, c0 + w - 1};
 }
 
 } // namespace tdc

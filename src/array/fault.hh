@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "array/memory_array.hh"
 #include "common/rng.hh"
@@ -63,22 +62,10 @@ enum class FaultPersistence
     kStuckAt,
 };
 
-/** One injected fault event with its ground-truth footprint. */
+/** Where one injected event landed: its bounding box (inclusive). */
 struct FaultEvent
 {
-    FaultShape shape = FaultShape::kSingleBit;
-    FaultPersistence persistence = FaultPersistence::kTransient;
-
-    /** Affected cells (row, col), the ground truth for verification. */
-    std::vector<std::pair<size_t, size_t>> cells;
-
-    /** Bounding box (inclusive) of the footprint. */
     size_t rowLo = 0, rowHi = 0, colLo = 0, colHi = 0;
-
-    size_t width() const { return colHi - colLo + 1; }
-    size_t height() const { return rowHi - rowLo + 1; }
-
-    std::string describe() const;
 };
 
 /**
@@ -92,19 +79,20 @@ struct FaultModel
     FaultShape shape = FaultShape::kCluster;
     FaultPersistence persistence = FaultPersistence::kTransient;
 
-    /** Footprint in physical columns (row direction). Ignored by
-     *  single-bit / column-burst / full-row / full-column shapes. */
+    /** Footprint in physical columns (row direction). Read by row
+     *  bursts and clusters only; clipped to the array's width. */
     size_t width = 1;
 
-    /** Footprint in rows (column direction). Ignored by single-bit /
-     *  row-burst / full-row / full-column shapes. */
+    /** Footprint in rows (column direction). Read by column bursts,
+     *  clusters, hammer bands and sense amps; clipped to the array's
+     *  height. */
     size_t height = 1;
 
-    /** Per-cell flip probability inside a cluster footprint. */
+    /** Per-cell flip probability inside a cluster or hammer band. */
     double density = 1.0;
 
     /** Anchor (top-left) of the footprint; -1 = uniform random draw
-     *  at injection time. */
+     *  at injection time (see FaultInjector::inject). */
     long rowLo = -1;
     long colLo = -1;
 
@@ -181,83 +169,27 @@ class FaultInjector
   public:
     explicit FaultInjector(Rng &rng) : rng(rng) {}
 
-    /** Flip/stick one random cell. */
-    FaultEvent injectSingleBit(MemoryArray &arr,
-                               FaultPersistence p =
-                                   FaultPersistence::kTransient);
-
-    /** Contiguous burst of @p width cells in row @p row at a random
-     *  start (or @p col_lo if >= 0). */
-    FaultEvent injectRowBurst(MemoryArray &arr, size_t row, size_t width,
-                              long col_lo = -1,
-                              FaultPersistence p =
-                                  FaultPersistence::kTransient);
-
-    /** Contiguous burst of @p height cells in column @p col. */
-    FaultEvent injectColumnBurst(MemoryArray &arr, size_t col,
-                                 size_t height, long row_lo = -1,
-                                 FaultPersistence p =
-                                     FaultPersistence::kTransient);
-
     /**
-     * WxH rectangular cluster at a random (or given) anchor; each cell
-     * in the footprint flips with probability @p density, but the
-     * event is re-rolled until at least one cell in every spanned row
-     * flips (so width/height describe the real footprint).
-     */
-    FaultEvent injectCluster(MemoryArray &arr, size_t width, size_t height,
-                             double density = 1.0, long row_lo = -1,
-                             long col_lo = -1,
-                             FaultPersistence p =
-                                 FaultPersistence::kTransient);
-
-    /** Fail an entire row. */
-    FaultEvent injectFullRow(MemoryArray &arr, size_t row,
-                             FaultPersistence p =
-                                 FaultPersistence::kTransient);
-
-    /** Fail an entire column. */
-    FaultEvent injectFullColumn(MemoryArray &arr, size_t col,
-                                FaultPersistence p =
-                                    FaultPersistence::kTransient);
-
-    /**
-     * Kill chip @p chip: every cell in its symbolBits()-wide column
-     * group, over all rows. @p chip = -1 draws a random chip.
-     */
-    FaultEvent injectChipKill(MemoryArray &arr, long chip = -1,
-                              FaultPersistence p =
-                                  FaultPersistence::kTransient);
-
-    /**
-     * Row-hammer band: @p rows adjacent victim rows (clamped to the
-     * array) across the full width, each cell flipping with
-     * probability @p density, re-rolled until at least one cell flips.
-     */
-    FaultEvent injectRowHammer(MemoryArray &arr, size_t rows,
-                               double density = 1.0, long row_lo = -1,
-                               FaultPersistence p =
-                                   FaultPersistence::kTransient);
-
-    /**
-     * Sense-amp failure: two adjacent columns (or one, on a 1-column
-     * array) over @p height rows (clamped to the array).
-     */
-    FaultEvent injectSenseAmp(MemoryArray &arr, size_t height,
-                              long row_lo = -1, long col_lo = -1,
-                              FaultPersistence p =
-                                  FaultPersistence::kTransient);
-
-    /**
-     * Realize one @p model event: dispatch to the shape-specific
-     * injector, drawing any unanchored coordinates from the RNG.
+     * Realize one @p model event, the only way faults are placed.
+     *
+     * Placement turns the shape into a rectangle clipped to the
+     * array: a footprint taller or wider than the array covers all of
+     * it. Each anchor is drawn uniformly over the positions where the
+     * clipped rectangle fits (a column burst draws its column first,
+     * every other shape its row first); a fixed anchor is reduced
+     * modulo that count. Axes a shape spans whole draw nothing, and a
+     * single bit always draws its cell.
+     *
+     * Apply flips or sticks the rectangle's cells. Clusters and hammer
+     * bands flip each cell with the model's density: a cluster
+     * re-rolls until every spanned row is hit, a hammer band until
+     * the event is non-empty.
+     *
+     * Returns the placed rectangle.
      */
     FaultEvent inject(MemoryArray &arr, const FaultModel &model);
 
   private:
-    void applyCell(MemoryArray &arr, size_t r, size_t c,
-                   FaultPersistence p, FaultEvent &event);
-
     Rng &rng;
 };
 

@@ -1,5 +1,7 @@
 #include "common/bit_span.hh"
 
+#include <bit>
+
 #include "common/cpu_features.hh"
 
 namespace tdc

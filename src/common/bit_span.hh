@@ -14,7 +14,6 @@
 #ifndef TDC_COMMON_BIT_SPAN_HH
 #define TDC_COMMON_BIT_SPAN_HH
 
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -44,139 +43,20 @@ class ConstBitSpan
     }
 
     size_t size() const { return numBits; }
-    bool empty() const { return numBits == 0; }
 
     /** Number of 64-bit words backing the span. */
     size_t wordCount() const { return (numBits + 63) / 64; }
 
     const uint64_t *words() const { return wordPtr; }
-    uint64_t word(size_t i) const { return wordPtr[i]; }
 
     bool get(size_t pos) const
     {
         assert(pos < numBits);
         return (wordPtr[pos / 64] >> (pos % 64)) & 1;
-    }
-
-    /** True iff no bit is set. */
-    bool none() const
-    {
-        for (size_t i = 0, n = wordCount(); i < n; ++i)
-            if (wordPtr[i] != 0)
-                return false;
-        return true;
-    }
-
-    /** Number of set bits. */
-    size_t popcount() const
-    {
-        size_t count = 0;
-        for (size_t i = 0, n = wordCount(); i < n; ++i)
-            count += std::popcount(wordPtr[i]);
-        return count;
-    }
-
-    /** Parity (XOR) of all bits. */
-    bool parity() const
-    {
-        uint64_t acc = 0;
-        for (size_t i = 0, n = wordCount(); i < n; ++i)
-            acc ^= wordPtr[i];
-        return std::popcount(acc) & 1;
-    }
-
-    /**
-     * Parity of the AND with @p other (same length): one row of a
-     * parity-check-matrix product, i.e. popcount(this & other) & 1
-     * without materializing the AND.
-     */
-    bool parityOfAnd(ConstBitSpan other) const
-    {
-        assert(numBits == other.numBits);
-        uint64_t acc = 0;
-        for (size_t i = 0, n = wordCount(); i < n; ++i)
-            acc ^= wordPtr[i] & other.wordPtr[i];
-        return std::popcount(acc) & 1;
-    }
-
-    /** Materialize an owning copy. */
-    BitVector toBitVector() const
-    {
-        BitVector out(numBits);
-        uint64_t *dst = out.wordData();
-        for (size_t i = 0, n = wordCount(); i < n; ++i)
-            dst[i] = wordPtr[i];
-        return out;
     }
 
   private:
     const uint64_t *wordPtr;
-    size_t numBits;
-};
-
-/** Mutable counterpart of ConstBitSpan. */
-class BitSpan
-{
-  public:
-    BitSpan(uint64_t *words, size_t nbits) : wordPtr(words), numBits(nbits) {}
-
-    /** View of an entire BitVector (the vector must outlive the span). */
-    explicit BitSpan(BitVector &v) : BitSpan(v.wordData(), v.size()) {}
-
-    operator ConstBitSpan() const { return {wordPtr, numBits}; }
-
-    size_t size() const { return numBits; }
-    size_t wordCount() const { return (numBits + 63) / 64; }
-
-    uint64_t *words() { return wordPtr; }
-    uint64_t word(size_t i) const { return wordPtr[i]; }
-
-    bool get(size_t pos) const
-    {
-        assert(pos < numBits);
-        return (wordPtr[pos / 64] >> (pos % 64)) & 1;
-    }
-
-    void set(size_t pos, bool value)
-    {
-        assert(pos < numBits);
-        const uint64_t mask = uint64_t(1) << (pos % 64);
-        if (value)
-            wordPtr[pos / 64] |= mask;
-        else
-            wordPtr[pos / 64] &= ~mask;
-    }
-
-    /**
-     * In-place XOR with @p other (same length). Safe when both spans
-     * alias the same storage (the result is then all-zero).
-     */
-    void xorWith(ConstBitSpan other)
-    {
-        assert(numBits == other.size());
-        const uint64_t *src = other.words();
-        for (size_t i = 0, n = wordCount(); i < n; ++i)
-            wordPtr[i] ^= src[i];
-    }
-
-    /** Clear all bits (whole backing words, honoring the invariant). */
-    void clear()
-    {
-        for (size_t i = 0, n = wordCount(); i < n; ++i)
-            wordPtr[i] = 0;
-    }
-
-    /** Copy from @p other (same length). */
-    void copyFrom(ConstBitSpan other)
-    {
-        assert(numBits == other.size());
-        const uint64_t *src = other.words();
-        for (size_t i = 0, n = wordCount(); i < n; ++i)
-            wordPtr[i] = src[i];
-    }
-
-  private:
-    uint64_t *wordPtr;
     size_t numBits;
 };
 

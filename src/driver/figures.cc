@@ -78,8 +78,7 @@ fillAndStrike(TwoDimArray &arr, Rng &rng)
     for (size_t r = 0; r < arr.rows(); ++r)
         for (size_t s = 0; s < arr.wordsPerRow(); ++s)
             arr.writeWord(r, s, BitVector(64, rng.next()));
-    FaultInjector inj(rng);
-    inj.injectCluster(arr.cells(), 32, 32, 1.0);
+    FaultInjector(rng).inject(arr.cells(), FaultModel::cluster(32, 32));
 }
 
 // --- Figure 1 -------------------------------------------------------

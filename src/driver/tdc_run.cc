@@ -479,7 +479,9 @@ listFaultsText()
            "  hammer:<W>[@D]  row-hammer band of W victim rows, per-cell\n"
            "                  flip probability D (default solid)\n"
            "  senseamp:<H>    sense-amp failure: 2 adjacent columns\n"
-           "                  over H rows\n";
+           "                  over H rows\n"
+           "A footprint larger than the array is clipped to it (1x256\n"
+           "on a 64-row bank is a full column).\n";
 }
 
 std::string

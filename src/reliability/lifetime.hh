@@ -69,17 +69,27 @@ class DeviceSession
 
     virtual ~DeviceSession() = default;
 
-    /** Realize one @p fault event (shape + persistence) on the device,
+    /** The device's physical cells: where every fault lands. */
+    virtual MemoryArray &cells() = 0;
+
+    /** Realize one @p fault event (shape + persistence) on cells(),
      *  drawing any unanchored coordinates from @p rng. */
-    virtual void inject(const FaultModel &fault, Rng &rng) = 0;
+    void inject(const FaultModel &fault, Rng &rng)
+    {
+        FaultInjector(rng).inject(cells(), fault);
+    }
 
     /** Run the scheme's scrub/recovery machinery, then verify every
      *  word against the golden data and classify the outcome. */
     virtual Verdict scrubAndVerify() = 0;
 
-    /** Rows currently holding stuck-at cells, as (row, stuck-cell
-     *  count) sorted by row (MemoryArray::stuckRows). */
-    virtual std::vector<std::pair<size_t, size_t>> stuckRows() = 0;
+    /** Repair units currently holding stuck-at cells, as (unit,
+     *  stuck-cell count) sorted by unit: by default the rows of
+     *  cells() (MemoryArray::stuckRows). */
+    virtual std::vector<std::pair<size_t, size_t>> stuckRows()
+    {
+        return cells().stuckRows();
+    }
 
     /**
      * Map row @p row out to a spare: clear its stuck-at overlay and

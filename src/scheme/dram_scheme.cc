@@ -1,10 +1,8 @@
 #include "scheme/dram_scheme.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,26 +15,6 @@ namespace tdc
 
 namespace
 {
-
-[[noreturn]] void
-specError(const std::string &spec, const std::string &what)
-{
-    throw std::invalid_argument("scheme spec \"" + spec + "\": " + what);
-}
-
-size_t
-parseNumber(const std::string &spec, const std::string &token,
-            const std::string &digits, size_t lo, size_t hi)
-{
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-        specError(spec, "malformed number in \"" + token + "\"");
-    const unsigned long long v = std::strtoull(digits.c_str(), nullptr, 10);
-    if (v < lo || v > hi)
-        specError(spec, "value out of range [" + std::to_string(lo) + ".." +
-                            std::to_string(hi) + "] in \"" + token + "\"");
-    return size_t(v);
-}
 
 /** Data chips per rank: 12 for x4 (RS(15,12)), 8 for x8 (RS(11,8)). */
 size_t
@@ -167,11 +145,7 @@ class DramSession final : public DeviceSession
         state = fillRank(dram, rs, iecc.get(), rng);
     }
 
-    void inject(const FaultModel &fault, Rng &rng) override
-    {
-        FaultInjector injector(rng);
-        injector.inject(dram.cells(), fault);
-    }
+    MemoryArray &cells() override { return dram.cells(); }
 
     Verdict scrubAndVerify() override
     {

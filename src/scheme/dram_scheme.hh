@@ -40,6 +40,19 @@ struct DramSchemeConfig
 /** Build a chipkill-class scheme (the "dram:" family backend). */
 SchemePtr makeDramScheme(const DramSchemeConfig &config);
 
+// Spec-grammar helpers the dram parser shares with the other families
+// (defined in scheme.cc).
+
+/** The spec-grammar error every family parser throws: an
+ *  std::invalid_argument naming the whole @p spec and @p what. */
+[[noreturn]] void specError(const std::string &spec,
+                            const std::string &what);
+
+/** The decimal @p digits of @p token (part of @p spec), which must lie
+ *  in [@p lo, @p hi]; specError quoting @p token otherwise. */
+size_t parseNumber(const std::string &spec, const std::string &token,
+                   const std::string &digits, size_t lo, size_t hi);
+
 /** The "dram" family entry (one of scheme.cc's built-ins). */
 SchemeFamily dramSchemeFamily();
 

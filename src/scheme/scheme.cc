@@ -98,27 +98,7 @@ ProtectionScheme::costSpec() const
                            "\" has no VLSI cost model");
 }
 
-SchemeOverhead
-ProtectionScheme::cost(const CacheGeometry &geom,
-                       SramObjective objective) const
-{
-    return evaluateScheme(costSpec(), geom, objective);
-}
-
-namespace
-{
-
 // --- Shared spec-grammar helpers ------------------------------------
-
-/** Lowercased codeKindName: the single source of code spellings. */
-std::string
-codeToken(CodeKind kind)
-{
-    std::string label = codeKindName(kind);
-    std::transform(label.begin(), label.end(), label.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    return label;
-}
 
 [[noreturn]] void
 specError(const std::string &spec, const std::string &what)
@@ -126,7 +106,6 @@ specError(const std::string &spec, const std::string &what)
     throw std::invalid_argument("scheme spec \"" + spec + "\": " + what);
 }
 
-/** Parse the decimal digits of @p digits (from @p token) in range. */
 size_t
 parseNumber(const std::string &spec, const std::string &token,
             const std::string &digits, size_t lo, size_t hi)
@@ -139,6 +118,19 @@ parseNumber(const std::string &spec, const std::string &token,
         specError(spec, "value out of range [" + std::to_string(lo) + ".." +
                             std::to_string(hi) + "] in \"" + token + "\"");
     return size_t(v);
+}
+
+namespace
+{
+
+/** Lowercased codeKindName: the single source of code spellings. */
+std::string
+codeToken(CodeKind kind)
+{
+    std::string label = codeKindName(kind);
+    std::transform(label.begin(), label.end(), label.begin(),
+                   [](unsigned char c) { return std::tolower(c); });
+    return label;
 }
 
 /** Interleaved-parity class width of EDC kinds (0 = not an EDC code). */
@@ -331,20 +323,11 @@ class ConvSession final : public DeviceSession
             arr.writeLine(r, golden.line(r));
     }
 
-    void inject(const FaultModel &fault, Rng &rng) override
-    {
-        FaultInjector inj(rng);
-        inj.inject(arr.cells(), fault);
-    }
+    MemoryArray &cells() override { return arr.cells(); }
 
     Verdict scrubAndVerify() override
     {
         return verifyLines(arr, golden, false);
-    }
-
-    std::vector<std::pair<size_t, size_t>> stuckRows() override
-    {
-        return arr.cells().stuckRows();
     }
 
     void repairRow(size_t row) override
@@ -371,20 +354,11 @@ class TwoDimSession final : public DeviceSession
             arr.writeLine(r, golden.line(r));
     }
 
-    void inject(const FaultModel &fault, Rng &rng) override
-    {
-        FaultInjector inj(rng);
-        inj.inject(arr.cells(), fault);
-    }
+    MemoryArray &cells() override { return arr.cells(); }
 
     Verdict scrubAndVerify() override
     {
         return verifyLines(arr, golden, !arr.scrub());
-    }
-
-    std::vector<std::pair<size_t, size_t>> stuckRows() override
-    {
-        return arr.cells().stuckRows();
     }
 
     void repairRow(size_t row) override
@@ -415,11 +389,7 @@ class ProdSession final : public DeviceSession
         }
     }
 
-    void inject(const FaultModel &fault, Rng &rng) override
-    {
-        FaultInjector inj(rng);
-        inj.inject(arr.cells(), fault);
-    }
+    MemoryArray &cells() override { return arr.cells(); }
 
     Verdict scrubAndVerify() override
     {
@@ -430,11 +400,6 @@ class ProdSession final : public DeviceSession
         if (rep.clean && matches)
             return Verdict::kCorrected;
         return rep.clean ? Verdict::kSdc : Verdict::kDue;
-    }
-
-    std::vector<std::pair<size_t, size_t>> stuckRows() override
-    {
-        return arr.cells().stuckRows();
     }
 
     void repairRow(size_t row) override

@@ -96,11 +96,6 @@ class ProtectionScheme
      * std::logic_error for families without a cost model (prod).
      */
     virtual SchemeSpec costSpec() const;
-
-    /** evaluateScheme(costSpec(), geom, objective) convenience. */
-    SchemeOverhead cost(const CacheGeometry &geom,
-                        SramObjective objective =
-                            SramObjective::kBalanced) const;
 };
 
 /** Shared immutable handle used across campaigns and the driver. */

@@ -15,6 +15,7 @@
 #include "array/fault.hh"
 #include "array/memory_array.hh"
 #include "common/rng.hh"
+#include "changed_cells.hh"
 
 namespace tdc
 {
@@ -120,11 +121,11 @@ TEST(DramFaultParse, DescribeLabels)
 TEST(DramFaultInject, ChipKillCoversExactlyOneSymbolGroup)
 {
     MemoryArray arr = symbolArray();
+    const MemoryArray before = arr;
     Rng rng(1);
     FaultInjector injector(rng);
     const FaultEvent ev = injector.inject(arr, FaultModel::chipKill(2));
-    EXPECT_EQ(ev.shape, FaultShape::kChipKill);
-    EXPECT_EQ(ev.cells.size(), 8u * 4u);
+    EXPECT_EQ(changedCells(before, arr).size(), 8u * 4u);
     EXPECT_EQ(ev.rowLo, 0u);
     EXPECT_EQ(ev.rowHi, 7u);
     EXPECT_EQ(ev.colLo, 8u);  // chip 2 -> columns 8..11
@@ -141,10 +142,11 @@ TEST(DramFaultInject, RandomChipKillAlignsToSymbolBoundary)
     FaultInjector injector(rng);
     for (int i = 0; i < 10; ++i) {
         MemoryArray arr = symbolArray();
+        const MemoryArray before = arr;
         const FaultEvent ev = injector.inject(arr, FaultModel::chipKill());
         EXPECT_EQ(ev.colLo % 4, 0u);
         EXPECT_EQ(ev.colHi, ev.colLo + 3);
-        EXPECT_EQ(ev.cells.size(), 8u * 4u);
+        EXPECT_EQ(changedCells(before, arr).size(), 8u * 4u);
     }
 }
 
@@ -165,6 +167,7 @@ TEST(DramFaultInject, HardChipKillInstallsStuckAts)
 TEST(DramFaultInject, SolidHammerFillsTheBand)
 {
     MemoryArray arr = symbolArray();
+    const MemoryArray before = arr;
     Rng rng(5);
     FaultInjector injector(rng);
     FaultModel m = FaultModel::rowHammer(2);
@@ -172,7 +175,7 @@ TEST(DramFaultInject, SolidHammerFillsTheBand)
     const FaultEvent ev = injector.inject(arr, m);
     EXPECT_EQ(ev.rowLo, 3u);
     EXPECT_EQ(ev.rowHi, 4u);
-    EXPECT_EQ(ev.cells.size(), 2u * 16u);
+    EXPECT_EQ(changedCells(before, arr).size(), 2u * 16u);
 }
 
 TEST(DramFaultInject, SparseHammerStaysInBandAndIsNonEmpty)
@@ -181,11 +184,13 @@ TEST(DramFaultInject, SparseHammerStaysInBandAndIsNonEmpty)
     FaultInjector injector(rng);
     for (int i = 0; i < 20; ++i) {
         MemoryArray arr = symbolArray();
+        const MemoryArray before = arr;
         FaultModel m = FaultModel::rowHammer(3, 0.05);
         const FaultEvent ev = injector.inject(arr, m);
         // The injector re-rolls an empty draw: every event observable.
-        EXPECT_FALSE(ev.cells.empty());
-        for (const auto &[r, c] : ev.cells) {
+        const auto cells = changedCells(before, arr);
+        EXPECT_FALSE(cells.empty());
+        for (const auto &[r, c] : cells) {
             EXPECT_GE(r, ev.rowLo);
             EXPECT_LE(r, ev.rowHi);
             EXPECT_LT(c, 16u);
@@ -197,17 +202,19 @@ TEST(DramFaultInject, SparseHammerStaysInBandAndIsNonEmpty)
 TEST(DramFaultInject, HammerBandClampsToArrayHeight)
 {
     MemoryArray arr(4, 8);
+    const MemoryArray before = arr;
     Rng rng(2);
     FaultInjector injector(rng);
     const FaultEvent ev = injector.inject(arr, FaultModel::rowHammer(64));
     EXPECT_EQ(ev.rowLo, 0u);
     EXPECT_EQ(ev.rowHi, 3u);
-    EXPECT_EQ(ev.cells.size(), 4u * 8u);
+    EXPECT_EQ(changedCells(before, arr).size(), 4u * 8u);
 }
 
 TEST(DramFaultInject, SenseAmpIsTwoAdjacentColumns)
 {
     MemoryArray arr = symbolArray();
+    const MemoryArray before = arr;
     Rng rng(6);
     FaultInjector injector(rng);
     FaultModel m = FaultModel::senseAmp(4);
@@ -218,26 +225,7 @@ TEST(DramFaultInject, SenseAmpIsTwoAdjacentColumns)
     EXPECT_EQ(ev.rowHi, 5u);
     EXPECT_EQ(ev.colLo, 5u);
     EXPECT_EQ(ev.colHi, 6u);
-    EXPECT_EQ(ev.cells.size(), 4u * 2u);
-}
-
-TEST(DramFaultInject, EventDescribeNamesTheNewShapes)
-{
-    MemoryArray arr = symbolArray();
-    Rng rng(8);
-    FaultInjector injector(rng);
-    EXPECT_NE(injector.inject(arr, FaultModel::chipKill(0))
-                  .describe()
-                  .find("chip-kill"),
-              std::string::npos);
-    EXPECT_NE(injector.inject(arr, FaultModel::rowHammer(2))
-                  .describe()
-                  .find("row-hammer"),
-              std::string::npos);
-    EXPECT_NE(injector.inject(arr, FaultModel::senseAmp(3))
-                  .describe()
-                  .find("sense-amp"),
-              std::string::npos);
+    EXPECT_EQ(changedCells(before, arr).size(), 4u * 2u);
 }
 
 } // namespace

@@ -51,7 +51,10 @@ TEST_P(BurstGuaranteeTest, EveryBurstWithinGuaranteeIsCovered)
         // still covering every alignment class.
         for (size_t start = 0; start + width <= row_bits;
              start += (width <= 4 ? 1 : 7)) {
-            inj.injectRowBurst(arr.cells(), 1, width, long(start));
+            inj.inject(arr.cells(), {.shape = FaultShape::kRowBurst,
+                                     .width = width,
+                                     .rowLo = 1,
+                                     .colLo = long(start)});
             bool all_recovered = true;
             bool any_silent = false;
             for (size_t s = 0; s < arr.wordsPerRow(); ++s) {
@@ -99,7 +102,10 @@ TEST(BurstGuarantee, OecnedIntv4CoversFigure3bExactly)
     FaultInjector inj(rng);
     EXPECT_EQ(arr.contiguousCorrectWidth(), 32u);
 
-    inj.injectRowBurst(arr.cells(), 0, 32, 0);
+    inj.inject(arr.cells(), {.shape = FaultShape::kRowBurst,
+                             .width = 32,
+                             .rowLo = 0,
+                             .colLo = 0});
     for (size_t s = 0; s < arr.wordsPerRow(); ++s) {
         AccessResult res = arr.readWord(0, s);
         ASSERT_TRUE(res.ok());
@@ -108,7 +114,10 @@ TEST(BurstGuarantee, OecnedIntv4CoversFigure3bExactly)
 
     // 36 contiguous bits = 9 per word: at least one word must fail
     // (t=8), and with t+1 errors detection is still guaranteed.
-    inj.injectRowBurst(arr.cells(), 0, 36, 0);
+    inj.inject(arr.cells(), {.shape = FaultShape::kRowBurst,
+                             .width = 36,
+                             .rowLo = 0,
+                             .colLo = 0});
     bool any_uncorrectable = false;
     for (size_t s = 0; s < arr.wordsPerRow(); ++s)
         any_uncorrectable |= !arr.readWord(0, s).ok();

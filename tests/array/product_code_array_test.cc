@@ -148,7 +148,8 @@ TEST(ProductCodeArray, BurstInOneRowCorrected)
     std::vector<BitVector> golden;
     ProductCodeArray arr = filled(32, 64, rng, &golden);
     FaultInjector inj(rng);
-    inj.injectRowBurst(arr.cells(), 10, 7);
+    inj.inject(arr.cells(),
+               {.shape = FaultShape::kRowBurst, .width = 7, .rowLo = 10});
     const ProductCodeReport rep = arr.checkAndCorrect();
     EXPECT_TRUE(rep.clean);
     EXPECT_EQ(rep.corrected, 7u);

@@ -68,7 +68,9 @@ TEST(ProtectedArray, SecdedIntv4CorrectsFourBitRowBursts)
     for (size_t width = 1; width <= 4; ++width) {
         for (int trial = 0; trial < 30; ++trial) {
             const size_t row = rng.nextBelow(arr.rows());
-            inj.injectRowBurst(arr.cells(), row, width);
+            inj.inject(arr.cells(), {.shape = FaultShape::kRowBurst,
+                                     .width = width,
+                                     .rowLo = long(row)});
             for (size_t s = 0; s < arr.wordsPerRow(); ++s) {
                 AccessResult res = arr.readWord(row, s);
                 ASSERT_TRUE(res.ok()) << "width " << width;
@@ -94,7 +96,10 @@ TEST(ProtectedArray, SecdedIntv4CannotCorrectWiderBursts)
     FaultInjector inj(rng);
 
     const size_t row = 3;
-    inj.injectRowBurst(arr.cells(), row, 8, 0);
+    inj.inject(arr.cells(), {.shape = FaultShape::kRowBurst,
+                             .width = 8,
+                             .rowLo = long(row),
+                             .colLo = 0});
     bool any_uncorrectable = false;
     for (size_t s = 0; s < arr.wordsPerRow(); ++s)
         any_uncorrectable |= !arr.readWord(row, s).ok();
@@ -114,7 +119,9 @@ TEST(ProtectedArray, OecnedIntv4Corrects32BitRowBursts)
 
     for (int trial = 0; trial < 20; ++trial) {
         const size_t row = rng.nextBelow(arr.rows());
-        inj.injectRowBurst(arr.cells(), row, 32);
+        inj.inject(arr.cells(), {.shape = FaultShape::kRowBurst,
+                                 .width = 32,
+                                 .rowLo = long(row)});
         for (size_t s = 0; s < arr.wordsPerRow(); ++s) {
             AccessResult res = arr.readWord(row, s);
             ASSERT_TRUE(res.ok());
@@ -138,7 +145,10 @@ TEST(ProtectedArray, EdcDetectsButNeverCorrects)
     FaultInjector inj(rng);
 
     const size_t row = 1;
-    inj.injectRowBurst(arr.cells(), row, 16, 4);
+    inj.inject(arr.cells(), {.shape = FaultShape::kRowBurst,
+                             .width = 16,
+                             .rowLo = long(row),
+                             .colLo = 4});
     size_t detected = 0;
     for (size_t s = 0; s < arr.wordsPerRow(); ++s) {
         AccessResult res = arr.readWord(row, s);

@@ -108,7 +108,8 @@ TEST(TwoDimArray, RecoversSingleRowBurst)
     TwoDimArray arr(smallConfig());
     auto golden = fill(arr, rng);
     FaultInjector inj(rng);
-    inj.injectRowBurst(arr.cells(), 13, 32);
+    inj.inject(arr.cells(),
+               {.shape = FaultShape::kRowBurst, .width = 32, .rowLo = 13});
 
     expectAllGolden(arr, golden); // readWord triggers recovery
     EXPECT_TRUE(arr.verifyClean());
@@ -123,7 +124,7 @@ TEST(TwoDimArray, RecoversFullRowFailure)
     TwoDimArray arr(smallConfig());
     auto golden = fill(arr, rng);
     FaultInjector inj(rng);
-    inj.injectFullRow(arr.cells(), 29);
+    inj.inject(arr.cells(), {.shape = FaultShape::kFullRow, .rowLo = 29});
     expectAllGolden(arr, golden);
     EXPECT_TRUE(arr.verifyClean());
 }
@@ -144,7 +145,7 @@ TEST_P(ClusterCoverageTest, ClusterWithinCoverageIsCorrected)
     FaultInjector inj(rng);
 
     for (int trial = 0; trial < 5; ++trial) {
-        inj.injectCluster(arr.cells(), width, height, 1.0);
+        inj.inject(arr.cells(), FaultModel::cluster(width, height));
         const bool ok = arr.scrub();
         ASSERT_TRUE(ok) << width << "x" << height;
         expectAllGolden(arr, golden);
@@ -170,7 +171,7 @@ TEST(ClusterCoverage, SparseClustersAlsoCorrected)
     auto golden = fill(arr, rng);
     FaultInjector inj(rng);
     for (int trial = 0; trial < 10; ++trial) {
-        inj.injectCluster(arr.cells(), 32, 8, 0.5);
+        inj.inject(arr.cells(), FaultModel::cluster(32, 8, 0.5));
         ASSERT_TRUE(arr.scrub());
         expectAllGolden(arr, golden);
     }
@@ -184,7 +185,7 @@ TEST(TwoDimArray, FullConfigCorrects32x32Cluster)
     TwoDimArray arr(TwoDimConfig::l1Default());
     auto golden = fill(arr, rng);
     FaultInjector inj(rng);
-    inj.injectCluster(arr.cells(), 32, 32, 1.0);
+    inj.inject(arr.cells(), FaultModel::cluster(32, 32));
     ASSERT_TRUE(arr.scrub());
     expectAllGolden(arr, golden);
     EXPECT_TRUE(arr.verifyParity());
@@ -200,7 +201,9 @@ TEST(TwoDimArray, ClusterTallerThanVButNarrowRecoversViaColumns)
     TwoDimArray arr(cfg);
     auto golden = fill(arr, rng);
     FaultInjector inj(rng);
-    inj.injectColumnBurst(arr.cells(), 17, 20); // 20 rows > V=8
+    inj.inject(arr.cells(), {.shape = FaultShape::kColumnBurst,
+                             .height = 20, // 20 rows > V=8
+                             .colLo = 17});
     ASSERT_TRUE(arr.scrub());
     expectAllGolden(arr, golden);
     EXPECT_TRUE(arr.lastRecovery().usedColumnPath);
@@ -220,7 +223,11 @@ TEST(TwoDimArray, ClusterExceedingBothDimensionsFailsHonestly)
     TwoDimArray arr(smallConfig());
     fill(arr, rng);
     FaultInjector inj(rng);
-    inj.injectCluster(arr.cells(), 16, 16, 1.0, 0, 0);
+    inj.inject(arr.cells(), {.shape = FaultShape::kCluster,
+                             .width = 16,
+                             .height = 16,
+                             .rowLo = 0,
+                             .colLo = 0});
     const bool ok = arr.scrub();
     EXPECT_FALSE(ok);
     EXPECT_GT(arr.stats().recoveryFailures, 0u);
@@ -238,7 +245,10 @@ TEST(TwoDimArray, WideEvenClusterIsSilentlyUndetectable)
     TwoDimArray arr(smallConfig()); // EDC8 + Intv4: detect width 32
     auto golden = fill(arr, rng);
     FaultInjector inj(rng);
-    inj.injectRowBurst(arr.cells(), 9, 64, 0);
+    inj.inject(arr.cells(), {.shape = FaultShape::kRowBurst,
+                             .width = 64,
+                             .rowLo = 9,
+                             .colLo = 0});
 
     EXPECT_TRUE(arr.scrub()); // nothing detected
     bool mismatch = false;
@@ -289,7 +299,8 @@ TEST(TwoDimArray, SecdedHorizontalStuckCellKeepsMultiBitProtection)
     // 4-way interleaving guarantees *detection* of bursts up to 8
     // bits (2 per word), which the vertical dimension then repairs.
     FaultInjector inj(rng);
-    inj.injectRowBurst(arr.cells(), 40, 8);
+    inj.inject(arr.cells(),
+               {.shape = FaultShape::kRowBurst, .width = 8, .rowLo = 40});
     ASSERT_TRUE(arr.scrub());
     expectAllGolden(arr, golden);
 }
@@ -302,7 +313,8 @@ TEST(TwoDimArray, RecoveryLatencyIsProportionalToBankRows)
     TwoDimArray arr(smallConfig());
     fill(arr, rng);
     FaultInjector inj(rng);
-    inj.injectRowBurst(arr.cells(), 20, 32);
+    inj.inject(arr.cells(),
+               {.shape = FaultShape::kRowBurst, .width = 32, .rowLo = 20});
     const RecoveryReport rep = arr.recover();
     ASSERT_TRUE(rep.success);
     EXPECT_LE(rep.rowReads, 3 * arr.rows());
@@ -341,7 +353,7 @@ TEST(TwoDimArray, L2ConfigurationAlsoCovers32x32)
     EXPECT_EQ(cfg.clusterWidthCoverage(), 32u);
     auto golden = fill(arr, rng);
     FaultInjector inj(rng);
-    inj.injectCluster(arr.cells(), 32, 16, 1.0);
+    inj.inject(arr.cells(), FaultModel::cluster(32, 16));
     ASSERT_TRUE(arr.scrub());
     expectAllGolden(arr, golden);
 }
@@ -526,7 +538,8 @@ struct FailedBank
 
     FailedBank()
     {
-        FaultInjector(rng).injectFullColumn(arr.cells(), 9);
+        FaultInjector(rng).inject(
+            arr.cells(), {.shape = FaultShape::kFullColumn, .colLo = 9});
         EXPECT_FALSE(arr.recover().success);
         EXPECT_FALSE(arr.recover().success);
         EXPECT_EQ(arr.stats().recoveries, 2u);
@@ -546,7 +559,8 @@ TEST(TwoDimRecoveryMemo, AnyChangeToTheBankForcesARealSweep)
              }},
             {"injection",
              [](FailedBank &f) {
-                 FaultInjector(f.rng).injectSingleBit(f.arr.cells());
+                 FaultInjector(f.rng).inject(f.arr.cells(),
+                                             FaultModel::singleBit());
              }},
             {"parity-cell flip",
              [](FailedBank &f) { f.arr.vertical().cells().flipBit(2, 17); }},
@@ -585,8 +599,11 @@ TEST(TwoDimRecoveryMemo, RowRepairAfterAHardFaultLetsRecoverySucceed)
     TwoDimArray arr(smallConfig());
     Rng rng(137);
     const auto golden = fill(arr, rng);
-    FaultInjector(rng).injectRowBurst(arr.cells(), 21, 32, -1,
-                                      FaultPersistence::kStuckAt);
+    FaultInjector(rng).inject(arr.cells(),
+                              {.shape = FaultShape::kRowBurst,
+                               .persistence = FaultPersistence::kStuckAt,
+                               .width = 32,
+                               .rowLo = 21});
     for (int i = 0; i < 3; ++i)
         EXPECT_FALSE(arr.recover().success);
     EXPECT_EQ(arr.stats().recoverySweeps, 1u);

@@ -55,7 +55,7 @@ TEST_P(CoverageMatrixTest, FootprintWithinGuaranteeIsAlwaysCorrected)
 
     FaultInjector inj(rng);
     for (int trial = 0; trial < 4; ++trial) {
-        inj.injectCluster(arr.cells(), width, height, 1.0);
+        inj.inject(arr.cells(), FaultModel::cluster(width, height));
         ASSERT_TRUE(arr.scrub());
         for (size_t r = 0; r < arr.rows(); ++r)
             for (size_t s = 0; s < arr.wordsPerRow(); ++s)
@@ -120,9 +120,9 @@ TEST(TwoDimShadowModel, RandomOperationStreamsAgreeWithSpec)
                 }
             } else if (dice < 0.97) {
                 // In-coverage fault event.
-                inj.injectCluster(arr.cells(),
-                                  1 + rng.nextBelow(32),
-                                  1 + rng.nextBelow(8), 1.0);
+                inj.inject(arr.cells(),
+                           FaultModel::cluster(1 + rng.nextBelow(32),
+                                               1 + rng.nextBelow(8)));
                 ASSERT_TRUE(arr.scrub()) << "seed " << seed;
             } else {
                 ASSERT_TRUE(arr.scrub());
@@ -162,7 +162,8 @@ TEST(TwoDimHonesty, CorruptedParityRowNeverCausesSilentCorruption)
     for (size_t c = 0; c < 40; ++c)
         arr.vertical().cells().flipBit(2, c * 7 % arr.cells().cols());
     FaultInjector inj(rng);
-    inj.injectRowBurst(arr.cells(), 10, 32);
+    inj.inject(arr.cells(),
+               {.shape = FaultShape::kRowBurst, .width = 32, .rowLo = 10});
 
     const RecoveryReport report = arr.recover();
     // Either the recovery honestly fails, or — if the corrupted
@@ -187,7 +188,7 @@ TEST(TwoDimHonesty, RecoveryIsIdempotent)
         for (size_t s = 0; s < arr.wordsPerRow(); ++s)
             arr.writeWord(r, s, BitVector(64, rng.next()));
     FaultInjector inj(rng);
-    inj.injectCluster(arr.cells(), 32, 8, 1.0);
+    inj.inject(arr.cells(), FaultModel::cluster(32, 8));
     ASSERT_TRUE(arr.recover().success);
     // A second recovery on a clean bank reconstructs nothing.
     const RecoveryReport second = arr.recover();

@@ -217,6 +217,37 @@ TEST(TdcRun, UsageErrorsExitTwoWithQuotedToken)
     expectUsageError({}, "usage");
 }
 
+TEST(TdcRun, OversizedFootprintsAreClippedToTheArray)
+{
+    // A footprint taller or wider than the array covers all of it on
+    // that axis, for every scheme family and for served fault events.
+    const struct
+    {
+        const char *scheme, *fault, *row;
+    } grids[] = {
+        // A 64-row rank: every row of one chip's column, corrected.
+        {"dram:chipkill/x4", "1x256", "1x256  corrected 100/100"},
+        // A 60-column rank: a whole row across every chip.
+        {"dram:chipkill/x4", "row:64", "64x1 burst  detected only 0/100"},
+        // One bit per row of each word: SECDED corrects every row.
+        {"conv:secded/i4/r64", "col:100", "1x100 burst  corrected 100/100"},
+        // The whole 64-row bank, 33 columns wide: beyond 2D coverage.
+        {"2d:edc8/i4+vp32/r64", "33x100", "33x100  detected only 0/100"},
+    };
+    for (const auto &g : grids) {
+        const std::string out =
+            runOk({"--scheme", g.scheme, "--fault", g.fault});
+        EXPECT_NE(out.find(g.row), std::string::npos)
+            << g.scheme << " " << g.fault << ":\n"
+            << out;
+    }
+    const std::string served =
+        runOk({"--serve", "uniform/n1e4/w30", "--fault", "1x300",
+               "--fault-interval", "512"});
+    EXPECT_NE(served.find("serve uniform/n10000/w30"), std::string::npos);
+    EXPECT_NE(served.find("Faults"), std::string::npos);
+}
+
 TEST(TdcRun, ServeEmitsLatencyAndReliabilityTables)
 {
     const std::string out = runOk({"--serve", "uniform/n4000/w30",

@@ -60,7 +60,7 @@ TEST(EndToEnd, CacheStreamOverTwoDimBank)
 
         // Periodic error events + scrub.
         if (step % 500 == 250) {
-            inj.injectCluster(bank.cells(), 16, 8, 1.0);
+            inj.inject(bank.cells(), FaultModel::cluster(16, 8));
             ASSERT_TRUE(bank.scrub()) << "step " << step;
         }
     }
@@ -91,7 +91,9 @@ TEST(EndToEnd, Section52YieldScenario)
     // 12 manufacture-time hard faults (well below one per word-pair).
     FaultInjector inj(rng);
     for (int i = 0; i < 12; ++i)
-        inj.injectSingleBit(bank.cells(), FaultPersistence::kStuckAt);
+        inj.inject(bank.cells(),
+                   {.shape = FaultShape::kSingleBit,
+                    .persistence = FaultPersistence::kStuckAt});
 
     // All data still readable (inline SECDED corrections).
     for (size_t r = 0; r < bank.rows(); ++r)
@@ -103,8 +105,7 @@ TEST(EndToEnd, Section52YieldScenario)
 
     // Five years of in-field events: bursts within coverage.
     for (int event = 0; event < 20; ++event) {
-        inj.injectRowBurst(bank.cells(),
-                           rng.nextBelow(bank.rows()), 8);
+        inj.inject(bank.cells(), FaultModel::rowBurst(8));
         ASSERT_TRUE(bank.scrub()) << "event " << event;
         for (size_t r = 0; r < bank.rows(); ++r)
             for (size_t s = 0; s < bank.wordsPerRow(); ++s)
@@ -179,8 +180,10 @@ TEST(EndToEnd, RecoveryUnderConcurrentHardAndSoftFaults)
 
     FaultInjector inj(rng);
     for (int i = 0; i < 5; ++i)
-        inj.injectSingleBit(bank.cells(), FaultPersistence::kStuckAt);
-    inj.injectCluster(bank.cells(), 8, 4, 1.0);
+        inj.inject(bank.cells(),
+                   {.shape = FaultShape::kSingleBit,
+                    .persistence = FaultPersistence::kStuckAt});
+    inj.inject(bank.cells(), FaultModel::cluster(8, 4));
 
     ASSERT_TRUE(bank.scrub());
     for (size_t r = 0; r < bank.rows(); ++r)
