@@ -10,11 +10,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "array/fault.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/twod_array.hh"
-#include "core/twod_cache_store.hh"
 #include "ecc/code_factory.hh"
 #include "scheme/scheme.hh"
 
@@ -211,26 +213,39 @@ BENCHMARK(BM_RecoveryStorm)->Unit(benchmark::kMillisecond);
 
 /**
  * Whole-cache scrub with a multi-bit event in every bank — the
- * bank-parallel recovery path of TwoDimCacheStore at a given
- * worker-pool thread count. Arg: threads.
+ * bank-parallel recovery path at a given worker-pool thread count:
+ * each bank has its own cells, parity, stats and scratch, so the banks
+ * scrub over parallelFor. Arg: threads.
  */
 void
 BM_CacheStoreScrubAll(benchmark::State &state)
 {
     setParallelThreads(unsigned(state.range(0)));
-    TwoDimCacheStore store(TwoDimConfig::l1Default(), 8);
+    const TwoDimConfig cfg = TwoDimConfig::l1Default();
+    const CodePtr code = makeCode(cfg.horizontalKind, cfg.wordBits);
+    std::vector<std::unique_ptr<TwoDimArray>> banks;
+    for (size_t b = 0; b < 8; ++b)
+        banks.push_back(std::make_unique<TwoDimArray>(cfg, code));
+    // Word w lives in bank w mod 8, words interleaved across banks.
     Rng rng(8);
-    for (size_t w = 0; w < store.totalWords(); ++w)
-        store.writeWord(w, BitVector(64, rng.next()));
+    const size_t slots = cfg.interleaveDegree;
+    for (size_t w = 0; w < banks.size() * cfg.dataRows * slots; ++w) {
+        const size_t in_bank = w / banks.size();
+        banks[w % banks.size()]->writeWord(in_bank / slots, in_bank % slots,
+                                           BitVector(64, rng.next()));
+    }
+    std::vector<char> clean(banks.size());
     for (auto _ : state) {
         state.PauseTiming();
         FaultInjector inj(rng);
-        for (size_t b = 0; b < store.banks(); ++b)
-            inj.inject(store.bank(b).cells(), FaultModel::cluster(32, 32));
+        for (const auto &bank : banks)
+            inj.inject(bank->cells(), FaultModel::cluster(32, 32));
         state.ResumeTiming();
         // Transient clusters are repaired back to the stored data, so
-        // the store is clean again before the next iteration.
-        benchmark::DoNotOptimize(store.scrubAll());
+        // every bank is clean again before the next iteration.
+        parallelFor(banks.size(),
+                    [&](size_t b) { clean[b] = banks[b]->scrub(); });
+        benchmark::DoNotOptimize(clean.data());
     }
     setParallelThreads(0);
     state.SetLabel("8 banks x 32x32 cluster, " +

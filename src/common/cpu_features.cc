@@ -37,7 +37,6 @@ probe()
     unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
     if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx))
         return f;
-    f.pclmul = (ecx >> 1) & 1;
     const bool osxsave = (ecx >> 27) & 1;
     const bool avx = (ecx >> 28) & 1;
     const bool ymm = osxsave && avx && osSupportsAvx();
@@ -46,8 +45,6 @@ probe()
     if (__get_cpuid_count(7, 0, &eax7, &ebx7, &ecx7, &edx7)) {
         f.bmi2 = (ebx7 >> 8) & 1;
         f.avx2 = ymm && ((ebx7 >> 5) & 1);
-        f.gfni = (ecx7 >> 8) & 1;
-        f.vpclmul = ymm && ((ecx7 >> 10) & 1);
     }
     return f;
 }

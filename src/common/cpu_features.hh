@@ -36,9 +36,6 @@ struct CpuFeatures
 {
     bool bmi2 = false;    ///< PEXT/PDEP
     bool avx2 = false;    ///< 256-bit integer SIMD (and OS YMM state)
-    bool gfni = false;    ///< GF(2^8) affine instructions (probed only)
-    bool pclmul = false;  ///< carry-less multiply (probed only)
-    bool vpclmul = false; ///< vectorized carry-less multiply (probed only)
 };
 
 /** Features of the machine we are running on (probed once). */

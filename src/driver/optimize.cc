@@ -81,9 +81,12 @@ evaluateDesignSpace(const OptimizeRequest &req)
         p.spec = scheme->spec();
         p.name = scheme->name();
 
-        // Coverage: every (spec, fault) cell is its own counter-seeded
-        // campaign — identical to a customInjectionCampaign cell, so
-        // the search shares cache entries with the figure grids.
+        // Coverage: every (spec, fault) cell is its own campaign,
+        // seeded shardSeed(seed, f). A custom --scheme x --fault grid
+        // seeds cell (row, col) shardSeed(seed, row * columns + col),
+        // so the two share cache entries only with a one-scheme grid
+        // over the same faults, trials and seed. The figure grids'
+        // fixed seeds and trial counts never match.
         int corrected = 0, total = 0;
         for (size_t f = 0; f < faults.size(); ++f) {
             const InjectionOutcome o = cachedInjectAndRecover(

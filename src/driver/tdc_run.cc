@@ -535,9 +535,6 @@ tdcRun(const std::vector<std::string> &args, std::string &out,
         Table features({"feature", "present"});
         features.addRow({"bmi2", f.bmi2 ? "yes" : "no"});
         features.addRow({"avx2", f.avx2 ? "yes" : "no"});
-        features.addRow({"gfni", f.gfni ? "yes" : "no"});
-        features.addRow({"pclmulqdq", f.pclmul ? "yes" : "no"});
-        features.addRow({"vpclmulqdq", f.vpclmul ? "yes" : "no"});
         ctx.table(features, "cpu features");
         const std::optional<SimdBackend> requested = requestedSimdBackend();
         Table backend({"dispatch", "backend"});
@@ -599,6 +596,9 @@ tdcRun(const std::vector<std::string> &args, std::string &out,
             if (!opt.faults.empty())
                 cfg.fault = parseFaultModel(opt.faults.front());
 
+            // The service validates the config (its size cap too)
+            // before any request is generated or trace written.
+            const CacheService service(cfg);
             const RequestStreamSpec stream =
                 parseRequestSpec(opt.serveSpec);
             const std::vector<ServiceRequest> requests =
@@ -606,7 +606,6 @@ tdcRun(const std::vector<std::string> &args, std::string &out,
             if (!opt.recordTrace.empty())
                 writeTrace(opt.recordTrace, requests);
 
-            const CacheService service(cfg);
             const ServiceReport report = service.serve(requests);
 
             ctx.prosef("serve %s: %zu requests, %zu shards x %zu banks "

@@ -61,6 +61,47 @@ parseAll(const std::vector<std::string> &specs)
     return schemes;
 }
 
+/** Parse every fault spec in @p specs. */
+std::vector<FaultModel>
+parseFaults(const std::vector<std::string> &specs)
+{
+    std::vector<FaultModel> faults;
+    faults.reserve(specs.size());
+    for (const std::string &spec : specs)
+        faults.push_back(parseFaultModel(spec));
+    return faults;
+}
+
+/** How an injection cell renders its outcome. */
+enum class CellText
+{
+    kVerdict, ///< InjectionOutcome::verdict()
+    kSummary, ///< InjectionOutcome::summary()
+};
+
+/**
+ * Run an injection grid: cell (row, col) injects @p faults[row] into
+ * @p schemes[col]. @p grid arrives with its title, headers and row
+ * labels. Each cell is its own campaign seeded shardSeed(seed,
+ * row * columns + col), so the grid is a pure function of (trials,
+ * seed) and therefore memoizable in the result cache.
+ */
+CampaignResult
+runInjectionGrid(CampaignGrid grid, std::vector<SchemePtr> schemes,
+                 std::vector<FaultModel> faults, int trials, uint64_t seed,
+                 CellText text)
+{
+    const size_t nc = schemes.size();
+    grid.cell = [=, schemes = std::move(schemes),
+                 faults = std::move(faults)](size_t row, size_t col) {
+        const InjectionOutcome o = cachedInjectAndRecover(
+            *schemes[col], faults[row], trials,
+            shardSeed(seed, row * nc + col));
+        return text == CellText::kVerdict ? o.verdict() : o.summary();
+    };
+    return runCampaignGrid(grid);
+}
+
 } // namespace
 
 CampaignResult
@@ -169,7 +210,7 @@ figure3InjectionCampaign(int trials, uint64_t seed)
 {
     // Scheme axis: the two conventional baselines and the two 2D
     // variants (EDC8 horizontal; SECDED horizontal for full columns).
-    const std::vector<SchemePtr> schemes = parseAll({
+    std::vector<SchemePtr> schemes = parseAll({
         "conv:secded/i4",
         "conv:oecned/i4",
         "2d:edc8/i4+vp32",
@@ -177,34 +218,21 @@ figure3InjectionCampaign(int trials, uint64_t seed)
     });
 
     // Fault-model axis: the paper's footprint sweep.
-    static const char *const kFootprints[] = {
+    CampaignGrid grid;
+    grid.rowHeader = "Error footprint";
+    grid.rowLabels = {
         "1x1",  "4x1",  "8x1",   "32x1",
         "4x4",  "8x8",  "16x16", "32x32",
         "1x32", "1x256",
     };
-
-    CampaignGrid grid;
-    grid.rowHeader = "Error footprint";
-    std::vector<FaultModel> faults;
-    for (const char *spec : kFootprints) {
-        faults.push_back(parseFaultModel(spec));
-        grid.rowLabels.push_back(spec);
-    }
     // Figure 3 abbreviates the 2D columns with their vertical code
     // instead of the schemes' canonical "2D(...)+vp" names.
     grid.colHeaders = {schemes[0]->name(), schemes[1]->name(),
                        "2D (EDC8, EDC32)", "2D (SECDED, EDC32)"};
-    const size_t nc = grid.colHeaders.size();
-    grid.cell = [=](size_t row, size_t col) {
-        // Each cell is its own campaign with a counter-based seed, so
-        // the grid is a pure function of (trials, seed) — and therefore
-        // memoizable in the result cache.
-        const uint64_t cell_seed = shardSeed(seed, row * nc + col);
-        return cachedInjectAndRecover(*schemes[col], faults[row], trials,
-                                      cell_seed)
-            .verdict();
-    };
-    return runCampaignGrid(grid);
+    std::vector<FaultModel> faults = parseFaults(grid.rowLabels);
+    return runInjectionGrid(std::move(grid), std::move(schemes),
+                            std::move(faults), trials, seed,
+                            CellText::kVerdict);
 }
 
 CampaignResult
@@ -321,28 +349,15 @@ figure8SoftErrorCampaign()
 CampaignResult
 relatedWorkCampaign(int trials, uint64_t seed)
 {
-    const std::vector<SchemePtr> schemes =
-        parseAll({"prod:256x256", "2d:edc8/i4+vp32"});
-    static const char *const kFootprints[] = {
-        "1x1", "3x1", "1x3", "2x2", "8x8", "32x32",
-    };
-
     CampaignGrid grid;
     grid.rowHeader = "Error footprint";
-    std::vector<FaultModel> faults;
-    for (const char *spec : kFootprints) {
-        faults.push_back(parseFaultModel(spec));
-        grid.rowLabels.push_back(spec);
-    }
+    grid.rowLabels = {"1x1", "3x1", "1x3", "2x2", "8x8", "32x32"};
     grid.colHeaders = {"HV product code", "2D (EDC8+Intv4, EDC32)"};
-    const size_t nc = grid.colHeaders.size();
-    grid.cell = [=](size_t row, size_t col) {
-        const uint64_t cell_seed = shardSeed(seed, row * nc + col);
-        return cachedInjectAndRecover(*schemes[col], faults[row], trials,
-                                      cell_seed)
-            .verdict();
-    };
-    return runCampaignGrid(grid);
+    std::vector<FaultModel> faults = parseFaults(grid.rowLabels);
+    return runInjectionGrid(std::move(grid),
+                            parseAll({"prod:256x256", "2d:edc8/i4+vp32"}),
+                            std::move(faults), trials, seed,
+                            CellText::kVerdict);
 }
 
 namespace
@@ -391,37 +406,26 @@ chipkillOverheadCampaign()
 CampaignResult
 chipkillInjectionCampaign(int trials, uint64_t seed)
 {
-    const std::vector<SchemePtr> schemes =
-        parseAll(kChipkillFigureSchemes);
+    std::vector<SchemePtr> schemes = parseAll(kChipkillFigureSchemes);
 
     // Fault axis: the SRAM footprints the paper sweeps plus the
     // device-derived DRAM shapes. On bit arrays (symbol width 1) a
     // chip kill degenerates to a full column, so every cell is
     // well-defined across the whole comparison set.
-    static const char *const kFootprints[] = {
-        "single", "row:4", "8x8", "fullcol",
-        "chip:any", "hammer:3@0.5", "senseamp:16",
-    };
-
     CampaignGrid grid;
     grid.title = "Chipkill comparison: " + std::to_string(trials) +
                  " events/cell, seed " + std::to_string(seed);
     grid.rowHeader = "Fault";
-    std::vector<FaultModel> faults;
-    for (const char *spec : kFootprints) {
-        faults.push_back(parseFaultModel(spec));
-        grid.rowLabels.push_back(spec);
-    }
+    grid.rowLabels = {
+        "single", "row:4", "8x8", "fullcol",
+        "chip:any", "hammer:3@0.5", "senseamp:16",
+    };
     for (const SchemePtr &scheme : schemes)
         grid.colHeaders.push_back(scheme->name());
-    const size_t nc = grid.colHeaders.size();
-    grid.cell = [=](size_t row, size_t col) {
-        const uint64_t cell_seed = shardSeed(seed, row * nc + col);
-        return cachedInjectAndRecover(*schemes[col], faults[row], trials,
-                                      cell_seed)
-            .verdict();
-    };
-    return runCampaignGrid(grid);
+    std::vector<FaultModel> faults = parseFaults(grid.rowLabels);
+    return runInjectionGrid(std::move(grid), std::move(schemes),
+                            std::move(faults), trials, seed,
+                            CellText::kVerdict);
 }
 
 CampaignResult
@@ -429,11 +433,8 @@ customInjectionCampaign(const std::vector<std::string> &scheme_specs,
                         const std::vector<std::string> &fault_specs,
                         int trials, uint64_t seed)
 {
-    const std::vector<SchemePtr> schemes = parseAll(scheme_specs);
-    std::vector<FaultModel> faults;
-    faults.reserve(fault_specs.size());
-    for (const std::string &spec : fault_specs)
-        faults.push_back(parseFaultModel(spec));
+    std::vector<SchemePtr> schemes = parseAll(scheme_specs);
+    std::vector<FaultModel> faults = parseFaults(fault_specs);
 
     CampaignGrid grid;
     grid.title = "Injection campaign: " + std::to_string(trials) +
@@ -443,14 +444,9 @@ customInjectionCampaign(const std::vector<std::string> &scheme_specs,
         grid.rowLabels.push_back(fault.describe());
     for (const SchemePtr &scheme : schemes)
         grid.colHeaders.push_back(scheme->name());
-    const size_t nc = grid.colHeaders.size();
-    grid.cell = [=](size_t row, size_t col) {
-        const uint64_t cell_seed = shardSeed(seed, row * nc + col);
-        return cachedInjectAndRecover(*schemes[col], faults[row], trials,
-                                      cell_seed)
-            .summary();
-    };
-    return runCampaignGrid(grid);
+    return runInjectionGrid(std::move(grid), std::move(schemes),
+                            std::move(faults), trials, seed,
+                            CellText::kSummary);
 }
 
 // --- Lifetime/FIT grids ---------------------------------------------

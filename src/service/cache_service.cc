@@ -8,16 +8,10 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/port_scheduler.hh"
+#include "ecc/code_factory.hh"
 
 namespace tdc
 {
-
-size_t
-ServiceConfig::wordsPerShard() const
-{
-    const size_t words_per_row = bank.interleaveDegree;
-    return banksPerShard * bank.dataRows * words_per_row;
-}
 
 ServiceCounters &
 ServiceCounters::operator+=(const ServiceCounters &o)
@@ -56,26 +50,45 @@ CacheService::CacheService(const ServiceConfig &config) : cfg(config)
         throw std::invalid_argument("CacheService: zero banks per shard");
     if (cfg.ports == 0)
         throw std::invalid_argument("CacheService: zero ports");
+    // Every shard allocates its banks before serving a request, so an
+    // oversized config is refused here, before anything is built. The
+    // CLI's bounds keep the product below 2^46: it cannot wrap.
+    if (cfg.totalWords() > ServiceConfig::kMaxTotalWords)
+        throw std::invalid_argument(
+            "CacheService: " + std::to_string(cfg.shards) + " shards x " +
+            std::to_string(cfg.banksPerShard) + " banks x " +
+            std::to_string(cfg.bank.dataRows) + " rows x " +
+            std::to_string(cfg.bank.interleaveDegree) +
+            " words per row exceeds the cap of " +
+            std::to_string(ServiceConfig::kMaxTotalWords) + " words");
+    code = makeCode(cfg.bank.horizontalKind, cfg.bank.wordBits);
 }
 
 namespace
 {
 
+/** Base latency of every read and write, before queueing/recovery. */
+constexpr unsigned kAccessLatency = 2;
+
 /**
- * One shard's serving loop: its own store, port scheduler, scrub
+ * One shard's serving loop: its own banks, port scheduler, scrub
  * cursor, and RNG streams. Everything here is a pure function of
  * (cfg, shard index, the shard's request subsequence).
  */
 class ShardWorker
 {
   public:
-    ShardWorker(const ServiceConfig &cfg, size_t shard)
-        : cfg(cfg), store(cfg.bank, cfg.banksPerShard),
-          sched(cfg.ports, cfg.stealWindow),
+    ShardWorker(const ServiceConfig &cfg, size_t shard, const CodePtr &code)
+        : cfg(cfg), sched(cfg.ports, cfg.stealWindow),
           shardBase(shardSeed(cfg.seed, shard)),
-          golden(store.totalWords(), 0),
-          written(store.totalWords(), 0)
+          golden(cfg.totalWords() / cfg.shards, 0),
+          written(golden.size(), 0)
     {
+        // A TwoDimArray must not move once built (its line codec
+        // refers to its own interleave map), hence the unique_ptrs.
+        banks.reserve(cfg.banksPerShard);
+        for (size_t b = 0; b < cfg.banksPerShard; ++b)
+            banks.push_back(std::make_unique<TwoDimArray>(cfg.bank, code));
     }
 
     void
@@ -91,14 +104,15 @@ class ShardWorker
         uint64_t latency = 0;
         RequestOutcome out;
         const size_t local = req.address / cfg.shards;
+        const Cell cell = locate(local);
         if (req.op == RequestOp::kRead) {
             ++rep.counters.reads;
             const unsigned delay = sched.issueDemand();
             rep.counters.portDelay += delay;
             uint64_t sweep_reads = 0;
-            const AccessResult res = readTracked(local, sweep_reads);
+            const AccessResult res = readTracked(cell, sweep_reads);
             rep.counters.recoveryRowReads += sweep_reads;
-            latency = cfg.readLatency + delay + sweep_reads;
+            latency = kAccessLatency + delay + sweep_reads;
 
             out.status = res.status;
             if (!res.ok()) {
@@ -106,8 +120,8 @@ class ShardWorker
             } else {
                 const BitVector expected =
                     written[local] ? expandValue(golden[local],
-                                                 store.dataBits())
-                                   : BitVector(store.dataBits());
+                                                 cfg.bank.wordBits)
+                                   : BitVector(cfg.bank.wordBits);
                 if (res.data != expected) {
                     out.silent = true;
                     ++rep.counters.sdc;
@@ -127,9 +141,10 @@ class ShardWorker
                 ++rep.counters.rbwCharged;
             const unsigned delay = sched.issueDemand();
             rep.counters.portDelay += delay;
-            latency = cfg.writeLatency + delay;
-            store.writeWord(local, expandValue(req.value,
-                                               store.dataBits()));
+            latency = kAccessLatency + delay;
+            banks[cell.bank]->writeWord(
+                cell.row, cell.slot,
+                expandValue(req.value, cfg.bank.wordBits));
             golden[local] = req.value;
             written[local] = 1;
         }
@@ -144,18 +159,35 @@ class ShardWorker
     ShardServiceReport
     finish()
     {
-        rep.store = store.aggregateStats();
+        for (const auto &bank : banks)
+            rep.store += bank->stats();
         return std::move(rep);
     }
 
   private:
-    /** Read local word @p local, tracking recovery-sweep row reads. */
-    AccessResult
-    readTracked(size_t local, uint64_t &sweep_reads)
+    /** Where one shard-local word lives. */
+    struct Cell
     {
-        TwoDimArray &bank = store.bank(store.bankOf(local));
+        size_t bank, row, slot;
+    };
+
+    /** Shard-local word @p local -> (bank, row, slot): consecutive
+     *  words interleave across banks. */
+    Cell
+    locate(size_t local) const
+    {
+        const size_t in_bank = local / banks.size();
+        const size_t slots = cfg.bank.interleaveDegree;
+        return {local % banks.size(), in_bank / slots, in_bank % slots};
+    }
+
+    /** Read @p cell, tracking recovery-sweep row reads. */
+    AccessResult
+    readTracked(const Cell &cell, uint64_t &sweep_reads)
+    {
+        TwoDimArray &bank = *banks[cell.bank];
         const uint64_t before = bank.stats().recoveries;
-        const AccessResult res = store.readWord(local);
+        const AccessResult res = bank.readWord(cell.row, cell.slot);
         if (bank.stats().recoveries != before) {
             ++rep.counters.recoveries;
             sweep_reads = bank.lastRecovery().rowReads;
@@ -199,19 +231,16 @@ class ShardWorker
         ++rep.counters.scrubSteps;
 
         const size_t rows = cfg.bank.dataRows;
-        const size_t slots = store.bank(0).wordsPerRow();
-        const size_t global_row =
-            (scrubSteps - 1) % (cfg.banksPerShard * rows);
+        const size_t global_row = (scrubSteps - 1) % (banks.size() * rows);
         const size_t bank = global_row / rows;
         const size_t row = global_row % rows;
-        for (size_t slot = 0; slot < slots; ++slot) {
+        for (size_t slot = 0; slot < cfg.bank.interleaveDegree; ++slot) {
             // Background reads compete for ports like stolen RBW
             // reads: free when an idle slot is in the window.
             sched.issueStolenRead();
-            const size_t local = (row * slots + slot) * cfg.banksPerShard
-                                 + bank;
             uint64_t sweep_reads = 0;
-            const AccessResult res = readTracked(local, sweep_reads);
+            const AccessResult res =
+                readTracked({bank, row, slot}, sweep_reads);
             if (!res.ok())
                 ++rep.counters.scrubDue;
             else if (res.status == DecodeStatus::kCorrected ||
@@ -233,12 +262,12 @@ class ShardWorker
         ++faultEvents;
         ++rep.counters.faultEvents;
         FaultInjector inj(rng);
-        const size_t bank = size_t(rng.nextBelow(cfg.banksPerShard));
-        inj.inject(store.bank(bank).cells(), cfg.fault);
+        const size_t bank = size_t(rng.nextBelow(banks.size()));
+        inj.inject(banks[bank]->cells(), cfg.fault);
     }
 
     const ServiceConfig &cfg;
-    TwoDimCacheStore store;
+    std::vector<std::unique_ptr<TwoDimArray>> banks;
     PortScheduler sched;
     uint64_t shardBase;
     uint64_t clock = 0;
@@ -278,7 +307,7 @@ CacheService::serve(const std::vector<ServiceRequest> &requests) const
     // Each shard writes only its own report slot and its own outcome
     // slots, so the sweep is bit-identical at any pool size.
     parallelFor(cfg.shards, [&](size_t s) {
-        ShardWorker worker(cfg, s);
+        ShardWorker worker(cfg, s, code);
         for (size_t i : byShard[s])
             worker.serveOne(requests[i], cfg.recordOutcomes
                                              ? &report.outcomes[i]

@@ -2,14 +2,15 @@
  * @file
  * The request-stream front end of the study: a sharded cache service
  * that serves millions of timestamped read/write requests against
- * TwoDimCacheStore shards, with the paper's read-before-write port
- * stealing and asynchronous background scrub + fault arrival competing
- * for port slots under live traffic — reporting throughput and
- * p50/p99/p999 latency next to the reliability verdicts
- * (corrected / DUE / SDC).
+ * shards of independently 2D-protected banks (the paper deploys the
+ * scheme per bank: "32 parity rows per cache bank"), with the paper's
+ * read-before-write port stealing and asynchronous background scrub +
+ * fault arrival competing for port slots under live traffic —
+ * reporting throughput and p50/p99/p999 latency next to the
+ * reliability verdicts (corrected / DUE / SDC).
  *
  * Sharding and determinism: requests partition by address (shard =
- * address mod shards); each shard owns its own store, port scheduler,
+ * address mod shards); each shard owns its own banks, port scheduler,
  * histogram, and counter-based RNG streams, and shards run over the
  * common/parallel worker pool. Every per-shard outcome is a pure
  * function of (config, that shard's request subsequence), and shard
@@ -25,7 +26,7 @@
 
 #include "array/fault.hh"
 #include "common/table.hh"
-#include "core/twod_cache_store.hh"
+#include "core/twod_array.hh"
 #include "service/latency_histogram.hh"
 #include "service/request.hh"
 
@@ -63,18 +64,18 @@ struct ServiceConfig
     /** Base seed; every stream derives via domain-separated shards. */
     uint64_t seed = 12345;
 
-    /** Base access latencies in cycles (before queueing/recovery). */
-    unsigned readLatency = 2;
-    unsigned writeLatency = 2;
-
     /** Record a per-request outcome vector (latency + verdict). */
     bool recordOutcomes = false;
 
-    /** Flat words one shard serves. */
-    size_t wordsPerShard() const;
+    /** Largest totalWords() a service may hold (1024x the default). */
+    static constexpr size_t kMaxTotalWords = size_t(1) << 24;
 
-    /** Flat words of the whole service (the request address space). */
-    size_t totalWords() const { return shards * wordsPerShard(); }
+    /** Words of the whole service (the request address space). */
+    size_t totalWords() const
+    {
+        return shards * banksPerShard * bank.dataRows *
+               bank.interleaveDegree;
+    }
 };
 
 /** Per-request result (recorded when ServiceConfig::recordOutcomes). */
@@ -115,7 +116,7 @@ struct ShardServiceReport
 {
     ServiceCounters counters;
     LatencyHistogram latency;
-    TwoDimStats store; ///< aggregated bank stats of the shard's store
+    TwoDimStats store; ///< the shard's bank stats, merged in bank order
 
     bool operator==(const ShardServiceReport &) const = default;
 };
@@ -136,10 +137,18 @@ struct ServiceReport
 
 /**
  * The concurrent cache service. Construction validates the config
- * (throws std::invalid_argument on zero shards/banks/ports); serve()
- * validates addresses (throws std::out_of_range on any address >=
- * totalWords(), store untouched) and requires per-shard ticks to be
- * served in non-decreasing order (earlier ticks clamp forward).
+ * (throws std::invalid_argument on zero shards/banks/ports, or when
+ * totalWords() exceeds ServiceConfig::kMaxTotalWords) before any bank
+ * is built; serve() validates addresses (throws std::out_of_range on
+ * any address >= totalWords(), banks untouched) and requires
+ * per-shard ticks to be served in non-decreasing order (earlier ticks
+ * clamp forward).
+ *
+ * Layout: address a belongs to shard a mod shards as shard-local word
+ * w = a / shards, which lives in bank w mod banksPerShard at row
+ * (w / banksPerShard) / interleaveDegree, slot (w / banksPerShard) mod
+ * interleaveDegree. Every read and write costs 2 cycles before
+ * queueing and recovery.
  */
 class CacheService
 {
@@ -153,6 +162,7 @@ class CacheService
 
   private:
     ServiceConfig cfg;
+    CodePtr code; ///< the horizontal code every bank shares
 };
 
 /** Per-shard latency/throughput table ("all" row last). */

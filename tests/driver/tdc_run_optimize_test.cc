@@ -6,7 +6,8 @@
  *    at least one (checked on a >= 100-spec grid from the emitted
  *    evaluated-points table alone);
  *  - frontier and evaluated tables agree with evaluateDesignSpace();
- *  - runs are deterministic and cache-accelerated;
+ *  - runs are deterministic and cache-accelerated, and share cache
+ *    entries with a one-scheme --scheme x --fault grid;
  *  - malformed patterns / objectives exit 2 quoting the token.
  */
 
@@ -18,7 +19,10 @@
 #include "common/parallel.hh"
 #include "driver/optimize.hh"
 #include "driver/tdc_run.hh"
+#include "reliability/result_cache.hh"
 #include "scheme/spec_gen.hh"
+
+#include "../cpu/memory_only_cache.hh"
 
 namespace tdc
 {
@@ -213,6 +217,45 @@ TEST(TdcRunOptimize, ObjectiveAxisChangesOverheadColumn)
     EXPECT_NE(storage_csv.find("Overhead (storage)"), std::string::npos);
     EXPECT_NE(area_csv.find("Overhead (area)"), std::string::npos);
     EXPECT_NE(storage_csv, area_csv);
+}
+
+/** Result-cache counters of one in-process tdc_run. */
+CacheStats
+cacheStatsOf(const std::vector<std::string> &args)
+{
+    resultCache().resetStats();
+    runOk(args);
+    return resultCache().stats();
+}
+
+TEST(TdcRunOptimize, SharesCacheEntriesOnlyWithOneSchemeGrids)
+{
+    // --optimize seeds its cell f with shardSeed(seed, f); a custom
+    // grid seeds cell (row, col) with shardSeed(seed, row * nc + col).
+    // They coincide for every fault only when the grid has one scheme.
+    MemoryOnlyCache guard;
+    const std::vector<std::string> faults = {"--fault", "single", "--fault",
+                                             "32x32", "--seed", "5"};
+    const auto with = [&](std::vector<std::string> args) {
+        args.insert(args.end(), faults.begin(), faults.end());
+        return args;
+    };
+    const std::vector<std::string> optimize =
+        with({"--optimize", "2d:edc8/i4+vp32", "--trials", "20"});
+
+    resultCache().clearMemory();
+    runOk(with({"--scheme", "2d:edc8/i4+vp32", "--events", "20"}));
+    const CacheStats one = cacheStatsOf(optimize);
+    EXPECT_EQ(one.hits(), 2u);
+    EXPECT_EQ(one.misses, 0u);
+
+    resultCache().clearMemory();
+    runOk(with({"--scheme", "2d:edc8/i4+vp32", "--scheme",
+                "conv:secded/i4", "--events", "20"}));
+    const CacheStats two = cacheStatsOf(optimize);
+    EXPECT_EQ(two.hits(), 1u);
+    EXPECT_EQ(two.misses, 1u);
+    resultCache().clearMemory();
 }
 
 /** EXPECT exit 2 with @p token quoted on stderr and no stdout. */

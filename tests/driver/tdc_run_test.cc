@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 #include "common/cpu_features.hh"
 #include "common/parallel.hh"
 #include "driver/tdc_run.hh"
@@ -327,6 +330,26 @@ TEST(TdcRun, ServeUsageErrorsExitTwoWithQuotedToken)
     expectUsageError({"--serve", "uniform", "--shards", "0"}, "--shards");
     expectUsageError({"--serve", "uniform", "--scrub-interval", "x"},
                      "--scrub-interval");
+}
+
+TEST(TdcRun, ServeRejectsAStoreOverTheWordCap)
+{
+    // 97 shards x 257 banks x 673 rows x 1 word = 2^24 + 1 words. The
+    // config is refused before any request is generated or trace
+    // written.
+    const std::string trace = testing::TempDir() + "tdc_run_over_cap.bin";
+    std::remove(trace.c_str());
+    std::string out, err;
+    EXPECT_EQ(tdcRun({"--serve", "uniform/n1e3", "--shards", "97",
+                      "--banks", "257", "--scheme", "2d:edc8/i1+vp32/r673",
+                      "--record-trace", trace},
+                     out, err),
+              2);
+    EXPECT_TRUE(out.empty()) << out;
+    for (const char *value : {"97 shards", "257 banks", "673 rows",
+                              "16777216"})
+        EXPECT_NE(err.find(value), std::string::npos) << err;
+    EXPECT_FALSE(std::ifstream(trace).good()) << "trace was written";
 }
 
 TEST(TdcRun, ServeMissingTraceFileExitsOne)

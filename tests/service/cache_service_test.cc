@@ -1,9 +1,10 @@
 /**
  * @file
- * Unit contract of the concurrent cache service: config validation,
- * address checking, read-your-writes, port-stealing effect, background
- * scrub repairing injected faults before demand reads ever see them,
- * and the per-request outcome vector.
+ * Unit contract of the concurrent cache service: config validation
+ * (the word cap included), address checking, read-your-writes,
+ * port-stealing effect, background scrub repairing injected faults
+ * before demand reads ever see them, and the per-request outcome
+ * vector.
  */
 
 #include <gtest/gtest.h>
@@ -37,6 +38,14 @@ TEST(CacheService, RejectsDegenerateConfigs)
     EXPECT_THROW(CacheService{cfg}, std::invalid_argument);
     cfg = smallConfig();
     cfg.ports = 0;
+    EXPECT_THROW(CacheService{cfg}, std::invalid_argument);
+    // 97 x 257 x 673 x 1 = 2^24 + 1 words, one over the cap.
+    cfg = smallConfig();
+    cfg.shards = 97;
+    cfg.banksPerShard = 257;
+    cfg.bank.dataRows = 673;
+    cfg.bank.interleaveDegree = 1;
+    ASSERT_EQ(cfg.totalWords(), ServiceConfig::kMaxTotalWords + 1);
     EXPECT_THROW(CacheService{cfg}, std::invalid_argument);
 }
 

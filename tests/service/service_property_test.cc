@@ -18,13 +18,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "array/fault.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/port_scheduler.hh"
-#include "core/twod_cache_store.hh"
+#include "core/twod_array.hh"
 #include "service/cache_service.hh"
 #include "service/request_gen.hh"
 
@@ -38,11 +39,15 @@ class ShardOracle
 {
   public:
     ShardOracle(const ServiceConfig &cfg, size_t shard)
-        : cfg(cfg), store(cfg.bank, cfg.banksPerShard),
-          sched(cfg.ports, cfg.stealWindow),
-          base(shardSeed(cfg.seed, shard)),
-          golden(store.totalWords(), 0), written(store.totalWords(), 0)
+        : cfg(cfg), sched(cfg.ports, cfg.stealWindow),
+          base(shardSeed(cfg.seed, shard))
     {
+        for (size_t b = 0; b < cfg.banksPerShard; ++b)
+            banks.push_back(std::make_unique<TwoDimArray>(cfg.bank));
+        const size_t words =
+            cfg.banksPerShard * cfg.bank.dataRows * slots();
+        golden.assign(words, 0);
+        written.assign(words, 0);
     }
 
     RequestOutcome
@@ -64,15 +69,15 @@ class ShardOracle
             uint64_t sweep = 0;
             const AccessResult res = read(local, sweep);
             counters.recoveryRowReads += sweep;
-            latency = cfg.readLatency + delay + sweep;
+            latency = kLatency + delay + sweep;
             out.status = res.status;
             if (!res.ok()) {
                 ++counters.due;
             } else {
                 const BitVector expect =
                     written[local]
-                        ? expandValue(golden[local], store.dataBits())
-                        : BitVector(store.dataBits());
+                        ? expandValue(golden[local], cfg.bank.wordBits)
+                        : BitVector(cfg.bank.wordBits);
                 if (res.data != expect) {
                     out.silent = true;
                     ++counters.sdc;
@@ -89,9 +94,10 @@ class ShardOracle
                 ++counters.rbwCharged;
             const unsigned delay = sched.issueDemand();
             counters.portDelay += delay;
-            latency = cfg.writeLatency + delay;
-            store.writeWord(local, expandValue(req.value,
-                                               store.dataBits()));
+            latency = kLatency + delay;
+            auto [bank, row, slot] = at(local);
+            bank.writeWord(row, slot,
+                           expandValue(req.value, cfg.bank.wordBits));
             golden[local] = req.value;
             written[local] = 1;
         }
@@ -106,17 +112,33 @@ class ShardOracle
         ShardServiceReport rep;
         rep.counters = counters;
         rep.latency = latency_hist;
-        rep.store = store.aggregateStats();
+        for (const auto &bank : banks)
+            rep.store += bank->stats();
         return rep;
     }
 
   private:
+    /** Base read and write latency, cycles. */
+    static constexpr unsigned kLatency = 2;
+
+    size_t slots() const { return cfg.bank.interleaveDegree; }
+
+    /** Bank, row and slot of shard-local word @p local: words
+     *  interleave across banks. */
+    std::tuple<TwoDimArray &, size_t, size_t>
+    at(size_t local)
+    {
+        const size_t in_bank = local / cfg.banksPerShard;
+        return {*banks[local % cfg.banksPerShard], in_bank / slots(),
+                in_bank % slots()};
+    }
+
     AccessResult
     read(size_t local, uint64_t &sweep)
     {
-        TwoDimArray &bank = store.bank(store.bankOf(local));
+        auto [bank, row, slot] = at(local);
         const uint64_t before = bank.stats().recoveries;
-        const AccessResult res = store.readWord(local);
+        const AccessResult res = bank.readWord(row, slot);
         if (bank.stats().recoveries != before) {
             ++counters.recoveries;
             sweep = bank.lastRecovery().rowReads;
@@ -153,14 +175,13 @@ class ShardOracle
         ++scrub_steps;
         ++counters.scrubSteps;
         const size_t rows = cfg.bank.dataRows;
-        const size_t slots = store.bank(0).wordsPerRow();
         const size_t global =
             (scrub_steps - 1) % (cfg.banksPerShard * rows);
         const size_t bank = global / rows, row = global % rows;
-        for (size_t slot = 0; slot < slots; ++slot) {
+        for (size_t slot = 0; slot < slots(); ++slot) {
             sched.issueStolenRead();
             const size_t local =
-                (row * slots + slot) * cfg.banksPerShard + bank;
+                (row * slots() + slot) * cfg.banksPerShard + bank;
             uint64_t sweep = 0;
             const AccessResult res = read(local, sweep);
             if (!res.ok())
@@ -180,11 +201,11 @@ class ShardOracle
         ++counters.faultEvents;
         FaultInjector inj(rng);
         const size_t bank = size_t(rng.nextBelow(cfg.banksPerShard));
-        inj.inject(store.bank(bank).cells(), cfg.fault);
+        inj.inject(banks[bank]->cells(), cfg.fault);
     }
 
     const ServiceConfig &cfg;
-    TwoDimCacheStore store;
+    std::vector<std::unique_ptr<TwoDimArray>> banks;
     PortScheduler sched;
     uint64_t base;
     uint64_t clock = 0;
