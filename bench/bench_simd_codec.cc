@@ -1,15 +1,18 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the dispatched SIMD codec
- * kernels (BENCH_0007): interleave extract/deposit, EDC fold, Hsiao
- * encode/decode, the batched line codec, and BCH dirty decode. Every
- * benchmark runs whatever backend the dispatch layer selected, so one
- * binary records both sides of the scalar-vs-SIMD comparison:
+ * google-benchmark microbenchmarks of the codec kernels on the
+ * access path (BENCH_0007, BENCH_0014): interleave extract/deposit,
+ * EDC fold, Hsiao encode/decode, the batched line codec, and BCH
+ * dirty decode. Every benchmark runs whatever backend the dispatch
+ * layer selected and labels its series with it. Only the interleave
+ * gather/scatter differs between the tiers (software butterfly vs
+ * PEXT/PDEP); the other kernels have one code path, and their two
+ * series show what the gather/scatter costs them:
  *
- *   TDC_SIMD=scalar ./bench_simd_codec   # reference tier
+ *   TDC_SIMD=scalar ./bench_simd_codec   # software butterfly
  *   ./bench_simd_codec                   # dispatched (best) tier
  *
- * scripts/record_bench.sh --compare-simd automates the pair.
+ * bench/record_bench.sh --compare-simd automates the pair.
  */
 
 #include <benchmark/benchmark.h>
@@ -150,8 +153,8 @@ BENCHMARK(BM_HsiaoDecodeDirty)->DenseRange(0, 1);
 void
 BM_LineClean(benchmark::State &state)
 {
-    // Clean whole-line check: the scrub/recovery hot predicate. The
-    // fused EDC fold engages on the accelerated tiers. Arg: 0 = the
+    // Clean whole-line check: the scrub/recovery hot predicate, one
+    // fused EDC fold over the row words. Arg: 0 = the
     // L1 bank's edc8/i4, 1 = the L2 bank's edc16/i2 over 256-bit
     // words (both fold within one word), 2 = edc32/i8 (period 256,
     // four fold lanes).
@@ -203,16 +206,15 @@ BENCHMARK(BM_LineEncode)->DenseRange(0, 1);
 void
 BM_BchDecodeDirty(benchmark::State &state)
 {
-    // Four errors drive the locator to degree 4: the accelerated
-    // tiers answer with the closed-form quartic, the scalar tier runs
-    // the Chien sweep down to the cubic — the BENCH_0007 "dirty
-    // decode" series.
+    // Four errors drive the locator to degree 4, which the
+    // closed-form quartic answers — the BENCH_0007 "dirty decode"
+    // series.
     const size_t t = state.range(0) == 0 ? 4 : 8;
     const BchCode code(64, t);
     BitVector cw = code.encode(randomRow(64, 110));
-    // High-position errors: the scalar Chien sweep scans nearly the
-    // whole shortened length before its first deflation, while the
-    // quartic closed form is position independent.
+    // High-position errors: a Chien sweep would scan nearly the whole
+    // shortened length before its first deflation, while the quartic
+    // closed form is position independent.
     const size_t n = code.codewordBits();
     for (size_t i = 0; i < 4; ++i)
         cw.flip(n - 1 - i * 4);

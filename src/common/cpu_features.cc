@@ -1,7 +1,6 @@
 #include "common/cpu_features.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdlib>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -20,32 +19,13 @@ namespace
 
 #if TDC_X86
 
-/** XCR0 via XGETBV: are the XMM+YMM states OS-enabled? */
-__attribute__((target("xsave"))) bool
-osSupportsAvx()
-{
-    // Only called after the caller confirmed OSXSAVE, so the
-    // instruction itself is always executable.
-    const uint64_t xcr0 = _xgetbv(0);
-    return (xcr0 & 0x6) == 0x6; // SSE + AVX state
-}
-
 CpuFeatures
 probe()
 {
     CpuFeatures f;
     unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-    if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx))
-        return f;
-    const bool osxsave = (ecx >> 27) & 1;
-    const bool avx = (ecx >> 28) & 1;
-    const bool ymm = osxsave && avx && osSupportsAvx();
-
-    unsigned eax7 = 0, ebx7 = 0, ecx7 = 0, edx7 = 0;
-    if (__get_cpuid_count(7, 0, &eax7, &ebx7, &ecx7, &edx7)) {
-        f.bmi2 = (ebx7 >> 8) & 1;
-        f.avx2 = ymm && ((ebx7 >> 5) & 1);
-    }
+    if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx))
+        f.bmi2 = (ebx >> 8) & 1;
     return f;
 }
 
@@ -76,8 +56,6 @@ simdBackendName(SimdBackend backend)
         return "scalar";
       case SimdBackend::kBmi2:
         return "bmi2";
-      case SimdBackend::kAvx2:
-        return "avx2";
     }
     return "scalar";
 }
@@ -89,22 +67,13 @@ parseSimdBackend(const std::string &name)
         return SimdBackend::kScalar;
     if (name == "bmi2")
         return SimdBackend::kBmi2;
-    if (name == "avx2")
-        return SimdBackend::kAvx2;
     return std::nullopt;
 }
 
 SimdBackend
 bestSimdBackend()
 {
-    const CpuFeatures &f = cpuFeatures();
-    // The AVX2 tier layers on the BMI2 paths, so it requires both
-    // feature bits (true of every AVX2-era core).
-    if (f.avx2 && f.bmi2)
-        return SimdBackend::kAvx2;
-    if (f.bmi2)
-        return SimdBackend::kBmi2;
-    return SimdBackend::kScalar;
+    return cpuFeatures().bmi2 ? SimdBackend::kBmi2 : SimdBackend::kScalar;
 }
 
 std::optional<SimdBackend>
@@ -158,29 +127,9 @@ pdepBmi2(uint64_t x, uint64_t mask)
     return _pdep_u64(x, mask);
 }
 
-__attribute__((target("avx2"))) uint64_t
-xorFoldAvx2(const uint64_t *words, size_t nwords)
-{
-    __m256i acc = _mm256_setzero_si256();
-    size_t i = 0;
-    for (; i + 4 <= nwords; i += 4) {
-        acc = _mm256_xor_si256(
-            acc,
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(words + i)));
-    }
-    const __m128i lo = _mm256_castsi256_si128(acc);
-    const __m128i hi = _mm256_extracti128_si256(acc, 1);
-    const __m128i x = _mm_xor_si128(lo, hi);
-    uint64_t out = uint64_t(_mm_cvtsi128_si64(x)) ^
-                   uint64_t(_mm_extract_epi64(x, 1));
-    for (; i < nwords; ++i)
-        out ^= words[i];
-    return out;
-}
-
 #else
 
-// Non-x86 stubs: the dispatcher never selects these tiers off x86
+// Non-x86 stubs: the dispatcher never selects the BMI2 tier off x86
 // (bestSimdBackend() == kScalar), but keep the symbols correct so a
 // stray direct call cannot miscompute.
 
@@ -203,15 +152,6 @@ pdepBmi2(uint64_t x, uint64_t mask)
         if (x & bit)
             out |= mask & -mask;
     }
-    return out;
-}
-
-uint64_t
-xorFoldAvx2(const uint64_t *words, size_t nwords)
-{
-    uint64_t out = 0;
-    for (size_t i = 0; i < nwords; ++i)
-        out ^= words[i];
     return out;
 }
 

@@ -2,28 +2,24 @@
  * @file
  * Runtime CPU feature probe and SIMD codec backend dispatch.
  *
- * The codec substrate keeps one scalar implementation per kernel (the
- * PR 2-3 word-parallel paths, retained as differential-test oracles)
- * and layers hardware fast paths behind the same APIs: BMI2
- * PEXT/PDEP for the interleave gather/scatter, AVX2 for the wide XOR
- * folds of the EDC and line codecs, and the unrolled table folds plus
- * the closed-form quartic BCH locator on any accelerated tier. Which
+ * The dispatch layer makes one choice, and only because it depends
+ * on the hardware: BitCompressPlan's interleave gather/scatter runs
+ * as BMI2 PEXT/PDEP or as the six-stage software butterfly. Every
+ * other codec fast path is portable C++ and runs on every CPU. Which
  * tier runs is decided once at startup from CPUID, overridable with
- * `TDC_SIMD=scalar|bmi2|avx2` (for CI matrices and reproducing the
- * scalar trajectory) or programmatically via setSimdBackend() (for
- * differential tests and benchmarks).
+ * `TDC_SIMD=scalar|bmi2` (for CI matrices) or programmatically via
+ * setSimdBackend() (for differential tests and benchmarks).
  *
- * Every backend is bit-identical by construction — campaign, figure
- * and service outputs must not depend on the backend (or on
- * TDC_THREADS); the suites under tests/common and tests/ecc enforce
- * it kernel by kernel.
+ * Both tiers are bit-identical by construction — campaign, figure
+ * and service outputs must not depend on the tier (or on
+ * TDC_THREADS); tests/common/simd_diff_test.cc holds the butterfly
+ * and PEXT/PDEP to each other.
  */
 
 #ifndef TDC_COMMON_CPU_FEATURES_HH
 #define TDC_COMMON_CPU_FEATURES_HH
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -35,26 +31,22 @@ namespace tdc
 struct CpuFeatures
 {
     bool bmi2 = false;    ///< PEXT/PDEP
-    bool avx2 = false;    ///< 256-bit integer SIMD (and OS YMM state)
 };
 
 /** Features of the machine we are running on (probed once). */
 const CpuFeatures &cpuFeatures();
 
 /**
- * Codec backend tiers, ordered: each tier includes the previous ones'
- * fast paths. kBmi2 turns on the PEXT/PDEP interleave paths, the
- * unrolled table folds and the deg-4 closed-form BCH locator; kAvx2
- * additionally vectorizes the wide XOR folds.
+ * Codec backend tiers, ordered. kBmi2 runs the interleave
+ * gather/scatter as PEXT/PDEP; kScalar runs the software butterfly.
  */
 enum class SimdBackend
 {
     kScalar = 0,
     kBmi2 = 1,
-    kAvx2 = 2,
 };
 
-/** Short lowercase name ("scalar", "bmi2", "avx2"). */
+/** Short lowercase name ("scalar", "bmi2"). */
 const char *simdBackendName(SimdBackend backend);
 
 /** Parse a backend name; std::nullopt when unrecognized. */
@@ -99,18 +91,11 @@ activeSimdBackend()
     return detail::resolveSimdBackend();
 }
 
-/** True iff the BMI2 (or higher) fast paths are selected. */
+/** True iff the PEXT/PDEP interleave paths are selected. */
 inline bool
 simdBmi2Active()
 {
     return activeSimdBackend() >= SimdBackend::kBmi2;
-}
-
-/** True iff the AVX2 fast paths are selected. */
-inline bool
-simdAvx2Active()
-{
-    return activeSimdBackend() >= SimdBackend::kAvx2;
 }
 
 namespace simd
@@ -128,9 +113,6 @@ uint64_t pextBmi2(uint64_t x, uint64_t mask);
 
 /** BMI2 PDEP: scatter the low bits of @p x to the @p mask positions. */
 uint64_t pdepBmi2(uint64_t x, uint64_t mask);
-
-/** AVX2 XOR fold of @p nwords 64-bit words (any alignment). */
-uint64_t xorFoldAvx2(const uint64_t *words, size_t nwords);
 
 } // namespace simd
 

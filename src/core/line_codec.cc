@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "common/cpu_features.hh"
 #include "ecc/interleaved_parity.hh"
 
 namespace tdc
@@ -29,16 +28,10 @@ LineCodec::LineCodec(const Code &code, const InterleaveMap &map)
 }
 
 bool
-LineCodec::fusedActive() const
-{
-    return fusedFoldBits != 0 && simdBmi2Active();
-}
-
-bool
 LineCodec::lineClean(const BitVector &row_bits) const
 {
     assert(row_bits.size() == map.rowBits());
-    if (fusedActive()) {
+    if (fusedFoldBits != 0) {
         // One pass over the packed row words. Bits past the row size
         // are zero (BitVector invariant), so partial top words fold
         // harmlessly.
@@ -60,14 +53,9 @@ LineCodec::lineClean(const BitVector &row_bits) const
         }
         // Narrow period: 64 is a multiple of p, so in-word bit
         // position mod p equals column mod p.
-        uint64_t acc;
-        if (nwords >= 4 && simdAvx2Active()) {
-            acc = simd::xorFoldAvx2(words, nwords);
-        } else {
-            acc = 0;
-            for (size_t w = 0; w < nwords; ++w)
-                acc ^= words[w];
-        }
+        uint64_t acc = 0;
+        for (size_t w = 0; w < nwords; ++w)
+            acc ^= words[w];
         for (size_t width = 64; width > fusedFoldBits; width /= 2)
             acc ^= acc >> (width / 2);
         if (fusedFoldBits < 64)
@@ -98,7 +86,7 @@ LineCodec::correctLine(BitVector &row_bits, bool &changed) const
 {
     assert(row_bits.size() == map.rowBits());
     changed = false;
-    if (fusedActive() && lineClean(row_bits))
+    if (fusedFoldBits != 0 && lineClean(row_bits))
         return true;
     for (size_t slot = 0; slot < map.degree(); ++slot) {
         map.extractWordInto(row_bits, slot, cwScratch);

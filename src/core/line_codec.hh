@@ -30,14 +30,11 @@ namespace tdc
  * c of the row lands in parity class c mod p of the period
  * p = degree * n, and the concatenation of all slots' syndromes is
  * exactly the whole row XOR-folded down to p bits. The fold is one
- * pass over the packed row words whenever p divides 64 (fold in-word,
- * vectorized on the AVX2 dispatch tier) or p is a multiple of 64
- * (fold row word i into lane i mod p/64); it replaces degree
- * extract+syndrome rounds, and correctLine returns at once on a line
- * it finds clean. Other periods (e.g. edc8/i3, p = 24) keep the
- * per-slot loop. The fused path is engaged on the accelerated
- * dispatch tiers only; the scalar tier keeps the per-slot reference
- * loop (identical verdicts, so outputs never depend on TDC_SIMD).
+ * pass over the packed row words whenever p divides 64 (fold in-word)
+ * or p is a multiple of 64 (fold row word i into lane i mod p/64); it
+ * replaces degree extract+syndrome rounds, and correctLine returns at
+ * once on a line it finds clean. Other periods (e.g. edc8/i3,
+ * p = 24) keep the per-slot loop.
  *
  * Holds references to the code and map; both must outlive the codec.
  */
@@ -74,9 +71,6 @@ class LineCodec
   private:
     const Code &code;
     const InterleaveMap &map;
-
-    /** fusedCheck() on an accelerated dispatch tier: lineClean folds. */
-    bool fusedActive() const;
 
     /**
      * Fold period p = degree * checkBits when the fused EDC clean

@@ -1,5 +1,6 @@
 #include "driver/tdc_run.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdarg>
@@ -316,6 +317,31 @@ parseCount(const std::string &flag, const std::string &value, double max)
 }
 
 /**
+ * Refuse a malformed TDC_SIMD or TDC_THREADS. Falling back to the
+ * default instead would run a configuration the caller did not ask
+ * for, e.g. a CI leg whose variable has a typo.
+ */
+void
+checkEnvironment()
+{
+    const char *simd = std::getenv("TDC_SIMD");
+    if (simd != nullptr && !parseSimdBackend(simd))
+        usageError(std::string("TDC_SIMD expects scalar|bmi2, got \"") +
+                   simd + "\"");
+    if (const char *env = std::getenv("TDC_THREADS")) {
+        const std::string threads = env;
+        const bool whole =
+            !threads.empty() && threads.size() <= 3 &&
+            std::all_of(threads.begin(), threads.end(),
+                        [](unsigned char c) { return std::isdigit(c); });
+        const int n = whole ? std::stoi(threads) : 0;
+        if (n < 1 || n > 256)
+            usageError("TDC_THREADS expects a whole number in [1, 256], "
+                       "got \"" + threads + "\"");
+    }
+}
+
+/**
  * Parse a plain non-negative integer (0 allowed — "disabled") at full
  * uint64 precision. strtoull would skip leading space and wrap a
  * leading '-', so the token must start with a digit.
@@ -507,6 +533,7 @@ tdcRun(const std::vector<std::string> &args, std::string &out,
     CliOptions opt;
     try {
         opt = parseCli(args);
+        checkEnvironment();
     } catch (const std::invalid_argument &e) {
         err += std::string("tdc_run: ") + e.what() + "\n";
         return 2;
@@ -534,7 +561,6 @@ tdcRun(const std::vector<std::string> &args, std::string &out,
         const CpuFeatures &f = cpuFeatures();
         Table features({"feature", "present"});
         features.addRow({"bmi2", f.bmi2 ? "yes" : "no"});
-        features.addRow({"avx2", f.avx2 ? "yes" : "no"});
         ctx.table(features, "cpu features");
         const std::optional<SimdBackend> requested = requestedSimdBackend();
         Table backend({"dispatch", "backend"});

@@ -5,8 +5,6 @@
 #include <cassert>
 #include <set>
 
-#include "common/cpu_features.hh"
-
 namespace tdc
 {
 
@@ -524,14 +522,9 @@ BchCode::locateErrors(const uint32_t *loc, size_t deg_l,
     // (order - i) to each term's exponent — no Horner pass, no
     // modular arithmetic beyond a wrap subtraction. Every root found
     // is deflated out of the locator (synthetic division), shrinking
-    // the term count, until the closed forms take over. The quartic
-    // closed form belongs to the accelerated dispatch tiers; the
-    // scalar tier stops at the cubic, reproducing the reference
-    // decoder exactly (same roots either way — only the work to find
-    // them differs).
-    const size_t closedMax = simdBmi2Active() ? 4 : 3;
+    // the term count, until the quartic closed form takes over.
     size_t p = 0;
-    while (deg > closedMax) {
+    while (deg > 4) {
         uint32_t exps[kBmLen];
         uint32_t steps[kBmLen];
         size_t terms = 0;

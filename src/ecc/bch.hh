@@ -56,9 +56,8 @@ class BchCode : public Code
      * Table-driven decode engine: odd syndromes from per-byte
      * contribution tables (even ones by Frobenius squaring),
      * inversion-free Berlekamp-Massey on fixed stack buffers, and
-     * error location by closed-form solvers for locator degrees 1-3
-     * (degree 4 too on the accelerated dispatch tiers, see
-     * locateErrors) with a log-domain incremental Chien sweep
+     * error location by closed-form solvers for locator degrees 1-4
+     * (see locateErrors) with a log-domain incremental Chien sweep
      * (bounded to the shortened length n, early exit at deg(locator)
      * roots) above that. Bit-exact against decodeNaive by
      * construction and by the differential test suite.
@@ -131,14 +130,11 @@ class BchCode : public Code
 
     /**
      * Error positions (polynomial coefficient indices, ascending) of
-     * the locator's roots. Low degrees go straight to closed-form
-     * solvers — 1-3 on the scalar tier, 1-4 on the accelerated
-     * dispatch tiers (common/cpu_features.hh); higher degrees run
-     * the log-domain incremental Chien sweep over p in [0, n),
-     * deflating the locator at every root until the closed forms
-     * take over. The root set (hence the decode outcome) is backend
-     * independent; only the search work differs. False on degree/
-     * root-count mismatch or any root outside the shortened length.
+     * the locator's roots. Degrees 1-4 go straight to closed-form
+     * solvers; higher degrees run the log-domain incremental Chien
+     * sweep over p in [0, n), deflating the locator at every root
+     * until the closed forms take over. False on degree/root-count
+     * mismatch or any root outside the shortened length.
      */
     bool locateErrors(const uint32_t *loc, size_t deg_l,
                       std::vector<size_t> &positions) const;

@@ -4,8 +4,6 @@
 #include <bit>
 #include <cassert>
 
-#include "common/cpu_features.hh"
-
 namespace tdc
 {
 
@@ -98,17 +96,6 @@ HsiaoSecDedCode::HsiaoSecDedCode(size_t data_bits)
 uint64_t
 HsiaoSecDedCode::foldBytes(const uint64_t *words, size_t nbytes) const
 {
-    uint64_t syn = 0;
-    for (size_t i = 0; i < nbytes; ++i)
-        syn ^= byteSyndromes[i * 256 + ((words[i / 8] >> (8 * (i % 8))) &
-                                        0xFF)];
-    return syn;
-}
-
-uint64_t
-HsiaoSecDedCode::foldBytesUnrolled(const uint64_t *words,
-                                   size_t nbytes) const
-{
     const uint64_t *tbl = byteSyndromes.data();
     uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
     size_t i = 0;
@@ -130,13 +117,6 @@ HsiaoSecDedCode::foldBytesUnrolled(const uint64_t *words,
 }
 
 uint64_t
-HsiaoSecDedCode::fold(const uint64_t *words, size_t nbytes) const
-{
-    return simdBmi2Active() ? foldBytesUnrolled(words, nbytes)
-                            : foldBytes(words, nbytes);
-}
-
-uint64_t
 HsiaoSecDedCode::foldRowMasks(const uint64_t *words, size_t nwords) const
 {
     uint64_t acc = 0;
@@ -154,7 +134,7 @@ HsiaoSecDedCode::computeCheck(const BitVector &data) const
 {
     assert(data.size() == k);
     if (!byteSyndromes.empty())
-        return BitVector(r, fold(data.wordData(), k / 8));
+        return BitVector(r, foldBytes(data.wordData(), k / 8));
 
     // Fallback: check[row] = parity(data & rowMask_row). The row masks
     // span all n bits, but the check columns are unit vectors, so over
@@ -170,7 +150,7 @@ HsiaoSecDedCode::syndromeClean(const BitVector &codeword) const
     assert(codeword.size() == k + r);
     const uint64_t *words = codeword.wordData();
     if (!byteSyndromes.empty())
-        return fold(words, (k + r + 7) / 8) == 0;
+        return foldBytes(words, (k + r + 7) / 8) == 0;
     return foldRowMasks(words, maskWords) == 0;
 }
 
@@ -183,7 +163,7 @@ HsiaoSecDedCode::decode(const BitVector &codeword) const
 
     const uint64_t *words = codeword.wordData();
     const uint64_t syndrome = !byteSyndromes.empty()
-                                  ? fold(words, (k + r + 7) / 8)
+                                  ? foldBytes(words, (k + r + 7) / 8)
                                   : foldRowMasks(words, maskWords);
 
     if (syndrome == 0) {

@@ -67,20 +67,14 @@ class HsiaoSecDedCode : public Code
         return rowMasks[row * maskWords + w];
     }
 
-    /** Syndrome of the first @p nbytes bytes of @p words via the
-     *  per-byte table. @pre !byteSyndromes.empty() */
-    uint64_t foldBytes(const uint64_t *words, size_t nbytes) const;
-
     /**
-     * The accelerated-tier form of foldBytes: one whole 64-bit word
-     * (8 table lookups) per iteration, spread over four independent
-     * accumulators so the XOR reduction pipelines instead of forming
-     * one serial dependency chain. Bit-identical to foldBytes.
+     * Syndrome of the first @p nbytes bytes of @p words via the
+     * per-byte table: one whole 64-bit word (8 table lookups) per
+     * iteration, spread over four independent accumulators so the XOR
+     * reduction pipelines instead of forming one serial dependency
+     * chain. @pre !byteSyndromes.empty()
      */
-    uint64_t foldBytesUnrolled(const uint64_t *words, size_t nbytes) const;
-
-    /** Dispatch between foldBytes and foldBytesUnrolled. */
-    uint64_t fold(const uint64_t *words, size_t nbytes) const;
+    uint64_t foldBytes(const uint64_t *words, size_t nbytes) const;
 
     /** Syndrome via the rowMasks fallback (k not byte-aligned). */
     uint64_t foldRowMasks(const uint64_t *words, size_t nwords) const;

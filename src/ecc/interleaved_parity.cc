@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "common/cpu_features.hh"
-
 namespace tdc
 {
 
@@ -20,17 +18,11 @@ InterleavedParityCode::foldClasses(const uint64_t *words, size_t nbits) const
 {
     // Bit p of word w belongs to class (64w + p) mod n = p mod n when
     // n divides 64, so the words can be XOR-folded together first and
-    // the 64-bit accumulator halved down to n bits afterwards. The
-    // word fold vectorizes on the AVX2 tier once the operand is wide
-    // enough to fill a 256-bit lane (the L2 geometries).
+    // the 64-bit accumulator halved down to n bits afterwards.
     uint64_t acc = 0;
     const size_t full = nbits / 64;
-    if (full >= 4 && simdAvx2Active()) {
-        acc = simd::xorFoldAvx2(words, full);
-    } else {
-        for (size_t w = 0; w < full; ++w)
-            acc ^= words[w];
-    }
+    for (size_t w = 0; w < full; ++w)
+        acc ^= words[w];
     const size_t rem = nbits % 64;
     if (rem != 0)
         acc ^= words[full] & ((uint64_t(1) << rem) - 1);
@@ -77,11 +69,8 @@ InterleavedParityCode::syndrome(const BitVector &codeword) const
 bool
 InterleavedParityCode::syndromeClean(const BitVector &codeword) const
 {
-    // The allocation-free predicate is an accelerated-tier upgrade;
-    // the scalar tier keeps the reference decode path so the two can
-    // be differential-tested (and benchmarked) against each other.
     assert(codeword.size() == codewordBits());
-    if (wordParallel && simdBmi2Active())
+    if (wordParallel)
         return syndromeBits(codeword) == 0;
     return Code::syndromeClean(codeword);
 }

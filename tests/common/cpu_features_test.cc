@@ -44,8 +44,7 @@ refPdep(uint64_t x, uint64_t mask)
 
 TEST(CpuFeatures, BackendNamesRoundTripThroughParse)
 {
-    for (SimdBackend b :
-         {SimdBackend::kScalar, SimdBackend::kBmi2, SimdBackend::kAvx2}) {
+    for (SimdBackend b : {SimdBackend::kScalar, SimdBackend::kBmi2}) {
         const auto parsed = parseSimdBackend(simdBackendName(b));
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(*parsed, b);
@@ -53,22 +52,15 @@ TEST(CpuFeatures, BackendNamesRoundTripThroughParse)
     EXPECT_FALSE(parseSimdBackend("").has_value());
     EXPECT_FALSE(parseSimdBackend("sse2").has_value());
     EXPECT_FALSE(parseSimdBackend("BMI2").has_value());
+    // The retired AVX2 tier is no longer a backend name.
+    EXPECT_FALSE(parseSimdBackend("avx2").has_value());
 }
 
 TEST(CpuFeatures, BestBackendIsConsistentWithProbedFeatures)
 {
     const CpuFeatures &f = cpuFeatures();
     const SimdBackend best = bestSimdBackend();
-    if (best >= SimdBackend::kBmi2) {
-        EXPECT_TRUE(f.bmi2);
-    }
-    if (best >= SimdBackend::kAvx2) {
-        EXPECT_TRUE(f.avx2);
-    }
-    // The tiers are cumulative: avx2 without bmi2 must not be offered.
-    if (!f.bmi2) {
-        EXPECT_EQ(best, SimdBackend::kScalar);
-    }
+    EXPECT_EQ(best, f.bmi2 ? SimdBackend::kBmi2 : SimdBackend::kScalar);
 }
 
 TEST(CpuFeatures, SetBackendClampsToTheSupportedTier)
@@ -79,11 +71,10 @@ TEST(CpuFeatures, SetBackendClampsToTheSupportedTier)
     EXPECT_EQ(setSimdBackend(SimdBackend::kScalar), SimdBackend::kScalar);
     EXPECT_EQ(activeSimdBackend(), SimdBackend::kScalar);
     EXPECT_FALSE(simdBmi2Active());
-    EXPECT_FALSE(simdAvx2Active());
 
     // An over-ambitious request lands on the best supported tier, never
     // above it.
-    EXPECT_EQ(setSimdBackend(SimdBackend::kAvx2), best);
+    EXPECT_EQ(setSimdBackend(SimdBackend::kBmi2), best);
     EXPECT_LE(int(activeSimdBackend()), int(best));
 
     setSimdBackend(before);
@@ -127,23 +118,6 @@ TEST(CpuFeatures, PextPdepKernelsMatchSoftwareReference)
         const uint64_t x = 0xDEADBEEFCAFEF00DULL;
         EXPECT_EQ(simd::pextBmi2(x, mask), refPext(x, mask));
         EXPECT_EQ(simd::pdepBmi2(x, mask), refPdep(x, mask));
-    }
-}
-
-TEST(CpuFeatures, XorFoldKernelMatchesScalarLoop)
-{
-    if (!cpuFeatures().avx2)
-        GTEST_SKIP() << "no AVX2 on this machine";
-    Rng rng(11);
-    for (size_t nwords = 0; nwords <= 40; ++nwords) {
-        std::vector<uint64_t> words(nwords);
-        for (uint64_t &w : words)
-            w = rng.next();
-        uint64_t ref = 0;
-        for (uint64_t w : words)
-            ref ^= w;
-        EXPECT_EQ(simd::xorFoldAvx2(words.data(), nwords), ref)
-            << "nwords=" << nwords;
     }
 }
 

@@ -27,8 +27,6 @@ availableBackends()
     std::vector<SimdBackend> out = {SimdBackend::kScalar};
     if (bestSimdBackend() >= SimdBackend::kBmi2)
         out.push_back(SimdBackend::kBmi2);
-    if (bestSimdBackend() >= SimdBackend::kAvx2)
-        out.push_back(SimdBackend::kAvx2);
     return out;
 }
 

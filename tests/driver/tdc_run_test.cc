@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 
 #include "common/cpu_features.hh"
 #include "common/parallel.hh"
@@ -364,7 +366,7 @@ TEST(TdcRun, CpuFlagReportsFeaturesAndBackendAndExitsZero)
 {
     const std::string out = runOk({"--cpu"});
     EXPECT_NE(out.find("bmi2"), std::string::npos);
-    EXPECT_NE(out.find("avx2"), std::string::npos);
+    EXPECT_EQ(out.find("avx2"), std::string::npos); // retired tier
     EXPECT_NE(out.find("best supported"), std::string::npos);
     EXPECT_NE(out.find("active"), std::string::npos);
     // The active row always names a valid backend.
@@ -381,6 +383,60 @@ TEST(TdcRun, CpuFlagReportsFeaturesAndBackendAndExitsZero)
     std::string o, e;
     EXPECT_EQ(tdcRun({"--cpus"}, o, e), 2);
     EXPECT_NE(e.find("\"--cpus\""), std::string::npos);
+}
+
+/** Sets an environment variable for one scope, then restores it. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name(name)
+    {
+        if (const char *old = std::getenv(name))
+            previous = old;
+        setenv(name, value, 1);
+    }
+    ~ScopedEnv()
+    {
+        if (previous)
+            setenv(name, previous->c_str(), 1);
+        else
+            unsetenv(name);
+    }
+
+  private:
+    const char *name;
+    std::optional<std::string> previous;
+};
+
+TEST(TdcRun, MalformedEnvironmentExitsTwoWithQuotedValue)
+{
+    // A typo must not silently run the default configuration.
+    for (const char *bad : {"scaler", "avx2", ""}) {
+        ScopedEnv env("TDC_SIMD", bad);
+        std::string out, err;
+        EXPECT_EQ(tdcRun({"--cpu"}, out, err), 2) << bad;
+        EXPECT_NE(err.find("TDC_SIMD"), std::string::npos) << err;
+        EXPECT_NE(err.find("\"" + std::string(bad) + "\""),
+                  std::string::npos)
+            << err;
+        EXPECT_TRUE(out.empty());
+    }
+    for (const char *bad : {"abc", "0", "4x", "257", "-1", " 4", "1e2", ""}) {
+        ScopedEnv env("TDC_THREADS", bad);
+        std::string out, err;
+        EXPECT_EQ(tdcRun({"--figure", "table1"}, out, err), 2) << bad;
+        EXPECT_NE(err.find("TDC_THREADS"), std::string::npos) << err;
+        EXPECT_NE(err.find("\"" + std::string(bad) + "\""),
+                  std::string::npos)
+            << err;
+        EXPECT_TRUE(out.empty());
+    }
+
+    ScopedEnv simd("TDC_SIMD", "scalar");
+    ScopedEnv threads("TDC_THREADS", "256");
+    EXPECT_NE(runOk({"--cpu", "--format", "csv"})
+                  .find("TDC_SIMD request,scalar"),
+              std::string::npos);
 }
 
 TEST(TdcRun, CampaignOutputIsBackendInvariant)
@@ -401,15 +457,10 @@ TEST(TdcRun, CampaignOutputIsBackendInvariant)
         setParallelThreads(1);
         ref = runOk(args);
     }
-    for (SimdBackend b : {SimdBackend::kBmi2, SimdBackend::kAvx2}) {
-        if (b > bestSimdBackend())
-            continue;
-        ScopedSimdBackend backend(b);
-        for (unsigned threads : {1u, 8u}) {
-            setParallelThreads(threads);
-            EXPECT_EQ(runOk(args), ref)
-                << simdBackendName(b) << " threads=" << threads;
-        }
+    ScopedSimdBackend backend(SimdBackend::kBmi2); // clamped to the CPU
+    for (unsigned threads : {1u, 8u}) {
+        setParallelThreads(threads);
+        EXPECT_EQ(runOk(args), ref) << "threads=" << threads;
     }
 }
 
@@ -425,15 +476,10 @@ TEST(TdcRun, ServeOutputIsBackendInvariant)
         setParallelThreads(1);
         ref = runOk(args);
     }
-    for (SimdBackend b : {SimdBackend::kBmi2, SimdBackend::kAvx2}) {
-        if (b > bestSimdBackend())
-            continue;
-        ScopedSimdBackend backend(b);
-        for (unsigned threads : {1u, 8u}) {
-            setParallelThreads(threads);
-            EXPECT_EQ(runOk(args), ref)
-                << simdBackendName(b) << " threads=" << threads;
-        }
+    ScopedSimdBackend backend(SimdBackend::kBmi2); // clamped to the CPU
+    for (unsigned threads : {1u, 8u}) {
+        setParallelThreads(threads);
+        EXPECT_EQ(runOk(args), ref) << "threads=" << threads;
     }
 }
 

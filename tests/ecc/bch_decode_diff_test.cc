@@ -45,6 +45,7 @@ expectSameDecode(const BchCode &code, const BitVector &cw,
     ASSERT_EQ(int(fast.status), int(naive.status)) << what;
     ASSERT_EQ(fast.data, naive.data) << what;
     ASSERT_EQ(fast.correctedPositions, naive.correctedPositions) << what;
+    ASSERT_EQ(code.syndromeClean(cw), naive.clean()) << what;
 }
 
 struct BchParam
@@ -160,7 +161,9 @@ TEST(BchDecodeDiff, ExtendedCodeStillCorrectsAndDetects)
     for (int trial = 0; trial < 50; ++trial) {
         BitVector data(64, rng.next());
         BitVector cw = code.encode(data);
+        ASSERT_TRUE(code.syndromeClean(cw));
         injectRandom(cw, 8, rng);
+        ASSERT_FALSE(code.syndromeClean(cw));
         const DecodeResult res = code.decode(cw);
         ASSERT_TRUE(res.corrected());
         ASSERT_EQ(res.data, data);
@@ -169,6 +172,7 @@ TEST(BchDecodeDiff, ExtendedCodeStillCorrectsAndDetects)
         BitVector data(64, rng.next());
         BitVector cw = code.encode(data);
         injectRandom(cw, 9, rng);
+        EXPECT_FALSE(code.syndromeClean(cw));
         EXPECT_TRUE(code.decode(cw).uncorrectable());
     }
 }

@@ -1,8 +1,9 @@
 /**
  * @file
  * Differential tests pinning the word-parallel codec paths (table-
- * driven Hsiao, folded EDC parity, byte-table BCH division) against
- * naive bit-loop references kept here as oracles.
+ * driven Hsiao, folded EDC parity and its one-pass clean check,
+ * byte-table BCH division) against naive bit-loop references kept
+ * here as oracles.
  */
 
 #include <gtest/gtest.h>
@@ -117,6 +118,25 @@ TEST_P(HsiaoDiffTest, EveryDoubleBitErrorIsDetected)
     }
 }
 
+TEST_P(HsiaoDiffTest, SyndromeCleanMatchesNaiveColumnXor)
+{
+    // The byte-table fold over whole codewords (clean, corrected and
+    // detected patterns) against the column XOR of every set bit.
+    const size_t k = GetParam();
+    HsiaoSecDedCode code(k);
+    const auto cols = hsiaoColumnsRef(k, code.checkBits());
+    Rng rng(650 + k);
+    for (int trial = 0; trial < 200; ++trial) {
+        BitVector cw = code.encode(randomVector(rng, k));
+        for (size_t f = rng.nextBelow(4); f > 0; --f)
+            cw.flip(size_t(rng.nextBelow(cw.size())));
+        const bool clean =
+            hsiaoCheckRef(cols, code.checkBits(), cw).none();
+        ASSERT_EQ(code.syndromeClean(cw), clean) << "trial " << trial;
+        ASSERT_EQ(code.decode(cw).clean(), clean) << "trial " << trial;
+    }
+}
+
 // k = 12 is deliberately not byte-aligned: it exercises the rowMask
 // fallback instead of the byte-syndrome table.
 INSTANTIATE_TEST_SUITE_P(Widths, HsiaoDiffTest,
@@ -176,6 +196,26 @@ TEST_P(EdcDiffTest, SyndromeFlagsExactlyTheFlippedClasses)
         const size_t cls = i < k ? i % n : i - k;
         ASSERT_TRUE(syn.get(cls)) << "position " << i;
         ASSERT_TRUE(code.decode(bad).uncorrectable()) << "position " << i;
+    }
+}
+
+TEST_P(EdcDiffTest, SyndromeCleanMatchesNaiveClassParity)
+{
+    // Multi-bit patterns, including ones whose flips cancel within a
+    // class: the one-pass clean check, the full syndrome and decode
+    // must all agree with the recomputed class parity.
+    const auto [k, n] = GetParam();
+    InterleavedParityCode code(k, n);
+    Rng rng(950 + k * 7 + n);
+    for (int trial = 0; trial < 200; ++trial) {
+        BitVector cw = code.encode(randomVector(rng, k));
+        for (size_t f = rng.nextBelow(5); f > 0; --f)
+            cw.flip(size_t(rng.nextBelow(cw.size())));
+        const bool clean =
+            edcCheckRef(n, cw.slice(0, k)) == cw.slice(k, n);
+        ASSERT_EQ(code.syndromeClean(cw), clean) << "trial " << trial;
+        ASSERT_EQ(code.syndrome(cw).none(), clean) << "trial " << trial;
+        ASSERT_EQ(code.decode(cw).clean(), clean) << "trial " << trial;
     }
 }
 

@@ -34,10 +34,8 @@ TEST(InterleaveI3, ConvSpecRoundTripsAndRecoversOnEveryBackend)
     // class pair — SECDED corrects it.
     EXPECT_EQ(ref.corrected, 25);
 
-    for (SimdBackend b : {SimdBackend::kBmi2, SimdBackend::kAvx2}) {
-        if (b > bestSimdBackend())
-            continue;
-        ScopedSimdBackend guard(b);
+    if (bestSimdBackend() >= SimdBackend::kBmi2) {
+        ScopedSimdBackend guard(SimdBackend::kBmi2);
         const InjectionOutcome got = scheme->injectAndRecover(fault, 25, 7);
         EXPECT_EQ(got.trials, ref.trials);
         EXPECT_EQ(got.corrected, ref.corrected);
@@ -60,10 +58,8 @@ TEST(InterleaveI3, TwoDimSpecRoundTripsAndRecovers)
     EXPECT_EQ(ref.trials, 25);
     EXPECT_EQ(ref.silent, 0);
 
-    for (SimdBackend b : {SimdBackend::kBmi2, SimdBackend::kAvx2}) {
-        if (b > bestSimdBackend())
-            continue;
-        ScopedSimdBackend guard(b);
+    if (bestSimdBackend() >= SimdBackend::kBmi2) {
+        ScopedSimdBackend guard(SimdBackend::kBmi2);
         const InjectionOutcome got = scheme->injectAndRecover(fault, 25, 11);
         EXPECT_EQ(got.corrected, ref.corrected);
         EXPECT_EQ(got.detectedOnly, ref.detectedOnly);
