@@ -17,6 +17,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -227,4 +229,21 @@ BENCHMARK(BM_BchDecodeDirty)->DenseRange(0, 1);
 
 } // namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    // Read TDC_SIMD before any series runs: a value that names no
+    // backend is refused rather than labelled with the tier that ran.
+    try {
+        requestedSimdBackend();
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "bench_simd_codec: %s\n", e.what());
+        return 2;
+    }
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

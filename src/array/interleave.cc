@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace tdc
 {
@@ -10,18 +12,19 @@ InterleaveMap::InterleaveMap(size_t word_bits, size_t degree)
     : wordWidth(word_bits), intvDegree(degree)
 {
     assert(wordWidth > 0);
-    assert(intvDegree > 0);
-    if (intvDegree <= 64) {
-        // One plan per in-word phase. For degrees dividing 64 every
-        // row word uses phase == slot; for the others the phase walks
-        // by phaseStep per word, and the cache holds all of them (at
-        // most degree plans, shared by every slot).
-        const uint64_t base = strideMask64(intvDegree);
-        plans.reserve(intvDegree);
-        for (size_t p = 0; p < intvDegree; ++p)
-            plans.emplace_back(base << p);
-        phaseStep = (intvDegree - 64 % intvDegree) % intvDegree;
-    }
+    if (intvDegree == 0 || intvDegree > 64)
+        throw std::invalid_argument(
+            "interleave degree must be in [1, 64], got " +
+            std::to_string(intvDegree));
+    // One plan per in-word phase. For degrees dividing 64 every row
+    // word uses phase == slot; for the others the phase walks by
+    // phaseStep per word, and the cache holds all of them (at most
+    // degree plans, shared by every slot).
+    const uint64_t base = strideMask64(intvDegree);
+    plans.reserve(intvDegree);
+    for (size_t p = 0; p < intvDegree; ++p)
+        plans.emplace_back(base << p);
+    phaseStep = (intvDegree - 64 % intvDegree) % intvDegree;
 }
 
 size_t
@@ -48,11 +51,6 @@ InterleaveMap::extractWordInto(ConstBitSpan row, size_t slot,
     assert(slot < intvDegree);
     if (word.size() != wordWidth)
         word = BitVector(wordWidth);
-
-    if (plans.empty()) {
-        extractWordSlow(row, slot, word);
-        return;
-    }
 
     // Word-parallel gather: row word i holds columns [i*64, i*64+64);
     // the ones belonging to this slot sit at in-word positions
@@ -101,11 +99,6 @@ InterleaveMap::depositWord(BitVector &row, size_t slot,
     assert(word.size() == wordWidth);
     assert(slot < intvDegree);
 
-    if (plans.empty()) {
-        depositWordSlow(row, slot, word);
-        return;
-    }
-
     // Word-parallel scatter: the inverse of extractWordInto. For each
     // row word, expand the next chunk of codeword bits onto the
     // phase's positions and splice it in under the same mask.
@@ -144,22 +137,6 @@ InterleaveMap::depositWord(BitVector &row, size_t slot,
             phase -= intvDegree;
     }
     assert(srcPos == wordWidth);
-}
-
-void
-InterleaveMap::extractWordSlow(ConstBitSpan row, size_t slot,
-                               BitVector &word) const
-{
-    for (size_t b = 0; b < wordWidth; ++b)
-        word.set(b, row.get(physicalColumn(slot, b)));
-}
-
-void
-InterleaveMap::depositWordSlow(BitVector &row, size_t slot,
-                               const BitVector &word) const
-{
-    for (size_t b = 0; b < wordWidth; ++b)
-        row.set(physicalColumn(slot, b), word.get(b));
 }
 
 } // namespace tdc

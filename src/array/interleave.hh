@@ -26,16 +26,16 @@ namespace tdc
  * contiguous multi-bit upset into <= degree separate small errors,
  * one per codeword.
  *
- * Gather/scatter is word-parallel for every degree up to 64: within a
+ * Gather/scatter is word-parallel at every degree in [1, 64] (the
+ * range the scheme grammar's /i admits; others are refused): within a
  * 64-bit row word the columns of one slot are the positions congruent
- * to a fixed phase (mod degree), so each (phase) gets a precomputed
+ * to a fixed phase (mod degree), so each phase gets a precomputed
  * PEXT-style compress plan (BitCompressPlan — a single hardware PEXT/
  * PDEP on BMI2 machines). When the degree divides 64 the phase is the
  * slot index in every word (the classic stride case); otherwise the
  * phase walks by 64 mod degree per word and the per-phase plan cache
  * covers all of them, so non-dividing degrees (e.g. i3) run the same
- * word-parallel path instead of a per-bit loop. Degrees above 64 keep
- * the per-bit fallback.
+ * path.
  */
 class InterleaveMap
 {
@@ -43,6 +43,7 @@ class InterleaveMap
     /**
      * @param word_bits codeword width (data + check bits)
      * @param degree interleave factor (1 = no interleaving)
+     * @throws std::invalid_argument unless degree is in [1, 64]
      */
     InterleaveMap(size_t word_bits, size_t degree);
 
@@ -82,9 +83,6 @@ class InterleaveMap
     void depositWord(BitVector &row, size_t slot,
                      const BitVector &word) const;
 
-    /** True iff the word-parallel gather/scatter path is active. */
-    bool wordParallel() const { return !plans.empty(); }
-
     /**
      * Maximum physically-contiguous error width (in columns) whose
      * per-word footprint stays within @p per_word_bits contiguous
@@ -97,21 +95,12 @@ class InterleaveMap
     }
 
   private:
-    /** Per-bit gather, the degree > 64 fallback. */
-    void extractWordSlow(ConstBitSpan row, size_t slot,
-                         BitVector &word) const;
-
-    /** Per-bit scatter, the degree > 64 fallback. */
-    void depositWordSlow(BitVector &row, size_t slot,
-                         const BitVector &word) const;
-
     size_t wordWidth;
     size_t intvDegree;
 
     /**
      * Plan cache, one compress/expand plan per in-word phase: plans[p]
-     * selects word positions congruent to p (mod degree). Empty iff
-     * degree > 64 (per-bit fallback).
+     * selects word positions congruent to p (mod degree).
      */
     std::vector<BitCompressPlan> plans;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define TDC_X86 1
@@ -82,7 +83,10 @@ requestedSimdBackend()
     const char *env = std::getenv("TDC_SIMD");
     if (env == nullptr)
         return std::nullopt;
-    return parseSimdBackend(env);
+    if (const std::optional<SimdBackend> backend = parseSimdBackend(env))
+        return backend;
+    throw std::invalid_argument(
+        std::string("TDC_SIMD expects scalar|bmi2, got \"") + env + "\"");
 }
 
 SimdBackend

@@ -57,7 +57,9 @@ SimdBackend bestSimdBackend();
 
 /**
  * The backend requested via TDC_SIMD, before clamping; std::nullopt
- * when the variable is unset or unrecognized (auto-dispatch).
+ * when the variable is unset (auto-dispatch).
+ * @throws std::invalid_argument (quoting the value) unless it names a
+ *         backend
  */
 std::optional<SimdBackend> requestedSimdBackend();
 
@@ -77,8 +79,8 @@ SimdBackend resolveSimdBackend();
 } // namespace detail
 
 /**
- * The backend in effect: TDC_SIMD when set to a valid name (clamped
- * to bestSimdBackend()), otherwise the best supported tier. Resolved
+ * The backend in effect: TDC_SIMD when set (clamped to
+ * bestSimdBackend()), otherwise the best supported tier. Resolved
  * once, then a relaxed atomic load — cheap enough for per-call
  * dispatch in the word-level kernels.
  */

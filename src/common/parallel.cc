@@ -1,9 +1,13 @@
 #include "common/parallel.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,11 +24,8 @@ thread_local bool inWorker = false;
 unsigned
 defaultThreads()
 {
-    if (const char *env = std::getenv("TDC_THREADS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n >= 1)
-            return unsigned(n);
-    }
+    if (const std::optional<unsigned> n = requestedThreads())
+        return *n;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
 }
@@ -186,6 +187,25 @@ class WorkerPool
 };
 
 } // namespace
+
+std::optional<unsigned>
+requestedThreads()
+{
+    const char *env = std::getenv("TDC_THREADS");
+    if (env == nullptr)
+        return std::nullopt;
+    const std::string value = env;
+    const bool whole =
+        !value.empty() && value.size() <= 3 &&
+        std::all_of(value.begin(), value.end(),
+                    [](unsigned char c) { return std::isdigit(c); });
+    const int n = whole ? std::stoi(value) : 0;
+    if (n < 1 || n > 256)
+        throw std::invalid_argument(
+            "TDC_THREADS expects a whole number in [1, 256], got \"" +
+            value + "\"");
+    return unsigned(n);
+}
 
 unsigned
 parallelThreads()

@@ -16,14 +16,23 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 
 namespace tdc
 {
 
 /**
+ * The worker count the TDC_THREADS environment variable requests;
+ * std::nullopt when it is unset.
+ * @throws std::invalid_argument (quoting the value) unless it is a
+ *         whole number in [1, 256]
+ */
+std::optional<unsigned> requestedThreads();
+
+/**
  * Worker threads parallelFor may use, including the calling thread.
- * Defaults to the TDC_THREADS environment variable when set (clamped
- * to >= 1), else the hardware concurrency.
+ * Defaults to requestedThreads() when TDC_THREADS is set, else the
+ * hardware concurrency.
  */
 unsigned parallelThreads();
 

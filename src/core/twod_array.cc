@@ -208,8 +208,13 @@ TwoDimArray::recoverViaColumns(RecoveryReport &report)
     // columns are flipped. The horizontal syndrome identifies the
     // faulty parity classes within each word; if exactly one suspect
     // column of that word falls in a flagged class, it is the culprit.
+    // Single parity (EDC1) is left out: a 2D bank with a parity
+    // horizontal code recovers by row reconstruction only
+    // (ServiceGoldenPins.ParityHorizontalBank pins its outcomes).
     const auto *edc =
-        dynamic_cast<const InterleavedParityCode *>(horizontal.get());
+        horizontal->checkBits() > 1
+            ? dynamic_cast<const InterleavedParityCode *>(horizontal.get())
+            : nullptr;
 
     for (size_t row = 0; row < rows(); ++row) {
         const BitVector row_bits = data.readRow(row);

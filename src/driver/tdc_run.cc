@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -301,44 +302,44 @@ usageError(const std::string &what)
     throw std::invalid_argument(what);
 }
 
-/** Parse a positive count that may use scientific notation ("1e5"). */
+/**
+ * Parse a number in [@p lo, @p hi] that may use scientific notation
+ * ("1e5"). A @p whole number also refuses a fraction, the rule the
+ * request grammar's counts follow.
+ */
 double
-parseCount(const std::string &flag, const std::string &value, double max)
+parseNumber(const std::string &flag, const std::string &value, double lo,
+            double hi, bool whole)
 {
     char *end = nullptr;
     const double v = std::strtod(value.c_str(), &end);
     // Written so that NaN fails the range test too.
     if (value.empty() || end != value.c_str() + value.size() ||
-        !(v >= 1.0 && v <= max))
-        usageError(flag + " expects a count in [1, " +
-                   std::to_string(size_t(max)) + "], got \"" + value +
+        !(v >= lo && v <= hi) || (whole && v != std::floor(v)))
+        usageError(flag + " expects a " + (whole ? "whole " : "") +
+                   "number in [" + std::to_string(uint64_t(lo)) + ", " +
+                   std::to_string(uint64_t(hi)) + "], got \"" + value +
                    "\"");
     return v;
 }
 
+/** Parse a whole count in [1, @p max] ("1e5" allowed, "2.5" refused). */
+double
+parseCount(const std::string &flag, const std::string &value, double max)
+{
+    return parseNumber(flag, value, 1.0, max, true);
+}
+
 /**
- * Refuse a malformed TDC_SIMD or TDC_THREADS. Falling back to the
- * default instead would run a configuration the caller did not ask
- * for, e.g. a CI leg whose variable has a typo.
+ * Refuse a malformed TDC_SIMD or TDC_THREADS: their readers throw.
+ * Falling back to the default instead would run a configuration the
+ * caller did not ask for, e.g. a CI leg whose variable has a typo.
  */
 void
 checkEnvironment()
 {
-    const char *simd = std::getenv("TDC_SIMD");
-    if (simd != nullptr && !parseSimdBackend(simd))
-        usageError(std::string("TDC_SIMD expects scalar|bmi2, got \"") +
-                   simd + "\"");
-    if (const char *env = std::getenv("TDC_THREADS")) {
-        const std::string threads = env;
-        const bool whole =
-            !threads.empty() && threads.size() <= 3 &&
-            std::all_of(threads.begin(), threads.end(),
-                        [](unsigned char c) { return std::isdigit(c); });
-        const int n = whole ? std::stoi(threads) : 0;
-        if (n < 1 || n > 256)
-            usageError("TDC_THREADS expects a whole number in [1, 256], "
-                       "got \"" + threads + "\"");
-    }
+    requestedSimdBackend();
+    requestedThreads();
 }
 
 /**
@@ -363,13 +364,7 @@ parseU64(const std::string &flag, const std::string &value)
 double
 parseHours(const std::string &flag, const std::string &value)
 {
-    char *end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (value.empty() || end != value.c_str() + value.size() ||
-        !(v >= 0.0) || v > 1e9)
-        usageError(flag + " expects hours in [0, 1e9], got \"" + value +
-                   "\"");
-    return v;
+    return parseNumber(flag, value, 0.0, 1e9, false);
 }
 
 CliOptions
@@ -451,7 +446,7 @@ parseCli(const std::vector<std::string> &args)
         } else if (arg == "--spares") {
             opt.spares.push_back(value(i));
         } else if (arg == "--mission") {
-            opt.missionHours = parseCount(arg, value(i), 1e9);
+            opt.missionHours = parseNumber(arg, value(i), 1.0, 1e9, false);
         } else if (arg == "--fault-interval") {
             opt.faultInterval = parseU64(arg, value(i));
         } else if (arg == "--list-figures") {

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <set>
+#include <stdexcept>
 
 namespace tdc
 {
@@ -57,6 +58,10 @@ BchCode::BchCode(size_t data_bits, size_t t)
     : k(data_bits), tCap(t)
 {
     assert(k > 0 && t > 0);
+    if (t > kMaxT)
+        throw std::invalid_argument("BCH supports t <= " +
+                                    std::to_string(kMaxT) + ", got t = " +
+                                    std::to_string(t));
     // Pick the smallest field degree whose primitive length fits the
     // shortened code.
     for (unsigned m = 4; m <= 12; ++m) {
@@ -76,25 +81,19 @@ BchCode::BchCode(size_t data_bits, size_t t)
 
     // Build the byte-at-a-time division table (classic CRC technique):
     // one entry per top-byte value, giving the combined reduction of
-    // eight bit-serial LFSR steps. Engaged when the remainder fits a
-    // word and the data is byte-aligned — true for every (k, t) the
-    // paper uses — and makes encode ~8x fewer, branch-free steps.
-    if (r >= 8 && r <= 64 && k % 8 == 0) {
+    // eight bit-serial LFSR steps. The remainder is kept left-aligned
+    // in a word (coefficient r-1 at bit 63), so one table serves every
+    // r <= 64 and makes encode ~8x fewer, branch-free steps.
+    if (r <= 64) {
         for (size_t i = 0; i < r; ++i) {
             if (gen[i])
-                genLow |= uint64_t(1) << i;
+                genTop |= uint64_t(1) << (64 - r + i);
         }
-        const uint64_t rmask =
-            r == 64 ? ~uint64_t(0) : (uint64_t(1) << r) - 1;
         byteTable.resize(256);
         for (uint32_t b = 0; b < 256; ++b) {
-            uint64_t cur = uint64_t(b) << (r - 8);
-            for (int s = 0; s < 8; ++s) {
-                const bool feedback = (cur >> (r - 1)) & 1;
-                cur = (cur << 1) & rmask;
-                if (feedback)
-                    cur ^= genLow;
-            }
+            uint64_t cur = uint64_t(b) << 56;
+            for (int s = 0; s < 8; ++s)
+                cur = (cur << 1) ^ (cur >> 63 ? genTop : 0);
             byteTable[b] = cur;
         }
     }
@@ -105,34 +104,32 @@ BchCode::BchCode(size_t data_bits, size_t t)
     // syndrome S_j (j = 1, 3, .., 2t-1); p is the polynomial position
     // of the bit under the [data | check] layout. Built by the
     // classic subset-DP: tab[v] = tab[v & (v-1)] ^ perBit[ctz(v)].
-    if (tCap <= kMaxT) {
-        const size_t n = k + r;
-        const size_t num_bytes = (n + 7) / 8;
-        syndTable.assign(num_bytes * 256 * tCap, 0);
-        std::vector<uint32_t> per_bit(8 * tCap);
-        for (size_t bi = 0; bi < num_bytes; ++bi) {
-            for (size_t u = 0; u < 8; ++u) {
-                const size_t b = bi * 8 + u;
-                for (size_t j = 0; j < tCap; ++j) {
-                    // Bits past n never occur in a valid codeword;
-                    // zero keeps their (unreachable) entries harmless.
-                    per_bit[u * tCap + j] =
-                        b >= n ? 0
-                               : field->alphaPow(int64_t(2 * j + 1) *
-                                                 int64_t(b < k ? r + b
-                                                               : b - k));
-                }
+    const size_t n = k + r;
+    const size_t num_bytes = (n + 7) / 8;
+    syndTable.assign(num_bytes * 256 * tCap, 0);
+    std::vector<uint32_t> per_bit(8 * tCap);
+    for (size_t bi = 0; bi < num_bytes; ++bi) {
+        for (size_t u = 0; u < 8; ++u) {
+            const size_t b = bi * 8 + u;
+            for (size_t j = 0; j < tCap; ++j) {
+                // Bits past n never occur in a valid codeword;
+                // zero keeps their (unreachable) entries harmless.
+                per_bit[u * tCap + j] =
+                    b >= n ? 0
+                           : field->alphaPow(int64_t(2 * j + 1) *
+                                             int64_t(b < k ? r + b
+                                                           : b - k));
             }
-            uint32_t *base = &syndTable[(bi << 8) * tCap];
-            for (uint32_t v = 1; v < 256; ++v) {
-                const uint32_t rest = v & (v - 1);
-                const size_t u = size_t(std::countr_zero(v));
-                const uint32_t *lo = &base[rest * tCap];
-                const uint32_t *bit = &per_bit[u * tCap];
-                uint32_t *dst = &base[v * tCap];
-                for (size_t j = 0; j < tCap; ++j)
-                    dst[j] = lo[j] ^ bit[j];
-            }
+        }
+        uint32_t *base = &syndTable[(bi << 8) * tCap];
+        for (uint32_t v = 1; v < 256; ++v) {
+            const uint32_t rest = v & (v - 1);
+            const size_t u = size_t(std::countr_zero(v));
+            const uint32_t *lo = &base[rest * tCap];
+            const uint32_t *bit = &per_bit[u * tCap];
+            uint32_t *dst = &base[v * tCap];
+            for (size_t j = 0; j < tCap; ++j)
+                dst[j] = lo[j] ^ bit[j];
         }
     }
 
@@ -158,21 +155,23 @@ BchCode::polyRemainder(const BitVector &data) const
 {
     assert(data.size() == k);
     if (!byteTable.empty()) {
-        // Byte-parallel LFSR division, message byte k/8-1 first (the
-        // byte holding the highest polynomial coefficients).
-        const uint64_t rmask =
-            r == 64 ? ~uint64_t(0) : (uint64_t(1) << r) - 1;
+        // Byte-parallel LFSR division, message byte ceil(k/8)-1 first
+        // (the byte holding the highest polynomial coefficients). When
+        // k is not byte-aligned that byte is zero-padded above bit k-1;
+        // leading zero coefficients leave the remainder unchanged.
+        const uint64_t *words = data.wordData();
         uint64_t rem = 0;
-        for (size_t bi = k / 8; bi-- > 0;) {
-            const uint64_t byte = data.toUint64(bi * 8, 8);
-            const size_t top = size_t((rem >> (r - 8)) ^ byte) & 0xFF;
-            rem = ((rem << 8) & rmask) ^ byteTable[top];
+        for (size_t bi = (k + 7) / 8; bi-- > 0;) {
+            const uint64_t byte = (words[bi / 8] >> (8 * (bi % 8))) & 0xFF;
+            rem = (rem << 8) ^ byteTable[(rem >> 56) ^ byte];
         }
-        return BitVector(r, rem);
+        return BitVector(r, rem >> (64 - r));
     }
 
-    // Bit-serial LFSR division of x^r * d(x) by g(x), data
-    // coefficient k-1 first.
+    // Bit-serial LFSR division of x^r * d(x) by g(x), data coefficient
+    // k-1 first: the engine for remainders wider than a word (r > 64),
+    // which among the scheme grammar's codes is OECNED at /w192 and
+    // wider.
     BitVector rem(r);
     for (size_t j = k; j-- > 0;) {
         const bool feedback = rem.get(r - 1) ^ data.get(j);
@@ -686,9 +685,6 @@ DecodeResult
 BchCode::decode(const BitVector &codeword) const
 {
     assert(codeword.size() == k + r);
-    if (syndTable.empty())
-        return decodeNaive(codeword); // exotic t > kMaxT
-
     DecodeResult result;
     result.data = codeword.slice(0, k);
 
@@ -721,8 +717,6 @@ bool
 BchCode::syndromeClean(const BitVector &codeword) const
 {
     assert(codeword.size() == k + r);
-    if (syndTable.empty())
-        return Code::syndromeClean(codeword); // exotic t > kMaxT
     uint32_t synd[2 * kMaxT];
     return syndromesFast(codeword, synd);
 }

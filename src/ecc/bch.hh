@@ -45,6 +45,7 @@ class BchCode : public Code
     /**
      * @param data_bits data word width k
      * @param t target correction capability in bits
+     * @throws std::invalid_argument if t > kMaxT
      */
     BchCode(size_t data_bits, size_t t);
 
@@ -71,9 +72,7 @@ class BchCode : public Code
     /**
      * The original element-at-a-time decoder (per-bit Horner
      * syndromes, polynomial Berlekamp-Massey, full-scan Chien),
-     * retained as the differential-test oracle for decode() — the
-     * same role the per-bit interleave fallback plays for the
-     * word-parallel access path.
+     * retained only as the differential-test oracle for decode().
      */
     DecodeResult decodeNaive(const BitVector &codeword) const;
 
@@ -96,13 +95,13 @@ class BchCode : public Code
     /** Total ones across all check equations: XOR gate count. */
     size_t totalRowWeight() const;
 
-  private:
     /**
-     * Largest t the table engine supports; every geometry in the
-     * study is t <= 8. Exotic larger-t constructions silently fall
-     * back to the naive path.
+     * Largest t the table engine supports; the scheme grammar's codes
+     * need t <= 8.
      */
     static constexpr size_t kMaxT = 12;
+
+  private:
 
     /**
      * Fixed length of the Berlekamp-Massey stack buffers. Locator
@@ -176,14 +175,14 @@ class BchCode : public Code
 
     /**
      * CRC-style byte-at-a-time division table: remainder evolution of
-     * injecting one message byte into the LFSR. Built when the
-     * remainder fits one word (r <= 64) and k is byte-aligned, which
-     * covers every geometry in the study; empty otherwise (bit-serial
-     * fallback).
+     * injecting one message byte into the left-aligned LFSR. Built
+     * whenever the remainder fits one word (r <= 64); empty only for
+     * wider remainders, which divide bit-serially.
      */
     std::vector<uint64_t> byteTable;
-    /** Low r bits of g(x) as a word (valid iff byteTable nonempty). */
-    uint64_t genLow = 0;
+    /** Low r bits of g(x), left-aligned in a word (bit 63 holds the
+     *  coefficient of x^(r-1)); valid iff byteTable is nonempty. */
+    uint64_t genTop = 0;
 
     /**
      * Per-byte odd-syndrome contribution tables (the Hsiao shape
@@ -192,7 +191,6 @@ class BchCode : public Code
      * Even syndromes follow by squaring (S_2j = S_j^2 for binary
      * codes), so a full syndrome set costs ceil(n/8) table rows of t
      * XORs plus t squarings instead of one Horner pass per set bit.
-     * Empty when t > kMaxT (naive fallback).
      */
     std::vector<uint32_t> syndTable;
 };

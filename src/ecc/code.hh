@@ -2,8 +2,9 @@
  * @file
  * Abstract interface for block error-detecting / error-correcting codes.
  *
- * Every protection scheme in the repository (parity, interleaved parity
- * EDCn, Hsiao SECDED, BCH DECTED/QECPED/OECNED) implements this
+ * Every protection scheme in the repository (interleaved parity EDCn,
+ * single parity being EDC1, Hsiao SECDED, BCH DECTED/QECPED/OECNED)
+ * implements this
  * interface, so the array, cache and 2D-coding layers are agnostic to
  * the concrete code in each dimension.
  */
@@ -96,16 +97,12 @@ class Code
 
     /**
      * True iff the codeword's syndrome is zero (it would decode
-     * kClean). Semantically identical to decode(cw).clean() — the
-     * default is exactly that — but overridable with an
+     * kClean). Semantically identical to decode(cw).clean(), but an
      * allocation-free syndrome-only check, which the batched
      * whole-line codec (core/line_codec.hh) leans on for scrub and
      * recovery sweeps where almost every word is clean.
      */
-    virtual bool syndromeClean(const BitVector &codeword) const
-    {
-        return decode(codeword).clean();
-    }
+    virtual bool syndromeClean(const BitVector &codeword) const = 0;
 
     /**
      * Number of arbitrary-position bit errors the code is guaranteed

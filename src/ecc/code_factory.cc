@@ -8,7 +8,6 @@
 #include "ecc/bch.hh"
 #include "ecc/hsiao.hh"
 #include "ecc/interleaved_parity.hh"
-#include "ecc/parity.hh"
 
 namespace tdc
 {
@@ -51,7 +50,7 @@ makeCode(CodeKind kind, size_t data_bits)
 {
     switch (kind) {
       case CodeKind::kParity:
-        return std::make_shared<ParityCode>(data_bits);
+        return std::make_shared<InterleavedParityCode>(data_bits, 1);
       case CodeKind::kEdc8:
         return std::make_shared<InterleavedParityCode>(data_bits, 8);
       case CodeKind::kEdc16:

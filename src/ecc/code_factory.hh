@@ -16,7 +16,8 @@ namespace tdc
 /**
  * The coding schemes named in the paper (Figure 1 legend):
  *  - kEdc8 / kEdc16 / kEdc32 : n-way interleaved parity, detection only
- *  - kParity                 : single even parity (byte-parity stand-in)
+ *  - kParity                 : single even parity (byte-parity stand-in),
+ *                              built as EDC1
  *  - kSecDed                 : Hsiao single-correct double-detect
  *  - kDecTed                 : extended BCH t=2 (2-correct 3-detect)
  *  - kQecPed                 : extended BCH t=4 (4-correct 5-detect)

@@ -51,44 +51,23 @@ HsiaoSecDedCode::HsiaoSecDedCode(size_t data_bits)
     for (size_t i = 0; i < r; ++i)
         columns.push_back(uint64_t(1) << i);
 
-    // Transpose H into r packed row-masks so encode/syndrome become
-    // one AND+popcount per 64 codeword bits (the word-parallel form of
-    // Hsiao's XOR trees).
-    maskWords = (k + r + 63) / 64;
-    rowMasks.assign(r * maskWords, 0);
-    for (size_t i = 0; i < k + r; ++i) {
-        for (size_t row = 0; row < r; ++row) {
-            if ((columns[i] >> row) & 1)
-                rowMasks[row * maskWords + i / 64] |= uint64_t(1) << (i % 64);
-        }
-    }
+    // Precompute syndrome -> bit position.
+    syndromeToPos.assign(size_t(1) << r, -1);
+    for (size_t i = 0; i < k + r; ++i)
+        syndromeToPos[columns[i]] = int32_t(i);
 
-    // Precompute syndrome -> bit position. r is small (8 for k = 64,
-    // 10 for k = 256), so the 2^r table is tiny; the guard keeps a
-    // pathological wide code from allocating gigabytes.
-    if (r <= 20) {
-        syndromeToPos.assign(size_t(1) << r, -1);
-        for (size_t i = 0; i < k + r; ++i)
-            syndromeToPos[columns[i]] = int32_t(i);
-    }
-
-    // Per-byte syndrome table (see header). Only byte-aligned data
-    // widths qualify: then codeword byte i < k/8 is pure data, so the
-    // same table serves computeCheck (over data bytes) and the full
-    // syndrome (over all codeword bytes).
-    if (k % 8 == 0) {
-        const size_t nBytes = (k + r + 7) / 8;
-        byteSyndromes.assign(nBytes * 256, 0);
-        for (size_t i = 0; i < nBytes; ++i) {
-            const size_t bits = std::min<size_t>(8, k + r - i * 8);
-            for (size_t b = 1; b < 256; ++b) {
-                uint64_t acc = 0;
-                for (size_t j = 0; j < bits; ++j) {
-                    if ((b >> j) & 1)
-                        acc ^= columns[i * 8 + j];
-                }
-                byteSyndromes[i * 256 + b] = acc;
+    // Per-byte syndrome table (see header).
+    const size_t nBytes = (k + r + 7) / 8;
+    byteSyndromes.assign(nBytes * 256, 0);
+    for (size_t i = 0; i < nBytes; ++i) {
+        const size_t bits = std::min<size_t>(8, k + r - i * 8);
+        for (size_t b = 1; b < 256; ++b) {
+            uint64_t acc = 0;
+            for (size_t j = 0; j < bits; ++j) {
+                if ((b >> j) & 1)
+                    acc ^= columns[i * 8 + j];
             }
+            byteSyndromes[i * 256 + b] = acc;
         }
     }
 }
@@ -116,42 +95,18 @@ HsiaoSecDedCode::foldBytes(const uint64_t *words, size_t nbytes) const
     return (s0 ^ s1) ^ (s2 ^ s3);
 }
 
-uint64_t
-HsiaoSecDedCode::foldRowMasks(const uint64_t *words, size_t nwords) const
-{
-    uint64_t acc = 0;
-    for (size_t row = 0; row < r; ++row) {
-        uint64_t fold = 0;
-        for (size_t w = 0; w < nwords; ++w)
-            fold ^= words[w] & rowMask(row, w);
-        acc |= uint64_t(std::popcount(fold) & 1) << row;
-    }
-    return acc;
-}
-
 BitVector
 HsiaoSecDedCode::computeCheck(const BitVector &data) const
 {
     assert(data.size() == k);
-    if (!byteSyndromes.empty())
-        return BitVector(r, foldBytes(data.wordData(), k / 8));
-
-    // Fallback: check[row] = parity(data & rowMask_row). The row masks
-    // span all n bits, but the check columns are unit vectors, so over
-    // the data region the first ceil(k/64) words are exactly the data
-    // part of each row; data's top-word invariant zeroes kill any
-    // check-column bits sharing the boundary word.
-    return BitVector(r, foldRowMasks(data.wordData(), data.wordCount()));
+    return BitVector(r, foldBytes(data.wordData(), (k + 7) / 8));
 }
 
 bool
 HsiaoSecDedCode::syndromeClean(const BitVector &codeword) const
 {
     assert(codeword.size() == k + r);
-    const uint64_t *words = codeword.wordData();
-    if (!byteSyndromes.empty())
-        return foldBytes(words, (k + r + 7) / 8) == 0;
-    return foldRowMasks(words, maskWords) == 0;
+    return foldBytes(codeword.wordData(), (k + r + 7) / 8) == 0;
 }
 
 DecodeResult
@@ -161,10 +116,8 @@ HsiaoSecDedCode::decode(const BitVector &codeword) const
     DecodeResult result;
     result.data = codeword.slice(0, k);
 
-    const uint64_t *words = codeword.wordData();
-    const uint64_t syndrome = !byteSyndromes.empty()
-                                  ? foldBytes(words, (k + r + 7) / 8)
-                                  : foldRowMasks(words, maskWords);
+    const uint64_t syndrome =
+        foldBytes(codeword.wordData(), (k + r + 7) / 8);
 
     if (syndrome == 0) {
         result.status = DecodeStatus::kClean;
@@ -172,19 +125,8 @@ HsiaoSecDedCode::decode(const BitVector &codeword) const
     }
 
     if (std::popcount(syndrome) % 2 == 1) {
-        // Odd syndrome: single-bit correction via the lookup table
-        // (columns scan only if the table was too wide to build).
-        int32_t pos = -1;
-        if (!syndromeToPos.empty()) {
-            pos = syndromeToPos[syndrome];
-        } else {
-            for (size_t i = 0; i < k + r; ++i) {
-                if (columns[i] == syndrome) {
-                    pos = int32_t(i);
-                    break;
-                }
-            }
-        }
+        // Odd syndrome: single-bit correction via the lookup table.
+        const int32_t pos = syndromeToPos[syndrome];
         if (pos >= 0) {
             if (size_t(pos) < k)
                 result.data.flip(size_t(pos));

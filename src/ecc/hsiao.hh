@@ -58,26 +58,14 @@ class HsiaoSecDedCode : public Code
     static size_t checkBitsFor(size_t data_bits);
 
   private:
-    /** Column of H assigned to codeword bit @p pos, as an r-bit mask. */
-    uint64_t column(size_t pos) const { return columns[pos]; }
-
-    /** Row-major H: word @p w of the n-bit mask of parity row @p row. */
-    uint64_t rowMask(size_t row, size_t w) const
-    {
-        return rowMasks[row * maskWords + w];
-    }
-
     /**
      * Syndrome of the first @p nbytes bytes of @p words via the
      * per-byte table: one whole 64-bit word (8 table lookups) per
      * iteration, spread over four independent accumulators so the XOR
      * reduction pipelines instead of forming one serial dependency
-     * chain. @pre !byteSyndromes.empty()
+     * chain.
      */
     uint64_t foldBytes(const uint64_t *words, size_t nbytes) const;
-
-    /** Syndrome via the rowMasks fallback (k not byte-aligned). */
-    uint64_t foldRowMasks(const uint64_t *words, size_t nwords) const;
 
     size_t k;
     size_t r;
@@ -86,18 +74,9 @@ class HsiaoSecDedCode : public Code
     std::vector<uint64_t> columns;
 
     /**
-     * H transposed into r row-masks over the n codeword bits (packed
-     * 64-bit words, maskWords words per row): check/syndrome bit i is
-     * popcount(codeword & rowMask_i) & 1, one AND+popcount per word
-     * instead of a conditional XOR per bit.
-     */
-    std::vector<uint64_t> rowMasks;
-    size_t maskWords;
-
-    /**
-     * syndrome -> codeword bit position (or -1), replacing the linear
-     * column scan in decode. Built only while 2^r stays small; decode
-     * falls back to the scan when empty.
+     * syndrome -> codeword bit position (or -1): single-error decode
+     * is one lookup. r <= 11 at the widest word the scheme grammar
+     * admits (512 bits), so the 2^r table stays small.
      */
     std::vector<int32_t> syndromeToPos;
 
@@ -105,8 +84,10 @@ class HsiaoSecDedCode : public Code
      * Per-byte syndrome contributions: entry [i*256 + b] is the XOR of
      * the H columns of codeword byte i selected by the bits of b. A
      * full syndrome is then ceil(n/8) table XORs — the software shape
-     * of an 8-way-flattened XOR tree. Built when k is byte-aligned
-     * (all geometries in the study); rowMasks is the general fallback.
+     * of an 8-way-flattened XOR tree. The same table serves the check
+     * bits at any k: a data word is the first k codeword bits with
+     * zeros above them, so folding its ceil(k/8) bytes picks up data
+     * columns only.
      */
     std::vector<uint64_t> byteSyndromes;
 };

@@ -1,22 +1,25 @@
 #include "ecc/interleaved_parity.hh"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace tdc
 {
 
 InterleavedParityCode::InterleavedParityCode(size_t data_bits, size_t n)
-    : k(data_bits), numClasses(n), wordParallel(n <= 64 && 64 % n == 0)
+    : k(data_bits), numClasses(n)
 {
+    if (n == 0 || n > 64 || 64 % n != 0)
+        throw std::invalid_argument("EDCn needs n dividing 64, got n = " +
+                                    std::to_string(n));
     assert(k > 0);
-    assert(numClasses > 0);
     assert(numClasses <= k);
 }
 
 uint64_t
 InterleavedParityCode::foldClasses(const uint64_t *words, size_t nbits) const
 {
-    // Bit p of word w belongs to class (64w + p) mod n = p mod n when
+    // Bit p of word w belongs to class (64w + p) mod n = p mod n since
     // n divides 64, so the words can be XOR-folded together first and
     // the 64-bit accumulator halved down to n bits afterwards.
     uint64_t acc = 0;
@@ -35,20 +38,13 @@ BitVector
 InterleavedParityCode::computeCheck(const BitVector &data) const
 {
     assert(data.size() == k);
-    if (wordParallel)
-        return BitVector(numClasses, foldClasses(data.wordData(), k));
-
-    BitVector check(numClasses);
-    for (size_t i = 0; i < k; ++i) {
-        if (data.get(i))
-            check.flip(i % numClasses);
-    }
-    return check;
+    return BitVector(numClasses, foldClasses(data.wordData(), k));
 }
 
 uint64_t
 InterleavedParityCode::syndromeBits(const BitVector &codeword) const
 {
+    assert(codeword.size() == codewordBits());
     // Recomputed check over the data region XOR the stored check bits.
     return foldClasses(codeword.wordData(), k) ^
            codeword.toUint64(k, numClasses);
@@ -57,34 +53,23 @@ InterleavedParityCode::syndromeBits(const BitVector &codeword) const
 BitVector
 InterleavedParityCode::syndrome(const BitVector &codeword) const
 {
-    assert(codeword.size() == codewordBits());
-    if (wordParallel)
-        return BitVector(numClasses, syndromeBits(codeword));
-
-    BitVector syn = computeCheck(codeword.slice(0, k));
-    syn ^= codeword.slice(k, numClasses);
-    return syn;
+    return BitVector(numClasses, syndromeBits(codeword));
 }
 
 bool
 InterleavedParityCode::syndromeClean(const BitVector &codeword) const
 {
-    assert(codeword.size() == codewordBits());
-    if (wordParallel)
-        return syndromeBits(codeword) == 0;
-    return Code::syndromeClean(codeword);
+    return syndromeBits(codeword) == 0;
 }
 
 DecodeResult
 InterleavedParityCode::decode(const BitVector &codeword) const
 {
-    assert(codeword.size() == codewordBits());
     DecodeResult result;
     result.data = codeword.slice(0, k);
-    const bool clean = wordParallel ? syndromeBits(codeword) == 0
-                                    : syndrome(codeword).none();
-    result.status = clean ? DecodeStatus::kClean
-                          : DecodeStatus::kDetectedUncorrectable;
+    result.status = syndromeBits(codeword) == 0
+                        ? DecodeStatus::kClean
+                        : DecodeStatus::kDetectedUncorrectable;
     return result;
 }
 

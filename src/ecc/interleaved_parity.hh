@@ -29,14 +29,19 @@ namespace tdc
  * classes, i.e. to column positions modulo n. This is exactly the
  * information the 2D recovery algorithm combines with the vertical
  * code to locate erroneous bits (Section 4).
+ *
+ * n must divide 64 (EDC1, the single even parity, up to EDC64): then
+ * bit p of every 64-bit data word falls in class p mod n, so check,
+ * syndrome and clean test are one XOR-fold of the packed words.
  */
 class InterleavedParityCode : public Code
 {
   public:
     /**
-     * @param data_bits word width k (must be a multiple of n for the
-     *        classic layout; any k >= n works)
+     * @param data_bits word width k (a multiple of n for the classic
+     *        layout; any k >= n works)
      * @param n interleave distance / number of check bits
+     * @throws std::invalid_argument unless n divides 64
      */
     InterleavedParityCode(size_t data_bits, size_t n);
 
@@ -63,19 +68,16 @@ class InterleavedParityCode : public Code
 
   private:
     /**
-     * Word-parallel check computation: XOR-fold the low @p nbits of
-     * the packed @p words down to one bit per parity class. Valid only
-     * when n divides 64 (all EDCn geometries the paper uses).
+     * XOR-fold the low @p nbits of the packed @p words down to one bit
+     * per parity class.
      */
     uint64_t foldClasses(const uint64_t *words, size_t nbits) const;
 
-    /** Syndrome as a packed n-bit word (fast path of syndrome()). */
+    /** Syndrome as a packed n-bit word. */
     uint64_t syndromeBits(const BitVector &codeword) const;
 
     size_t k;
     size_t numClasses;
-    /** True iff n divides 64, enabling the word-folded hot path. */
-    bool wordParallel;
 };
 
 } // namespace tdc

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "array/interleave.hh"
 #include "common/rng.hh"
 
@@ -39,9 +41,9 @@ depositRef(const InterleaveMap &map, BitVector &row, size_t slot,
 /**
  * Differential test: the word-parallel strided gather/scatter must be
  * bit-exact against the naive per-bit loop for every slot, across
- * power-of-two degrees (fast path), generic degrees (fallback), and
- * word widths that exercise sub-word tails and word-boundary
- * straddles.
+ * power-of-two degrees, degrees that do not divide 64 (the phase walks
+ * between row words), and word widths that exercise sub-word tails and
+ * word-boundary straddles.
  */
 class InterleaveDiffTest
     : public ::testing::TestWithParam<std::pair<size_t, size_t>>
@@ -112,20 +114,26 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_pair(size_t(3), size_t(32)),
         std::make_pair(size_t(2), size_t(64)),
         std::make_pair(size_t(64), size_t(64)),
-        // Generic degrees: the per-bit fallback path.
+        // Degrees that do not divide 64.
         std::make_pair(size_t(72), size_t(3)),
         std::make_pair(size_t(29), size_t(5)),
-        std::make_pair(size_t(10), size_t(7)),
-        std::make_pair(size_t(8), size_t(96))));
+        std::make_pair(size_t(10), size_t(7))));
 
 TEST(InterleaveFastPath, EngagedForEveryDegreeUpTo64)
 {
-    // The per-phase plan cache covers non-dividing degrees too (the
-    // old per-bit fallback only remains for degrees above 64).
-    for (size_t d : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 12u, 16u, 32u, 48u, 64u})
-        EXPECT_TRUE(InterleaveMap(16, d).wordParallel()) << "degree " << d;
-    for (size_t d : {65u, 96u, 128u})
-        EXPECT_FALSE(InterleaveMap(16, d).wordParallel()) << "degree " << d;
+    // The per-phase plan cache serves every degree the scheme grammar
+    // admits, [1, 64]; the map refuses any other degree.
+    Rng rng(400);
+    for (size_t d = 1; d <= 64; ++d) {
+        const InterleaveMap map(16, d);
+        const BitVector row = randomVector(rng, map.rowBits());
+        const size_t slot = d - 1;
+        ASSERT_EQ(map.extractWord(row, slot), extractRef(map, row, slot))
+            << "degree " << d;
+    }
+    for (size_t d : {0u, 65u, 96u, 128u})
+        EXPECT_THROW(InterleaveMap(16, d), std::invalid_argument)
+            << "degree " << d;
 }
 
 TEST(InterleaveFastPath, ExtractWordIntoReusesBuffer)

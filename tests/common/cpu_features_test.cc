@@ -10,6 +10,7 @@
 
 #include "common/cpu_features.hh"
 #include "common/rng.hh"
+#include "scoped_env.hh"
 
 namespace tdc
 {
@@ -54,6 +55,27 @@ TEST(CpuFeatures, BackendNamesRoundTripThroughParse)
     EXPECT_FALSE(parseSimdBackend("BMI2").has_value());
     // The retired AVX2 tier is no longer a backend name.
     EXPECT_FALSE(parseSimdBackend("avx2").has_value());
+}
+
+TEST(CpuFeatures, RequestedBackendReadsTheEnvironment)
+{
+    {
+        ScopedEnv env("TDC_SIMD", "scalar");
+        EXPECT_EQ(requestedSimdBackend(), SimdBackend::kScalar);
+    }
+    {
+        ScopedEnv env("TDC_SIMD", "bmi2");
+        EXPECT_EQ(requestedSimdBackend(), SimdBackend::kBmi2);
+    }
+    // A name that is no backend (the retired "avx2" among them)
+    // throws, quoting the variable and the value, instead of running
+    // the auto-dispatched tier under a label the caller did not ask
+    // for.
+    expectEnvRejected("TDC_SIMD", {"avx2", "scaler", "BMI2", ""},
+                      [] { requestedSimdBackend(); });
+    ScopedEnv env("TDC_SIMD", "scalar");
+    unsetenv("TDC_SIMD"); // restored by env on exit
+    EXPECT_EQ(requestedSimdBackend(), std::nullopt);
 }
 
 TEST(CpuFeatures, BestBackendIsConsistentWithProbedFeatures)

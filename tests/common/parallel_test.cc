@@ -2,10 +2,12 @@
 
 #include <atomic>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "common/parallel.hh"
+#include "scoped_env.hh"
 
 namespace tdc
 {
@@ -53,6 +55,26 @@ TEST(ParallelFor, SetThreadsIsObservable)
     EXPECT_EQ(parallelThreads(), 3u);
     setParallelThreads(0);
     EXPECT_GE(parallelThreads(), 1u);
+}
+
+TEST(ParallelFor, RequestedThreadsReadsAWholeNumberFromTheEnvironment)
+{
+    {
+        ScopedEnv env("TDC_THREADS", "4");
+        EXPECT_EQ(requestedThreads(), std::optional<unsigned>(4));
+    }
+    {
+        ScopedEnv env("TDC_THREADS", "256");
+        EXPECT_EQ(requestedThreads(), std::optional<unsigned>(256));
+    }
+    // A malformed value throws, quoting the variable and the value,
+    // instead of running a prefix of it ("4x" as 4).
+    expectEnvRejected("TDC_THREADS",
+                      {"4x", "abc", "0", "257", "-1", " 4", "1e2", ""},
+                      [] { requestedThreads(); });
+    ScopedEnv env("TDC_THREADS", "1");
+    unsetenv("TDC_THREADS"); // restored by env on exit
+    EXPECT_EQ(requestedThreads(), std::nullopt);
 }
 
 TEST(ParallelFor, PropagatesFirstException)

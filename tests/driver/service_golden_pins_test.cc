@@ -66,5 +66,17 @@ TEST(ServiceGoldenPins, SixtyFourRowBanks)
               "84a3d538e7f373b37d233bd5927806f9");
 }
 
+TEST(ServiceGoldenPins, ParityHorizontalBank)
+{
+    // Faults accumulate between scrubs until recovery takes the column
+    // path, which resolves suspect columns by EDC class only: a single
+    // parity horizontal code (EDC1) leaves it unrepaired.
+    EXPECT_EQ(serveDigest({"uniform/n2e4/w30", "--scheme",
+                           "2d:parity/i4+vp32", "--scrub-interval", "64",
+                           "--fault-interval", "500", "--fault", "2x2",
+                           "--seed", "4"}),
+              "aa0e4180db9ac3d6716f07ea8903500d");
+}
+
 } // namespace
 } // namespace tdc

@@ -16,12 +16,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 
 #include "common/cpu_features.hh"
 #include "common/parallel.hh"
 #include "driver/tdc_run.hh"
 #include "scheme/figure_campaigns.hh"
+
+#include "../common/scoped_env.hh"
 
 namespace tdc
 {
@@ -216,6 +217,32 @@ TEST(TdcRun, UsageErrorsExitTwoWithQuotedToken)
     expectUsageError({"--seed", " 7", "--figure", "fig1"}, "\" 7\"");
     expectUsageError({"--seed", "18446744073709551616", "--figure", "fig1"},
                      "\"18446744073709551616\"");
+    // Counts are whole numbers, as in the request grammar ("/n2.5" is
+    // refused too); scientific notation stays ("1e2"), and --mission
+    // stays a real number of hours.
+    expectUsageError({"--events", "2.5", "--scheme", "conv:secded/i4"},
+                     "\"2.5\"");
+    expectUsageError({"--trials", "1.5", "--scheme", "conv:secded/i4"},
+                     "\"1.5\"");
+    expectUsageError({"--threads", "2.7", "--figure", "table1"}, "\"2.7\"");
+    expectUsageError({"--cycles", "1e3.5", "--protection", "l1"},
+                     "\"1e3.5\"");
+    expectUsageError({"--cycles", "1000.5", "--protection", "l1"},
+                     "\"1000.5\"");
+    expectUsageError({"--serve", "uniform/n100", "--shards", "1.5"},
+                     "\"1.5\"");
+    expectUsageError({"--serve", "uniform/n100", "--banks", "2.25"},
+                     "\"2.25\"");
+    expectUsageError({"--serve", "uniform/n100", "--ports", "1.1"},
+                     "\"1.1\"");
+    EXPECT_NE(runOk({"--scheme", "conv:secded/i4", "--fault", "single",
+                     "--events", "1e1"})
+                  .find("/10"),
+              std::string::npos);
+    EXPECT_NE(runOk({"--lifetime", "--scheme", "conv:secded/i4",
+                     "--trials", "2", "--mission", "100.5"})
+                  .find("100.5h missions"),
+              std::string::npos);
     expectUsageError({"--protection", "l3"}, "\"l3\"");
     expectUsageError({"--protection", "l1", "--workload", "NoSuch"},
                      "\"NoSuch\"");
@@ -384,29 +411,6 @@ TEST(TdcRun, CpuFlagReportsFeaturesAndBackendAndExitsZero)
     EXPECT_EQ(tdcRun({"--cpus"}, o, e), 2);
     EXPECT_NE(e.find("\"--cpus\""), std::string::npos);
 }
-
-/** Sets an environment variable for one scope, then restores it. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name(name)
-    {
-        if (const char *old = std::getenv(name))
-            previous = old;
-        setenv(name, value, 1);
-    }
-    ~ScopedEnv()
-    {
-        if (previous)
-            setenv(name, previous->c_str(), 1);
-        else
-            unsetenv(name);
-    }
-
-  private:
-    const char *name;
-    std::optional<std::string> previous;
-};
 
 TEST(TdcRun, MalformedEnvironmentExitsTwoWithQuotedValue)
 {

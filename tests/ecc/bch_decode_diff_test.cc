@@ -109,14 +109,16 @@ TEST_P(BchDecodeDiffTest, BurstPatternsMatchOracle)
 
 // Every factory geometry (the DECTED/QECPED/OECNED inner codes at
 // paper word widths) plus degree-odd/even field corners: m=5 (k=16),
-// m=7 (k=64), m=8 (k=128, order divisible by 3), m=9 (k=256).
+// m=7 (k=64), m=8 (k=128, order divisible by 3), m=9 (k=256), and a
+// data width off the byte grid (k=100), whose data/check boundary
+// falls inside one syndrome-table byte.
 INSTANTIATE_TEST_SUITE_P(
     Geometries, BchDecodeDiffTest,
     ::testing::Values(BchParam{16, 2}, BchParam{32, 2}, BchParam{64, 2},
                       BchParam{64, 3}, BchParam{64, 4}, BchParam{64, 8},
                       BchParam{48, 4}, BchParam{128, 4},
                       BchParam{128, 3}, BchParam{256, 2},
-                      BchParam{256, 8}));
+                      BchParam{256, 8}, BchParam{100, 4}));
 
 TEST(BchDecodeDiff, ExhaustiveTriplesSmallCode)
 {

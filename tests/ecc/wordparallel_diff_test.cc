@@ -3,12 +3,14 @@
  * Differential tests pinning the word-parallel codec paths (table-
  * driven Hsiao, folded EDC parity and its one-pass clean check,
  * byte-table BCH division) against naive bit-loop references kept
- * here as oracles.
+ * here as oracles, at byte-aligned and unaligned data widths.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <stdexcept>
+#include <vector>
 
 #include "common/rng.hh"
 #include "ecc/bch.hh"
@@ -137,11 +139,14 @@ TEST_P(HsiaoDiffTest, SyndromeCleanMatchesNaiveColumnXor)
     }
 }
 
-// k = 12 is deliberately not byte-aligned: it exercises the rowMask
-// fallback instead of the byte-syndrome table.
+// k = 12, 65, 100 and 129 are deliberately not byte-aligned: the
+// byte-syndrome table then folds a data byte that is partly check
+// columns, and a codeword byte that mixes data and check bits.
 INSTANTIATE_TEST_SUITE_P(Widths, HsiaoDiffTest,
                          ::testing::Values(size_t(12), size_t(16),
-                                           size_t(64), size_t(256)));
+                                           size_t(64), size_t(256),
+                                           size_t(65), size_t(100),
+                                           size_t(129)));
 
 // --- EDCn oracle ----------------------------------------------------
 
@@ -222,13 +227,18 @@ TEST_P(EdcDiffTest, SyndromeCleanMatchesNaiveClassParity)
 INSTANTIATE_TEST_SUITE_P(
     Geometries, EdcDiffTest,
     ::testing::Values(
-        // Paper codes (fast path): EDC8/64, EDC16/256, EDC32.
+        // Paper codes: EDC8/64, EDC16/256, EDC32.
         EdcGeometry{64, 8}, EdcGeometry{256, 16}, EdcGeometry{256, 32},
-        // Fast path with data widths off the word grid.
+        // Data widths off the word grid, single parity, EDC64.
         EdcGeometry{72, 8}, EdcGeometry{100, 4}, EdcGeometry{65, 1},
-        EdcGeometry{64, 64},
-        // Generic class counts: the per-bit fallback.
-        EdcGeometry{60, 3}, EdcGeometry{66, 6}, EdcGeometry{96, 24}));
+        EdcGeometry{64, 64}));
+
+TEST(EdcDiff, RejectsClassCountsThatDoNotDivide64)
+{
+    for (size_t n : {0u, 3u, 6u, 24u, 128u})
+        EXPECT_THROW(InterleavedParityCode(192, n), std::invalid_argument)
+            << "n=" << n;
+}
 
 // --- BCH oracle -----------------------------------------------------
 
@@ -249,17 +259,35 @@ bchRemainderRef(const std::vector<bool> &gen, size_t r,
 
 TEST(BchDiff, ByteTableDivisionMatchesBitSerialReference)
 {
-    for (size_t t : {2u, 4u, 8u}) {
-        BchCode code(64, t);
-        Rng rng(1000 + t);
+    // DECTED/QECPED/OECNED inner codes on the byte grid (k = 64) and
+    // off it (k = 65, 100, 129: a zero-padded top byte), plus OECNED
+    // at k = 256, whose r = 72 remainder divides bit-serially.
+    struct Geometry
+    {
+        size_t k, t;
+    };
+    std::vector<Geometry> geometries;
+    for (size_t k : {64u, 65u, 100u, 129u})
+        for (size_t t : {2u, 4u, 8u})
+            geometries.push_back({k, t});
+    geometries.push_back({256, 8});
+    for (const auto [k, t] : geometries) {
+        BchCode code(k, t);
+        Rng rng(1000 + k * 16 + t);
         for (int trial = 0; trial < 50; ++trial) {
-            const BitVector data = randomVector(rng, 64);
+            const BitVector data = randomVector(rng, k);
             ASSERT_EQ(code.computeCheck(data),
                       bchRemainderRef(code.generator(), code.checkBits(),
                                       data))
-                << "t=" << t << " trial " << trial;
+                << "k=" << k << " t=" << t << " trial " << trial;
         }
     }
+}
+
+TEST(BchDiff, RejectsCorrectionBeyondTheTableEngine)
+{
+    EXPECT_NO_THROW(BchCode(64, BchCode::kMaxT));
+    EXPECT_THROW(BchCode(64, BchCode::kMaxT + 1), std::invalid_argument);
 }
 
 TEST(BchDiff, ScratchReuseKeepsDecodesIndependent)
