@@ -1,51 +1,31 @@
 #include "array/fault.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
 #include <utility>
 #include <vector>
+
+#include "common/spec_reader.hh"
 
 namespace tdc
 {
 
-namespace
-{
-
-/** Parse a positive decimal footprint dimension out of @p token. */
-size_t
-parseDim(const std::string &token, const std::string &digits)
-{
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-        throw std::invalid_argument("bad fault footprint in \"" + token +
-                                    "\"");
-    const unsigned long long v = std::strtoull(digits.c_str(), nullptr, 10);
-    if (v == 0 || v > 65536)
-        throw std::invalid_argument("fault footprint out of range in \"" +
-                                    token + "\"");
-    return size_t(v);
-}
-
-/** Per-cell flip probability out of the "@D" suffix of @p token. */
-double
-parseDensity(const std::string &token, const std::string &dens)
-{
-    char *end = nullptr;
-    const double density = std::strtod(dens.c_str(), &end);
-    if (dens.empty() || end != dens.c_str() + dens.size() ||
-        density <= 0.0 || density > 1.0)
-        throw std::invalid_argument("bad cluster density in \"" + token +
-                                    "\"");
-    return density;
-}
-
-} // namespace
-
 FaultModel
 parseFaultModel(const std::string &spec)
 {
+    const SpecReader in("fault spec \"" + spec + "\"");
+    const auto dim = [&](const std::string &digits) {
+        return size_t(in.digits(digits, 1, 65536));
+    };
+    // "<body>[@D]": the body, and the density D (solid by default).
+    const auto density = [&](std::string &body) {
+        const size_t at = body.find('@');
+        if (at == std::string::npos)
+            return 1.0;
+        const double d = in.real(body.substr(at + 1), kAboveZero, 1);
+        body.resize(at);
+        return d;
+    };
+
     if (spec == "single")
         return FaultModel::singleBit();
     if (spec == "fullrow" || spec == "full-row")
@@ -53,50 +33,31 @@ parseFaultModel(const std::string &spec)
     if (spec == "fullcol" || spec == "full-col")
         return FaultModel::fullColumn();
     if (spec.rfind("row:", 0) == 0)
-        return FaultModel::rowBurst(parseDim(spec, spec.substr(4)));
+        return FaultModel::rowBurst(dim(spec.substr(4)));
     if (spec.rfind("col:", 0) == 0)
-        return FaultModel::columnBurst(parseDim(spec, spec.substr(4)));
+        return FaultModel::columnBurst(dim(spec.substr(4)));
     if (spec.rfind("chip:", 0) == 0) {
         const std::string idx = spec.substr(5);
         if (idx == "any")
             return FaultModel::chipKill();
-        // Chip 0 is legal, so parseDim (which rejects 0) cannot serve.
-        if (idx.empty() ||
-            idx.find_first_not_of("0123456789") != std::string::npos)
-            throw std::invalid_argument("bad chip index in \"" + spec +
-                                        "\"");
-        const unsigned long long v =
-            std::strtoull(idx.c_str(), nullptr, 10);
-        if (v > 65535)
-            throw std::invalid_argument("chip index out of range in \"" +
-                                        spec + "\"");
-        return FaultModel::chipKill(long(v));
+        return FaultModel::chipKill(long(in.digits(idx, 0, 65535)));
     }
     if (spec.rfind("hammer:", 0) == 0) {
         std::string body = spec.substr(7);
-        double density = 1.0;
-        if (const size_t at = body.find('@'); at != std::string::npos) {
-            density = parseDensity(spec, body.substr(at + 1));
-            body = body.substr(0, at);
-        }
-        return FaultModel::rowHammer(parseDim(spec, body), density);
+        const double d = density(body);
+        return FaultModel::rowHammer(dim(body), d);
     }
     if (spec.rfind("senseamp:", 0) == 0)
-        return FaultModel::senseAmp(parseDim(spec, spec.substr(9)));
+        return FaultModel::senseAmp(dim(spec.substr(9)));
 
     // WxH[@D] cluster.
     std::string body = spec;
-    double density = 1.0;
-    if (const size_t at = body.find('@'); at != std::string::npos) {
-        density = parseDensity(spec, body.substr(at + 1));
-        body = body.substr(0, at);
-    }
+    const double d = density(body);
     const size_t x = body.find('x');
     if (x == std::string::npos)
-        throw std::invalid_argument("unknown fault model \"" + spec + "\"");
-    const size_t w = parseDim(spec, body.substr(0, x));
-    const size_t h = parseDim(spec, body.substr(x + 1));
-    return FaultModel::cluster(w, h, density);
+        in.fail("unknown fault model");
+    const size_t w = dim(body.substr(0, x));
+    return FaultModel::cluster(w, dim(body.substr(x + 1)), d);
 }
 
 FaultModel
@@ -209,18 +170,6 @@ FaultModel::describe() const
         return "sense-amp 2x" + std::to_string(height);
     }
     return "?";
-}
-
-std::string
-exactDouble(double v)
-{
-    char buf[64];
-    for (int prec = 6; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
 }
 
 std::string

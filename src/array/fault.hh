@@ -130,14 +130,6 @@ struct FaultModel
 };
 
 /**
- * Shortest decimal string that strtod parses back to exactly @p v —
- * the double printer every canonical spec / cache-key axis shares
- * (FaultModel density, FIT-mix scales, lifetime mission/scrub hours),
- * so equal doubles always map to one spelling and one cache entry.
- */
-std::string exactDouble(double v);
-
-/**
  * Parse a fault-model spec string (the --fault axis of the tdc_run
  * driver):
  *
@@ -154,8 +146,11 @@ std::string exactDouble(double v);
  *   hammer:W@D        row-hammer band, per-cell flip probability D
  *   senseamp:H        sense-amp failure: 2 adjacent columns x H rows
  *
- * Malformed specs or out-of-range footprints throw
- * std::invalid_argument quoting the offending token.
+ * Footprints W, H and the chip index I are plain decimal digits
+ * (W, H in [1, 65536], I in [0, 65535]); a density D is a finite
+ * decimal number, so "nan", "inf", hex and padded values are refused
+ * (the common/spec_reader.hh rule). Malformed specs or out-of-range
+ * values throw std::invalid_argument quoting the spec.
  */
 FaultModel parseFaultModel(const std::string &spec);
 

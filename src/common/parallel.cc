@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <condition_variable>
 #include <cstdlib>
+#include <exception>
 #include <mutex>
-#include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
+
+#include "common/spec_reader.hh"
 
 namespace tdc
 {
@@ -194,17 +194,7 @@ requestedThreads()
     const char *env = std::getenv("TDC_THREADS");
     if (env == nullptr)
         return std::nullopt;
-    const std::string value = env;
-    const bool whole =
-        !value.empty() && value.size() <= 3 &&
-        std::all_of(value.begin(), value.end(),
-                    [](unsigned char c) { return std::isdigit(c); });
-    const int n = whole ? std::stoi(value) : 0;
-    if (n < 1 || n > 256)
-        throw std::invalid_argument(
-            "TDC_THREADS expects a whole number in [1, 256], got \"" +
-            value + "\"");
-    return unsigned(n);
+    return unsigned(SpecReader("TDC_THREADS").digits(env, 1, 256));
 }
 
 unsigned

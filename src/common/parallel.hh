@@ -24,8 +24,8 @@ namespace tdc
 /**
  * The worker count the TDC_THREADS environment variable requests;
  * std::nullopt when it is unset.
- * @throws std::invalid_argument (quoting the value) unless it is a
- *         whole number in [1, 256]
+ * @throws std::invalid_argument (quoting the value) unless it is
+ *         plain decimal digits in [1, 256] (SpecReader::digits)
  */
 std::optional<unsigned> requestedThreads();
 

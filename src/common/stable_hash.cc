@@ -105,4 +105,36 @@ stableHash(std::string_view s)
     return h.digest();
 }
 
+void
+putU32(std::string &out, uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        out += char((v >> (8 * i)) & 0xff);
+}
+
+void
+putU64(std::string &out, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        out += char((v >> (8 * i)) & 0xff);
+}
+
+uint32_t
+getU32(const unsigned char *p)
+{
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i)
+        v |= uint32_t(p[i]) << (8 * i);
+    return v;
+}
+
+uint64_t
+getU64(const unsigned char *p)
+{
+    uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= uint64_t(p[i]) << (8 * i);
+    return v;
+}
+
 } // namespace tdc

@@ -76,6 +76,21 @@ class StableHash
 /** One-shot convenience: digest of a single string. */
 StableDigest stableHash(std::string_view s);
 
+// Little-endian fixed-width fields: the one spelling the on-disk
+// formats (recorded request traces, result-cache entries) share.
+
+/** Append @p v to @p out as 4 little-endian bytes. */
+void putU32(std::string &out, uint32_t v);
+
+/** Append @p v to @p out as 8 little-endian bytes. */
+void putU64(std::string &out, uint64_t v);
+
+/** The 4 little-endian bytes at @p p. */
+uint32_t getU32(const unsigned char *p);
+
+/** The 8 little-endian bytes at @p p. */
+uint64_t getU64(const unsigned char *p);
+
 } // namespace tdc
 
 #endif // TDC_COMMON_STABLE_HASH_HH

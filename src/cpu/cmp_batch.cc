@@ -1,7 +1,7 @@
 #include "cpu/cmp_batch.hh"
 
-#include "array/fault.hh"
 #include "common/parallel.hh"
+#include "common/spec_reader.hh"
 #include "reliability/result_cache.hh"
 
 namespace tdc

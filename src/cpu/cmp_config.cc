@@ -1,6 +1,6 @@
 #include "cpu/cmp_config.hh"
 
-#include <stdexcept>
+#include "common/spec_reader.hh"
 
 namespace tdc
 {
@@ -82,9 +82,9 @@ ProtectionConfig::parse(const std::string &spec)
     if (spec == "wt")
         return writeThroughL1();
 
+    const SpecReader in("protection spec \"" + spec + "\"");
     ProtectionConfig cfg;
-    std::string token;
-    const auto consume = [&]() {
+    for (const std::string &token : splitSpec(spec, "+")) {
         if (token == "l1")
             cfg.l1TwoDim = true;
         else if (token == "steal")
@@ -92,21 +92,10 @@ ProtectionConfig::parse(const std::string &spec)
         else if (token == "l2")
             cfg.l2TwoDim = true;
         else
-            throw std::invalid_argument("protection spec \"" + spec +
-                                        "\": unknown token \"" + token +
-                                        "\"");
-        token.clear();
-    };
-    for (char c : spec) {
-        if (c == '+')
-            consume();
-        else
-            token += c;
+            in.fail("unknown token \"" + token + "\"");
     }
-    consume();
     if (cfg.l1PortStealing && !cfg.l1TwoDim)
-        throw std::invalid_argument("protection spec \"" + spec +
-                                    "\": \"steal\" requires \"l1\"");
+        in.fail("\"steal\" requires \"l1\"");
     return cfg;
 }
 

@@ -1,17 +1,16 @@
 #include "driver/tdc_run.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 
 #include "common/cpu_features.hh"
 #include "common/parallel.hh"
+#include "common/spec_reader.hh"
 #include "cpu/ipc_campaign.hh"
 #include "driver/optimize.hh"
 #include "scheme/figure_campaigns.hh"
@@ -270,8 +269,8 @@ struct CliOptions
     std::string cacheDir;
     bool cacheStats = false;
     std::string machine = "fat";
-    double events = 100.0;
-    double cycles = 150000.0;
+    uint64_t events = 100;
+    uint64_t cycles = 150000;
     uint64_t seed = 12345;
     bool serve = false;
     std::string serveSpec;
@@ -303,34 +302,6 @@ usageError(const std::string &what)
 }
 
 /**
- * Parse a number in [@p lo, @p hi] that may use scientific notation
- * ("1e5"). A @p whole number also refuses a fraction, the rule the
- * request grammar's counts follow.
- */
-double
-parseNumber(const std::string &flag, const std::string &value, double lo,
-            double hi, bool whole)
-{
-    char *end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    // Written so that NaN fails the range test too.
-    if (value.empty() || end != value.c_str() + value.size() ||
-        !(v >= lo && v <= hi) || (whole && v != std::floor(v)))
-        usageError(flag + " expects a " + (whole ? "whole " : "") +
-                   "number in [" + std::to_string(uint64_t(lo)) + ", " +
-                   std::to_string(uint64_t(hi)) + "], got \"" + value +
-                   "\"");
-    return v;
-}
-
-/** Parse a whole count in [1, @p max] ("1e5" allowed, "2.5" refused). */
-double
-parseCount(const std::string &flag, const std::string &value, double max)
-{
-    return parseNumber(flag, value, 1.0, max, true);
-}
-
-/**
  * Refuse a malformed TDC_SIMD or TDC_THREADS: their readers throw.
  * Falling back to the default instead would run a configuration the
  * caller did not ask for, e.g. a CI leg whose variable has a typo.
@@ -340,31 +311,6 @@ checkEnvironment()
 {
     requestedSimdBackend();
     requestedThreads();
-}
-
-/**
- * Parse a plain non-negative integer (0 allowed — "disabled") at full
- * uint64 precision. strtoull would skip leading space and wrap a
- * leading '-', so the token must start with a digit.
- */
-uint64_t
-parseU64(const std::string &flag, const std::string &value)
-{
-    char *end = nullptr;
-    errno = 0;
-    const uint64_t v = std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || !std::isdigit((unsigned char)value[0]) ||
-        end != value.c_str() + value.size() || errno == ERANGE)
-        usageError(flag + " expects an unsigned integer, got \"" + value +
-                   "\"");
-    return v;
-}
-
-/** Parse a non-negative hour count (0 = scrub after every event). */
-double
-parseHours(const std::string &flag, const std::string &value)
-{
-    return parseNumber(flag, value, 0.0, 1e9, false);
 }
 
 CliOptions
@@ -405,9 +351,9 @@ parseCli(const std::vector<std::string> &args)
                 usageError("--format expects table|csv|json, got \"" +
                            fmt + "\"");
         } else if (arg == "--threads") {
-            opt.threads = long(parseCount(arg, value(i), 256));
+            opt.threads = long(SpecReader(arg).count(value(i), 1, 256));
         } else if (arg == "--events" || arg == "--trials") {
-            opt.events = parseCount(arg, value(i), 1e8);
+            opt.events = SpecReader(arg).count(value(i), 1, 100000000);
         } else if (arg == "--optimize") {
             opt.optimizePatterns.push_back(value(i));
         } else if (arg == "--objective") {
@@ -419,24 +365,25 @@ parseCli(const std::vector<std::string> &args)
         } else if (arg == "--cache-stats") {
             opt.cacheStats = true;
         } else if (arg == "--cycles") {
-            opt.cycles = parseCount(arg, value(i), 1e9);
+            opt.cycles = SpecReader(arg).count(value(i), 1, 1000000000);
         } else if (arg == "--seed") {
-            // Not parseCount: a seed of 0 is legitimate, and rounding
-            // through double would lose uint64 precision.
-            opt.seed = parseU64(arg, value(i));
+            // Plain digits: a seed of 0 is legitimate, and a count
+            // would round through double and lose uint64 precision.
+            opt.seed = SpecReader(arg).digits(value(i), 0, UINT64_MAX);
         } else if (arg == "--serve") {
             opt.serve = true;
             opt.serveSpec = value(i);
         } else if (arg == "--record-trace") {
             opt.recordTrace = value(i);
         } else if (arg == "--shards") {
-            opt.shards = size_t(parseCount(arg, value(i), 4096));
+            opt.shards = size_t(SpecReader(arg).count(value(i), 1, 4096));
         } else if (arg == "--banks") {
-            opt.banks = size_t(parseCount(arg, value(i), 4096));
+            opt.banks = size_t(SpecReader(arg).count(value(i), 1, 4096));
         } else if (arg == "--ports") {
-            opt.ports = unsigned(parseCount(arg, value(i), 64));
+            opt.ports = unsigned(SpecReader(arg).count(value(i), 1, 64));
         } else if (arg == "--steal-window") {
-            opt.stealWindow = unsigned(parseU64(arg, value(i)));
+            opt.stealWindow = unsigned(SpecReader(arg).digits(
+                value(i), 0, std::numeric_limits<unsigned>::max()));
         } else if (arg == "--scrub-interval") {
             opt.scrubIntervals.push_back(value(i));
         } else if (arg == "--lifetime") {
@@ -446,9 +393,9 @@ parseCli(const std::vector<std::string> &args)
         } else if (arg == "--spares") {
             opt.spares.push_back(value(i));
         } else if (arg == "--mission") {
-            opt.missionHours = parseNumber(arg, value(i), 1.0, 1e9, false);
+            opt.missionHours = SpecReader(arg).real(value(i), 1, 1e9);
         } else if (arg == "--fault-interval") {
-            opt.faultInterval = parseU64(arg, value(i));
+            opt.faultInterval = SpecReader(arg).digits(value(i), 0, UINT64_MAX);
         } else if (arg == "--list-figures") {
             opt.listFigures = true;
         } else if (arg == "--list-schemes") {
@@ -610,8 +557,8 @@ tdcRun(const std::vector<std::string> &args, std::string &out,
             cfg.scrubInterval =
                 opt.scrubIntervals.empty()
                     ? 0
-                    : parseU64("--scrub-interval",
-                               opt.scrubIntervals.front());
+                    : SpecReader("--scrub-interval")
+                          .digits(opt.scrubIntervals.front(), 0, UINT64_MAX);
             cfg.faultInterval = opt.faultInterval;
             cfg.seed = opt.seed;
             if (!opt.faults.empty())
@@ -680,17 +627,14 @@ tdcRun(const std::vector<std::string> &args, std::string &out,
                 mixes.push_back("jaguar*10000");
             std::vector<double> scrubs;
             for (const std::string &s : opt.scrubIntervals)
-                scrubs.push_back(parseHours("--scrub-interval", s));
+                scrubs.push_back(
+                    SpecReader("--scrub-interval").real(s, 0, 1e9));
             if (scrubs.empty())
                 scrubs.push_back(24.0 * 7);
             std::vector<int> spares;
-            for (const std::string &s : opt.spares) {
-                const uint64_t v = parseU64("--spares", s);
-                if (v > 4096)
-                    usageError("--spares expects at most 4096, got \"" +
-                               s + "\"");
-                spares.push_back(int(v));
-            }
+            for (const std::string &s : opt.spares)
+                spares.push_back(
+                    int(SpecReader("--spares").digits(s, 0, 4096)));
             if (spares.empty())
                 spares.push_back(0);
             ctx.table(customLifetimeCampaign(schemes, mixes, scrubs,

@@ -79,23 +79,37 @@ BchCode::BchCode(size_t data_bits, size_t t)
     }
     assert(field && "no supported field fits this (k, t)");
 
+    if (r > kMaxCheckBits)
+        throw std::invalid_argument(
+            "BCH supports at most " + std::to_string(kMaxCheckBits) +
+            " check bits, got r = " + std::to_string(r) + " for k = " +
+            std::to_string(k) + ", t = " + std::to_string(t));
+
     // Build the byte-at-a-time division table (classic CRC technique):
     // one entry per top-byte value, giving the combined reduction of
     // eight bit-serial LFSR steps. The remainder is kept left-aligned
-    // in a word (coefficient r-1 at bit 63), so one table serves every
-    // r <= 64 and makes encode ~8x fewer, branch-free steps.
-    if (r <= 64) {
-        for (size_t i = 0; i < r; ++i) {
-            if (gen[i])
-                genTop |= uint64_t(1) << (64 - r + i);
+    // in two words (coefficient r-1 at bit 63 of the high word), so
+    // one table serves every r <= 128 with branch-free steps.
+    uint64_t gen_hi = 0, gen_lo = 0;
+    for (size_t i = 0; i < r; ++i) {
+        const size_t bit = 128 - r + i;
+        if (gen[i])
+            (bit >= 64 ? gen_hi : gen_lo) |= uint64_t(1) << (bit % 64);
+    }
+    byteTable.resize(2 * 256);
+    for (uint32_t b = 0; b < 256; ++b) {
+        uint64_t hi = uint64_t(b) << 56, lo = 0;
+        for (int s = 0; s < 8; ++s) {
+            const bool feedback = hi >> 63;
+            hi = (hi << 1) | (lo >> 63);
+            lo <<= 1;
+            if (feedback) {
+                hi ^= gen_hi;
+                lo ^= gen_lo;
+            }
         }
-        byteTable.resize(256);
-        for (uint32_t b = 0; b < 256; ++b) {
-            uint64_t cur = uint64_t(b) << 56;
-            for (int s = 0; s < 8; ++s)
-                cur = (cur << 1) ^ (cur >> 63 ? genTop : 0);
-            byteTable[b] = cur;
-        }
+        byteTable[2 * b] = hi;
+        byteTable[2 * b + 1] = lo;
     }
 
     // Per-byte syndrome contribution tables. For byte index bi of the
@@ -154,31 +168,24 @@ BitVector
 BchCode::polyRemainder(const BitVector &data) const
 {
     assert(data.size() == k);
-    if (!byteTable.empty()) {
-        // Byte-parallel LFSR division, message byte ceil(k/8)-1 first
-        // (the byte holding the highest polynomial coefficients). When
-        // k is not byte-aligned that byte is zero-padded above bit k-1;
-        // leading zero coefficients leave the remainder unchanged.
-        const uint64_t *words = data.wordData();
-        uint64_t rem = 0;
-        for (size_t bi = (k + 7) / 8; bi-- > 0;) {
-            const uint64_t byte = (words[bi / 8] >> (8 * (bi % 8))) & 0xFF;
-            rem = (rem << 8) ^ byteTable[(rem >> 56) ^ byte];
-        }
-        return BitVector(r, rem >> (64 - r));
+    // Byte-parallel LFSR division, message byte ceil(k/8)-1 first (the
+    // byte holding the highest polynomial coefficients). When k is not
+    // byte-aligned that byte is zero-padded above bit k-1; leading zero
+    // coefficients leave the remainder unchanged.
+    const uint64_t *words = data.wordData();
+    uint64_t hi = 0, lo = 0;
+    for (size_t bi = (k + 7) / 8; bi-- > 0;) {
+        const uint64_t byte = (words[bi / 8] >> (8 * (bi % 8))) & 0xFF;
+        const uint64_t *step = &byteTable[2 * ((hi >> 56) ^ byte)];
+        hi = ((hi << 8) | (lo >> 56)) ^ step[0];
+        lo = (lo << 8) ^ step[1];
     }
-
-    // Bit-serial LFSR division of x^r * d(x) by g(x), data coefficient
-    // k-1 first: the engine for remainders wider than a word (r > 64),
-    // which among the scheme grammar's codes is OECNED at /w192 and
-    // wider.
+    // Coefficient i sits at bit 128 - r + i of the (hi, lo) pair.
+    if (r <= 64)
+        return BitVector(r, hi >> (64 - r));
     BitVector rem(r);
-    for (size_t j = k; j-- > 0;) {
-        const bool feedback = rem.get(r - 1) ^ data.get(j);
-        for (size_t i = r - 1; i > 0; --i)
-            rem.set(i, rem.get(i - 1) ^ (feedback && gen[i]));
-        rem.set(0, feedback && gen[0]);
-    }
+    rem.setBits(0, lo >> (128 - r), r - 64);
+    rem.setBits(r - 64, hi, 64);
     return rem;
 }
 

@@ -45,7 +45,8 @@ class BchCode : public Code
     /**
      * @param data_bits data word width k
      * @param t target correction capability in bits
-     * @throws std::invalid_argument if t > kMaxT
+     * @throws std::invalid_argument if t > kMaxT or the check width
+     *         r exceeds kMaxCheckBits
      */
     BchCode(size_t data_bits, size_t t);
 
@@ -100,6 +101,12 @@ class BchCode : public Code
      * need t <= 8.
      */
     static constexpr size_t kMaxT = 12;
+
+    /**
+     * Widest remainder the two-word division table holds; the scheme
+     * grammar's widest is r = 80 (OECNED at /w512).
+     */
+    static constexpr size_t kMaxCheckBits = 128;
 
   private:
 
@@ -175,14 +182,11 @@ class BchCode : public Code
 
     /**
      * CRC-style byte-at-a-time division table: remainder evolution of
-     * injecting one message byte into the left-aligned LFSR. Built
-     * whenever the remainder fits one word (r <= 64); empty only for
-     * wider remainders, which divide bit-serially.
+     * injecting one message byte into the LFSR, as the (high, low)
+     * word pair of a 128-bit left-aligned remainder (entry b at
+     * [2b, 2b + 1]).
      */
     std::vector<uint64_t> byteTable;
-    /** Low r bits of g(x), left-aligned in a word (bit 63 holds the
-     *  coefficient of x^(r-1)); valid iff byteTable is nonempty. */
-    uint64_t genTop = 0;
 
     /**
      * Per-byte odd-syndrome contribution tables (the Hsiao shape

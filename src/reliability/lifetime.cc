@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <stdexcept>
 
 #include "common/parallel.hh"
+#include "common/spec_reader.hh"
 #include "reliability/result_cache.hh"
 
 namespace tdc
@@ -72,14 +71,8 @@ fitMixNames()
 namespace
 {
 
-[[noreturn]] void
-mixError(const std::string &spec, const std::string &what)
-{
-    throw std::invalid_argument("fit-mix spec \"" + spec + "\": " + what);
-}
-
 FitMix
-namedMix(const std::string &name, const std::string &spec)
+namedMix(const std::string &name, const SpecReader &in)
 {
     if (name == "jaguar")
         return jaguarFitMix();
@@ -105,7 +98,7 @@ namedMix(const std::string &name, const std::string &spec)
     std::string known;
     for (const std::string &n : fitMixNames())
         known += (known.empty() ? "" : ", ") + n;
-    mixError(spec, "unknown mix \"" + name + "\" (known: " + known + ")");
+    in.fail("unknown mix \"" + name + "\" (known: " + known + ")");
 }
 
 } // namespace
@@ -113,19 +106,12 @@ namedMix(const std::string &name, const std::string &spec)
 FitMix
 parseFitMix(const std::string &spec)
 {
+    const SpecReader in("fit-mix spec \"" + spec + "\"");
     const size_t star = spec.find('*');
-    const std::string name = spec.substr(0, star);
-    FitMix mix = namedMix(name, spec);
-    if (star != std::string::npos) {
-        const std::string digits = spec.substr(star + 1);
-        char *end = nullptr;
-        const double scale = std::strtod(digits.c_str(), &end);
-        if (digits.empty() || end != digits.c_str() + digits.size() ||
-            !std::isfinite(scale) || scale <= 0.0)
-            mixError(spec, "malformed scale \"" + digits +
-                               "\" (expect a positive number)");
-        mix.scale = scale;
-    }
+    FitMix mix = namedMix(spec.substr(0, star), in);
+    if (star != std::string::npos)
+        mix.scale = in.real(spec.substr(star + 1), kAboveZero,
+                            std::numeric_limits<double>::max());
     return mix;
 }
 

@@ -66,38 +66,6 @@ namespace
 constexpr char kMagic[8] = {'T', 'D', 'C', 'R', 'C', 'A', 'C', 'H'};
 constexpr size_t kMaxVectorLen = 1u << 20;
 
-void
-putU32(std::string &buf, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf += char((v >> (8 * i)) & 0xff);
-}
-
-void
-putU64(std::string &buf, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf += char((v >> (8 * i)) & 0xff);
-}
-
-uint32_t
-getU32(const unsigned char *p)
-{
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= uint32_t(p[i]) << (8 * i);
-    return v;
-}
-
-uint64_t
-getU64(const unsigned char *p)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= uint64_t(p[i]) << (8 * i);
-    return v;
-}
-
 std::string
 serializeEntry(const std::string &key, const ResultCache::Record &record)
 {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/spec_reader.hh"
 #include "dram/chip_iecc.hh"
 #include "ecc/reed_solomon.hh"
 
@@ -277,17 +278,8 @@ dramSchemeFamily()
     family.examples = {"dram:chipkill/x4", "dram:iecc+chipkill/x8",
                        "dram:chipkill/x8/r16/b4/cols"};
     family.parse = [](const std::string &body, const std::string &spec) {
-        std::vector<std::string> tokens;
-        size_t start = 0;
-        while (start <= body.size()) {
-            const size_t slash = body.find('/', start);
-            tokens.push_back(body.substr(
-                start, slash == std::string::npos ? std::string::npos
-                                                  : slash - start));
-            if (slash == std::string::npos)
-                break;
-            start = slash + 1;
-        }
+        const std::vector<std::string> tokens = splitSpec(body, "/");
+        const SpecReader in("scheme spec \"" + spec + "\"");
 
         DramSchemeConfig cfg;
         if (tokens.front() == "chipkill")
@@ -295,8 +287,8 @@ dramSchemeFamily()
         else if (tokens.front() == "iecc+chipkill")
             cfg.iecc = true;
         else
-            specError(spec, "unknown dram variant \"" + tokens.front() +
-                                "\" (chipkill | iecc+chipkill)");
+            in.fail("unknown dram variant \"" + tokens.front() +
+                    "\" (chipkill | iecc+chipkill)");
 
         bool have_width = false;
         for (size_t i = 1; i < tokens.size(); ++i) {
@@ -308,16 +300,15 @@ dramSchemeFamily()
                 cfg.columnRepair = true;
             } else if (tok.rfind("r", 0) == 0) {
                 cfg.geometry.rowsPerBank =
-                    parseNumber(spec, tok, tok.substr(1), 1, 4096);
+                    in.digits(tok, tok.substr(1), 1, 4096);
             } else if (tok.rfind("b", 0) == 0) {
-                cfg.geometry.banks =
-                    parseNumber(spec, tok, tok.substr(1), 1, 64);
+                cfg.geometry.banks = in.digits(tok, tok.substr(1), 1, 64);
             } else {
-                specError(spec, "unknown token \"" + tok + "\"");
+                in.fail("unknown token \"" + tok + "\"");
             }
         }
         if (!have_width)
-            specError(spec, "missing device width (\"/x4\" or \"/x8\")");
+            in.fail("missing device width (\"/x4\" or \"/x8\")");
         cfg.geometry.chips = dataChipsForWidth(cfg.geometry.symbolBits) +
                              SymbolRsCode::kCheckSymbols;
         return makeDramScheme(cfg);

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "common/parallel.hh"
+#include "common/spec_reader.hh"
 #include "core/twod_array.hh"
 #include "ecc/cost_model.hh"
 #include "reliability/soft_error_model.hh"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <mutex>
 #include <stdexcept>
 
@@ -10,6 +9,7 @@
 #include "array/protected_array.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
+#include "common/spec_reader.hh"
 #include "core/line_codec.hh"
 #include "core/twod_array.hh"
 #include "scheme/dram_scheme.hh"
@@ -98,30 +98,15 @@ ProtectionScheme::costSpec() const
                            "\" has no VLSI cost model");
 }
 
-// --- Shared spec-grammar helpers ------------------------------------
-
-[[noreturn]] void
-specError(const std::string &spec, const std::string &what)
-{
-    throw std::invalid_argument("scheme spec \"" + spec + "\": " + what);
-}
-
-size_t
-parseNumber(const std::string &spec, const std::string &token,
-            const std::string &digits, size_t lo, size_t hi)
-{
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-        specError(spec, "malformed number in \"" + token + "\"");
-    const unsigned long long v = std::strtoull(digits.c_str(), nullptr, 10);
-    if (v < lo || v > hi)
-        specError(spec, "value out of range [" + std::to_string(lo) + ".." +
-                            std::to_string(hi) + "] in \"" + token + "\"");
-    return size_t(v);
-}
-
 namespace
 {
+
+/** The reader every family parser reads @p spec's tokens with. */
+SpecReader
+schemeReader(const std::string &spec)
+{
+    return SpecReader("scheme spec \"" + spec + "\"");
+}
 
 /** Lowercased codeKindName: the single source of code spellings. */
 std::string
@@ -160,54 +145,43 @@ BodyParams
 parseBody(const std::string &body, const std::string &spec, bool allow_vp)
 {
     // Tokens separate on '/' and '+' equally ("i4+vp32" == "i4/vp32").
-    std::vector<std::string> tokens;
-    std::string current;
-    for (char c : body) {
-        if (c == '/' || c == '+') {
-            tokens.push_back(current);
-            current.clear();
-        } else {
-            current += c;
-        }
-    }
-    tokens.push_back(current);
+    const std::vector<std::string> tokens = splitSpec(body, "/+");
+    const SpecReader in = schemeReader(spec);
 
     BodyParams p;
     try {
         p.code = parseCodeKind(tokens.front());
     } catch (const std::invalid_argument &e) {
-        specError(spec, e.what());
+        in.fail(e.what());
     }
 
     bool have_degree = false;
     for (size_t i = 1; i < tokens.size(); ++i) {
         const std::string &tok = tokens[i];
         if (tok.rfind("vp", 0) == 0 && allow_vp) {
-            p.verticalRows = parseNumber(spec, tok, tok.substr(2), 1, 4096);
+            p.verticalRows = in.digits(tok, tok.substr(2), 1, 4096);
         } else if (tok.rfind("i", 0) == 0) {
-            p.degree = parseNumber(spec, tok, tok.substr(1), 1, 64);
+            p.degree = in.digits(tok, tok.substr(1), 1, 64);
             have_degree = true;
         } else if (tok.rfind("w", 0) == 0) {
-            p.wordBits = parseNumber(spec, tok, tok.substr(1), 8, 512);
+            p.wordBits = in.digits(tok, tok.substr(1), 8, 512);
         } else if (tok.rfind("r", 0) == 0) {
-            p.rows = parseNumber(spec, tok, tok.substr(1), 1, 65536);
+            p.rows = in.digits(tok, tok.substr(1), 1, 65536);
         } else {
-            specError(spec, "unknown token \"" + tok + "\"");
+            in.fail("unknown token \"" + tok + "\"");
         }
     }
     if (!have_degree)
-        specError(spec, "missing interleave degree (\"/i<deg>\")");
+        in.fail("missing interleave degree (\"/i<deg>\")");
     if (const size_t n = edcClassWidth(p.code);
         n != 0 && p.wordBits % n != 0)
-        specError(spec, "word width " + std::to_string(p.wordBits) +
-                            " is not a multiple of the \"" +
-                            codeToken(p.code) + "\" class width " +
-                            std::to_string(n));
+        in.fail("word width " + std::to_string(p.wordBits) +
+                " is not a multiple of the \"" + codeToken(p.code) +
+                "\" class width " + std::to_string(n));
     if (allow_vp && p.verticalRows > p.rows)
-        specError(spec, "vertical parity rows \"vp" +
-                            std::to_string(p.verticalRows) +
-                            "\" exceed the bank's " +
-                            std::to_string(p.rows) + " data rows");
+        in.fail("vertical parity rows \"vp" +
+                std::to_string(p.verticalRows) + "\" exceed the bank's " +
+                std::to_string(p.rows) + " data rows");
     return p;
 }
 
@@ -633,14 +607,14 @@ builtinFamilies()
          "related-work HV product code (horizontal + vertical parity)",
          {"prod:256x256", "prod:64x64"},
          [](const std::string &body, const std::string &spec) {
+             const SpecReader in = schemeReader(spec);
              const size_t x = body.find('x');
              if (x == std::string::npos)
-                 specError(spec, "expected \"<rows>x<cols>\", got \"" +
-                                     body + "\"");
-             const size_t rows = parseNumber(spec, body, body.substr(0, x),
-                                             2, 4096);
-             const size_t cols = parseNumber(spec, body, body.substr(x + 1),
-                                             2, 4096);
+                 in.fail("expected \"<rows>x<cols>\", got \"" + body +
+                         "\"");
+             const size_t rows = in.digits(body, body.substr(0, x), 2, 4096);
+             const size_t cols =
+                 in.digits(body, body.substr(x + 1), 2, 4096);
              return makeProductCodeScheme(rows, cols);
          }});
 
@@ -663,15 +637,13 @@ parseScheme(const std::string &spec)
 {
     const size_t colon = spec.find(':');
     if (colon == std::string::npos)
-        throw std::invalid_argument("scheme spec \"" + spec +
-                                    "\": missing \":\" after the family");
+        schemeReader(spec).fail("missing \":\" after the family");
     const std::string key = spec.substr(0, colon);
     for (const SchemeFamily &family : schemeFamilies()) {
         if (family.key == key)
             return family.parse(spec.substr(colon + 1), spec);
     }
-    throw std::invalid_argument("scheme spec \"" + spec +
-                                "\": unknown family \"" + key + "\"");
+    schemeReader(spec).fail("unknown family \"" + key + "\"");
 }
 
 TwoDimConfig
@@ -679,13 +651,10 @@ parseTwoDimConfig(const std::string &spec)
 {
     const size_t colon = spec.find(':');
     if (colon == std::string::npos)
-        throw std::invalid_argument("scheme spec \"" + spec +
-                                    "\": missing \":\" after the family");
+        schemeReader(spec).fail("missing \":\" after the family");
     if (spec.substr(0, colon) != "2d")
-        throw std::invalid_argument(
-            "scheme spec \"" + spec + "\": family \"" +
-            spec.substr(0, colon) +
-            "\" has no bank configuration (need \"2d\")");
+        schemeReader(spec).fail("family \"" + spec.substr(0, colon) +
+                                "\" has no bank configuration (need \"2d\")");
     const BodyParams p = parseBody(spec.substr(colon + 1), spec, true);
     TwoDimConfig cfg;
     cfg.horizontalKind = p.code;

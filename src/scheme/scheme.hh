@@ -18,9 +18,11 @@
  *   dopt     ::= "/r" rows-per-bank | "/b" banks | "/cols"
  *   code     ::= parity|edc8|edc16|edc32|secded|dected|qecped|oecned
  *
- * spec() round-trips: parseScheme(s->spec()) reconstructs an equal
- * scheme, and malformed specs throw std::invalid_argument quoting the
- * offending token. Campaign grids, the tdc_run driver, and tests all
+ * Tokens split with splitSpec and every number is plain decimal
+ * digits read by SpecReader::digits (common/spec_reader.hh: no sign,
+ * space or hex). spec() round-trips: parseScheme(s->spec())
+ * reconstructs an equal scheme, and malformed specs throw
+ * std::invalid_argument quoting the offending token. Campaign grids, the tdc_run driver, and tests all
  * name schemes exclusively through this grammar, so a new scenario is
  * data, not C++.
  */

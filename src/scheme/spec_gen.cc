@@ -1,8 +1,10 @@
 #include "scheme/spec_gen.hh"
 
-#include <cstdlib>
+#include <cstdint>
 #include <stdexcept>
 #include <unordered_set>
+
+#include "common/spec_reader.hh"
 
 namespace tdc
 {
@@ -16,46 +18,23 @@ patternError(const std::string &what, const std::string &token)
     throw std::invalid_argument(what + " \"" + token + "\"");
 }
 
-/** Parse a non-negative integer that consumes the whole token. */
-long
-rangeInt(const std::string &token, const std::string &group)
-{
-    char *end = nullptr;
-    const long v = std::strtol(token.c_str(), &end, 10);
-    if (token.empty() || end != token.c_str() + token.size() || v < 0)
-        patternError("range group expects non-negative integer bounds, "
-                     "got",
-                     group);
-    return v;
-}
-
 /** Expand one brace-group body (text between '{' and '}'). */
 std::vector<std::string>
 expandGroup(const std::string &body)
 {
+    const std::string group = "{" + body + "}";
     const size_t dots = body.find("..");
     if (dots == std::string::npos) {
         // Alternatives: {a,b,c}. Empty alternatives are typos.
-        std::vector<std::string> out;
-        size_t start = 0;
-        while (true) {
-            const size_t comma = body.find(',', start);
-            const std::string token =
-                body.substr(start, comma == std::string::npos
-                                       ? std::string::npos
-                                       : comma - start);
-            if (token.empty())
-                patternError("empty alternative in group", "{" + body + "}");
-            out.push_back(token);
-            if (comma == std::string::npos)
-                break;
-            start = comma + 1;
-        }
+        std::vector<std::string> out = splitSpec(body, ",");
+        for (const std::string &alt : out)
+            if (alt.empty())
+                patternError("empty alternative in group", group);
         return out;
     }
 
-    // Range: lo..hi[..+K | ..xK]
-    const std::string group = "{" + body + "}";
+    // Range: lo..hi[..+K | ..xK], bounds and step plain decimal digits.
+    const SpecReader in("range group \"" + group + "\"");
     const std::string lo_tok = body.substr(0, dots);
     std::string rest = body.substr(dots + 2);
     std::string step_tok;
@@ -64,33 +43,31 @@ expandGroup(const std::string &body)
         step_tok = rest.substr(dots2 + 2);
         rest = rest.substr(0, dots2);
     }
-    const long lo = rangeInt(lo_tok, group);
-    const long hi = rangeInt(rest, group);
+    const uint64_t lo = in.digits(lo_tok, 0, UINT64_MAX);
+    const uint64_t hi = in.digits(rest, 0, UINT64_MAX);
     if (lo > hi)
         patternError("range group expects lo <= hi, got", group);
 
     bool multiplicative = false;
-    long step = 1;
+    uint64_t step = 1;
     if (!step_tok.empty()) {
-        if (step_tok[0] == 'x')
-            multiplicative = true;
-        else if (step_tok[0] != '+')
+        multiplicative = step_tok[0] == 'x';
+        if (!multiplicative && step_tok[0] != '+')
             patternError("range step expects +K or xK, got", group);
-        step = rangeInt(step_tok.substr(1), group);
-        if (step < 1 || (multiplicative && step < 2))
-            patternError(multiplicative
-                             ? "multiplicative step expects K >= 2, got"
-                             : "additive step expects K >= 1, got",
-                         group);
+        step = in.digits(step_tok, step_tok.substr(1),
+                         multiplicative ? 2 : 1, UINT64_MAX);
     }
 
     std::vector<std::string> out;
-    for (long v = lo; v <= hi; v = multiplicative ? v * step : v + step) {
+    for (uint64_t v = lo;;) {
         out.push_back(std::to_string(v));
         if (out.size() > kMaxSpecExpansion)
             patternError("range group expands past the grid limit,", group);
-        if (multiplicative && v == 0)
-            break; // 0 * K never advances
+        // Stop before the next value would pass hi (or wrap); 0 * K
+        // never advances.
+        if (multiplicative ? v == 0 || v > hi / step : hi - v < step)
+            break;
+        v = multiplicative ? v * step : v + step;
     }
     return out;
 }

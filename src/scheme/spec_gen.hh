@@ -11,6 +11,10 @@
  *   {lo..hi..+K}     integers lo, lo+K, ... while <= hi
  *   {lo..hi..xK}     integers lo, lo*K, ... while <= hi
  *
+ * lo, hi and K are plain decimal digits at uint64 precision (no sign,
+ * space or hex: the common/spec_reader.hh rule), and a range stops
+ * before a value past hi.
+ *
  * Example: "2d:edc{8,16,32}/i{1..8..x2}+vp{16,32,64}" expands to
  * 3 x 4 x 3 = 36 scheme specs. Groups expand left-to-right with the
  * leftmost varying slowest, so the output order is deterministic.

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "common/parallel.hh"
+#include "common/stable_hash.hh"
 
 namespace tdc
 {
@@ -32,38 +33,6 @@ namespace
 constexpr char kMagic[8] = {'T', 'D', 'C', 'T', 'R', 'A', 'C', 'E'};
 constexpr uint32_t kVersion = 1;
 constexpr size_t kRecordBytes = 25; // tick u64 + op u8 + addr/value u64
-
-void
-putU32(std::string &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out += char((v >> (8 * i)) & 0xff);
-}
-
-void
-putU64(std::string &out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out += char((v >> (8 * i)) & 0xff);
-}
-
-uint32_t
-getU32(const unsigned char *p)
-{
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= uint32_t(p[i]) << (8 * i);
-    return v;
-}
-
-uint64_t
-getU64(const unsigned char *p)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= uint64_t(p[i]) << (8 * i);
-    return v;
-}
 
 [[noreturn]] void
 traceError(const std::string &what)

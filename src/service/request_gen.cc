@@ -1,56 +1,14 @@
 #include "service/request_gen.hh"
 
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "common/parallel.hh"
 #include "common/rng.hh"
+#include "common/spec_reader.hh"
 
 namespace tdc
 {
-
-namespace
-{
-
-[[noreturn]] void
-genError(const std::string &spec, const std::string &what)
-{
-    throw std::invalid_argument("request spec \"" + spec + "\": " + what);
-}
-
-/** Decimal digits of @p digits (from @p token), range-checked. */
-uint64_t
-parseDigits(const std::string &spec, const std::string &token,
-            const std::string &digits, uint64_t lo, uint64_t hi)
-{
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-        genError(spec, "malformed number in \"" + token + "\"");
-    const unsigned long long v = std::strtoull(digits.c_str(), nullptr, 10);
-    if (v < lo || v > hi)
-        genError(spec, "value out of range [" + std::to_string(lo) + ".." +
-                           std::to_string(hi) + "] in \"" + token + "\"");
-    return v;
-}
-
-/** Count that may use scientific notation ("1e6"), as a whole number. */
-uint64_t
-parseCount(const std::string &spec, const std::string &token,
-           const std::string &text, double lo, double hi)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (text.empty() || end != text.c_str() + text.size() ||
-        v != std::floor(v) || v < lo || v > hi)
-        genError(spec, "expected a count in [" +
-                           std::to_string(uint64_t(lo)) + ".." +
-                           std::to_string(uint64_t(hi)) + "] in \"" +
-                           token + "\"");
-    return uint64_t(v);
-}
-
-} // namespace
 
 std::string
 RequestStreamSpec::spec() const
@@ -79,27 +37,18 @@ RequestStreamSpec::spec() const
 RequestStreamSpec
 parseRequestSpec(const std::string &spec)
 {
+    const SpecReader in("request spec \"" + spec + "\"");
     if (spec.rfind("trace:", 0) == 0) {
         RequestStreamSpec s;
         s.dist = RequestDist::kTrace;
         s.tracePath = spec.substr(6);
         if (s.tracePath.empty())
-            genError(spec, "empty path after \"trace:\"");
+            in.fail("empty path after \"trace:\"");
         return s;
     }
 
     // Tokens separate on '/'; the first names the distribution.
-    std::vector<std::string> tokens;
-    std::string current;
-    for (char c : spec) {
-        if (c == '/') {
-            tokens.push_back(current);
-            current.clear();
-        } else {
-            current += c;
-        }
-    }
-    tokens.push_back(current);
+    const std::vector<std::string> tokens = splitSpec(spec, "/");
 
     RequestStreamSpec s;
     const std::string &head = tokens.front();
@@ -108,39 +57,33 @@ parseRequestSpec(const std::string &spec)
     } else if (head.rfind("zipf", 0) == 0) {
         s.dist = RequestDist::kZipf;
         if (head.size() > 4)
-            s.zipfHundredths = unsigned(
-                parseDigits(spec, head, head.substr(4), 1, 99));
+            s.zipfHundredths = unsigned(in.digits(head, head.substr(4), 1, 99));
     } else if (head.rfind("burst", 0) == 0) {
         s.dist = RequestDist::kBurst;
         if (head.size() > 5)
-            s.burstLen = size_t(
-                parseDigits(spec, head, head.substr(5), 1, 1u << 20));
+            s.burstLen =
+                size_t(in.digits(head, head.substr(5), 1, 1u << 20));
     } else {
-        genError(spec, "unknown distribution \"" + head +
-                           "\" (uniform, zipf, burst, trace:<path>)");
+        in.fail("unknown distribution \"" + head +
+                "\" (uniform, zipf, burst, trace:<path>)");
     }
 
     for (size_t i = 1; i < tokens.size(); ++i) {
         const std::string &tok = tokens[i];
         if (tok.rfind("n", 0) == 0) {
-            s.count = size_t(parseCount(spec, tok, tok.substr(1), 1, 1e9));
+            s.count = size_t(in.count(tok, tok.substr(1), 1, 1000000000));
         } else if (tok.rfind("w", 0) == 0) {
-            s.writePct =
-                unsigned(parseDigits(spec, tok, tok.substr(1), 0, 100));
+            s.writePct = unsigned(in.digits(tok, tok.substr(1), 0, 100));
         } else if (tok.rfind("b", 0) == 0) {
             if (s.dist != RequestDist::kBurst)
-                genError(spec, "\"" + tok +
-                                   "\" only applies to burst streams");
-            s.burstLen = size_t(
-                parseDigits(spec, tok, tok.substr(1), 1, 1u << 20));
+                in.fail("\"" + tok + "\" only applies to burst streams");
+            s.burstLen = size_t(in.digits(tok, tok.substr(1), 1, 1u << 20));
         } else if (tok.rfind("g", 0) == 0) {
             if (s.dist != RequestDist::kBurst)
-                genError(spec, "\"" + tok +
-                                   "\" only applies to burst streams");
-            s.burstGap = size_t(
-                parseDigits(spec, tok, tok.substr(1), 1, 1u << 30));
+                in.fail("\"" + tok + "\" only applies to burst streams");
+            s.burstGap = size_t(in.digits(tok, tok.substr(1), 1, 1u << 30));
         } else {
-            genError(spec, "unknown token \"" + tok + "\"");
+            in.fail("unknown token \"" + tok + "\"");
         }
     }
     return s;

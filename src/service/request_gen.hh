@@ -21,7 +21,9 @@
  *   /g<gap>            ticks from burst start to burst start
  *                      (burst only, default 4 * burst length)
  *
- * Like the scheme/fault grammars, malformed specs throw
+ * The count is a whole decimal number in [1, 1e9]; every other number
+ * is plain decimal digits (the common/spec_reader.hh rule: no space,
+ * hex or "nan"). Like the scheme/fault grammars, malformed specs throw
  * std::invalid_argument quoting the offending token, and spec() of a
  * parsed generator round-trips. Generation of request i is a pure
  * function of (spec, words, seed, i) — workload-domain counter

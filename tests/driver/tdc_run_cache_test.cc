@@ -201,6 +201,26 @@ TEST_F(TdcRunCacheTest, CustomGridSharesEntriesWithRepeatRuns)
     EXPECT_EQ(resultCache().stats().misses, 0u);
 }
 
+TEST_F(TdcRunCacheTest, NanDensityNeverReachesTheCache)
+{
+    // A NaN density once ran as a fault that flips nothing and stored
+    // its "corrected" verdict under the solid 16x16 key, which a later
+    // genuine run then replayed.
+    std::string out, err;
+    EXPECT_EQ(tdcRun({"--scheme", "conv:secded/i4", "--fault", "16x16@nan",
+                      "--events", "3", "--cache-dir", dir()},
+                     out, err),
+              2);
+    EXPECT_NE(err.find("\"16x16@nan\""), std::string::npos) << err;
+    EXPECT_TRUE(!fs::exists(dir_) || fs::is_empty(dir_));
+
+    modelFreshProcess();
+    EXPECT_NE(runOk({"--scheme", "conv:secded/i4", "--fault", "16x16",
+                     "--events", "3", "--cache-dir", dir()})
+                  .find("detected only 0/3"),
+              std::string::npos);
+}
+
 TEST_F(TdcRunCacheTest, CacheDirFlagRequiresValue)
 {
     std::string out, err;

@@ -235,6 +235,25 @@ TEST(TdcRun, UsageErrorsExitTwoWithQuotedToken)
                      "\"2.25\"");
     expectUsageError({"--serve", "uniform/n100", "--ports", "1.1"},
                      "\"1.1\"");
+    // One decimal rule for every number (common/spec_reader): no hex,
+    // no padding, no NaN density.
+    expectUsageError({"--events", "0x10", "--scheme", "conv:secded/i4"},
+                     "\"0x10\"");
+    expectUsageError({"--events", " 5", "--scheme", "conv:secded/i4"},
+                     "\" 5\"");
+    expectUsageError({"--scheme", "conv:secded/i4", "--fault", "16x16@nan"},
+                     "\"16x16@nan\"");
+    expectUsageError({"--scheme", "conv:secded/i4", "--fault", "16x16@ 0.5"},
+                     "\"16x16@ 0.5\"");
+    expectUsageError({"--lifetime", "--fit-mix", "single*0x10"},
+                     "\"single*0x10\"");
+    expectUsageError({"--optimize", "conv:secded/i{+2..2}"}, "{+2..2}");
+    expectUsageError({"--optimize", "conv:secded/i{ 2.. 2}"}, "{ 2.. 2}");
+    // The seed reads all 64 bits; 2^64 is refused above.
+    EXPECT_NE(runOk({"--scheme", "conv:secded/i4", "--fault", "single",
+                     "--events", "2", "--seed", "18446744073709551615"})
+                  .find("seed 18446744073709551615\n"),
+              std::string::npos);
     EXPECT_NE(runOk({"--scheme", "conv:secded/i4", "--fault", "single",
                      "--events", "1e1"})
                   .find("/10"),
@@ -359,6 +378,12 @@ TEST(TdcRun, ServeUsageErrorsExitTwoWithQuotedToken)
     expectUsageError({"--serve", "uniform", "--shards", "0"}, "--shards");
     expectUsageError({"--serve", "uniform", "--scrub-interval", "x"},
                      "--scrub-interval");
+    // The window is an unsigned: 2^32 is refused, not wrapped to 0.
+    expectUsageError({"--serve", "uniform", "--steal-window", "4294967296"},
+                     "\"4294967296\"");
+    expectUsageError({"--serve", "uniform", "--steal-window", "4294967304"},
+                     "\"4294967304\"");
+    expectUsageError({"--serve", "uniform/n0x10"}, "\"n0x10\"");
 }
 
 TEST(TdcRun, ServeRejectsAStoreOverTheWordCap)

@@ -260,8 +260,9 @@ bchRemainderRef(const std::vector<bool> &gen, size_t r,
 TEST(BchDiff, ByteTableDivisionMatchesBitSerialReference)
 {
     // DECTED/QECPED/OECNED inner codes on the byte grid (k = 64) and
-    // off it (k = 65, 100, 129: a zero-padded top byte), plus OECNED
-    // at k = 256, whose r = 72 remainder divides bit-serially.
+    // off it (k = 65, 100, 129: a zero-padded top byte), plus
+    // remainders past one word: OECNED at k = 256 (r = 72) and 512
+    // (r = 80, the grammar's widest) and t = 11 at k = 1000 (r = 121).
     struct Geometry
     {
         size_t k, t;
@@ -271,6 +272,8 @@ TEST(BchDiff, ByteTableDivisionMatchesBitSerialReference)
         for (size_t t : {2u, 4u, 8u})
             geometries.push_back({k, t});
     geometries.push_back({256, 8});
+    geometries.push_back({512, 8});
+    geometries.push_back({1000, 11});
     for (const auto [k, t] : geometries) {
         BchCode code(k, t);
         Rng rng(1000 + k * 16 + t);
@@ -288,6 +291,8 @@ TEST(BchDiff, RejectsCorrectionBeyondTheTableEngine)
 {
     EXPECT_NO_THROW(BchCode(64, BchCode::kMaxT));
     EXPECT_THROW(BchCode(64, BchCode::kMaxT + 1), std::invalid_argument);
+    // r = 132 check bits: wider than the two-word division table.
+    EXPECT_THROW(BchCode(1000, 12), std::invalid_argument);
 }
 
 TEST(BchDiff, ScratchReuseKeepsDecodesIndependent)

@@ -105,6 +105,19 @@ TEST(FitMix, MalformedSpecsQuoteTheToken)
     EXPECT_THROW(parseFitMix("jaguar*0"), std::invalid_argument);
     EXPECT_THROW(parseFitMix("jaguar*-2"), std::invalid_argument);
     EXPECT_THROW(parseFitMix("jaguar*nope"), std::invalid_argument);
+    // The scale is a finite decimal number (common/spec_reader).
+    for (const char *spec : {"single*0x10", "single*nan", "single*inf",
+                             "single* 2", "single*1e400"}) {
+        try {
+            parseFitMix(spec);
+            ADD_FAILURE() << "accepted " << spec;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("\"") + spec +
+                                                 "\""),
+                      std::string::npos)
+                << e.what();
+        }
+    }
     EXPECT_THROW(parseFitMix(""), std::invalid_argument);
 }
 

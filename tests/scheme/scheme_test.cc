@@ -150,6 +150,8 @@ TEST(SchemeErrors, MalformedSpecsThrowWithOffendingTokenQuoted)
     expectThrow("conv:secded", "/i<deg>");
     expectThrow("conv:secded/i", "\"i\"");
     expectThrow("conv:secded/ix4", "\"ix4\"");
+    expectThrow("conv:secded/i+2", "\"i\""); // '+' separates tokens
+    expectThrow("conv:secded/i0x10", "\"i0x10\"");
     // Out-of-range degrees and geometry.
     expectThrow("conv:secded/i0", "\"i0\"");
     expectThrow("conv:secded/i65", "\"i65\"");
@@ -181,6 +183,23 @@ TEST(SchemeErrors, FaultModelSpecsThrowWithOffendingTokenQuoted)
     EXPECT_THROW(parseFaultModel("col:abc"), std::invalid_argument);
     EXPECT_THROW(parseFaultModel("8x8@0"), std::invalid_argument);
     EXPECT_THROW(parseFaultModel("8x8@1.5"), std::invalid_argument);
+    // A density is a finite decimal number: NaN fails every comparison
+    // and once ran as a fault that flips nothing.
+    for (const char *spec :
+         {"16x16@nan", "16x16@NAN", "16x16@inf", "16x16@0x0.8",
+          "16x16@ 0.5", "16x16@0.5 ", "hammer:4@nan", "hammer:4@inf",
+          "hammer:4@0x1p-1"}) {
+        try {
+            parseFaultModel(spec);
+            ADD_FAILURE() << "accepted " << spec;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("\"") + spec +
+                                                 "\""),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(parseFaultModel("16x16@.5").spec(), "16x16@0.5");
     try {
         parseFaultModel("9x9x9");
         FAIL();

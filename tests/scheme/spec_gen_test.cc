@@ -104,6 +104,11 @@ TEST(SpecGen, MalformedPatternsQuoteTheOffendingToken)
     expectPatternError("i{1..4..x1}", "{1..4..x1}");
     expectPatternError("i{1..4..*2}", "{1..4..*2}");
     expectPatternError("i{1..4..+0}", "{1..4..+0}");
+    // Bounds and steps are plain decimal digits: no sign, space or hex.
+    expectPatternError("conv:secded/i{+2..2}", "{+2..2}");
+    expectPatternError("conv:secded/i{ 2.. 2}", "{ 2.. 2}");
+    expectPatternError("i{0x2..4}", "{0x2..4}");
+    expectPatternError("i{1..4..+ 1}", "{1..4..+ 1}");
     expectPatternError("", "empty");
 }
 

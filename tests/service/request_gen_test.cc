@@ -299,6 +299,9 @@ fuzzCorpus()
     fault("32x32@-0.5", "32x32@-0.5");
     fault("32x32@1.5", "32x32@1.5");
     fault("32x32@dense", "32x32@dense");
+    fault("32x32@nan", "32x32@nan");
+    fault("32x32@0x0.8", "32x32@0x0.8");
+    fault("32x32@ 0.5", "32x32@ 0.5");
     fault("@0.5", "@0.5");
     fault("fullrows", "fullrows");
 
@@ -359,6 +362,9 @@ fuzzCorpus()
     request("uniform/n-5", "n-5");
     request("uniform/n2e9", "n2e9");
     request("uniform/n1.5", "n1.5");
+    request("uniform/n0x10", "n0x10"); // decimal only (common/spec_reader)
+    request("uniform/n 5", "n 5");
+    request("uniform/nnan", "nnan");
     request("uniform/nmany", "nmany");
     request("uniform/w101", "w101");
     request("uniform/w-1", "w-1");
