@@ -58,7 +58,8 @@ main()
     // triggers the Figure 4(b) recovery sweep, and returns the
     // original data.
     const size_t row = hit.rowLo;
-    const size_t slot = bank.interleave().slotOf(hit.colLo);
+    // Column c holds a bit of word slot c mod degree.
+    const size_t slot = hit.colLo % bank.interleave().degree();
     AccessResult result = bank.readWord(row, slot);
     std::printf("read row %zu slot %zu -> %s\n", row, slot,
                 result.ok() ? "data recovered" : "UNRECOVERABLE");

@@ -56,12 +56,6 @@ class InterleaveMap
     /** Physical column of bit @p bit of word slot @p slot. */
     size_t physicalColumn(size_t slot, size_t bit) const;
 
-    /** Word slot that owns physical column @p col. */
-    size_t slotOf(size_t col) const { return col % intvDegree; }
-
-    /** Bit index within its word of physical column @p col. */
-    size_t bitOf(size_t col) const { return col / intvDegree; }
-
     /** Gather word slot @p slot out of a physical row. */
     BitVector extractWord(const BitVector &row, size_t slot) const;
 
@@ -82,17 +76,6 @@ class InterleaveMap
     /** Scatter @p word into slot @p slot of a physical row. */
     void depositWord(BitVector &row, size_t slot,
                      const BitVector &word) const;
-
-    /**
-     * Maximum physically-contiguous error width (in columns) whose
-     * per-word footprint stays within @p per_word_bits contiguous
-     * bits: degree * per_word_bits. This is the paper's "EDC8+Intv4
-     * detects 32-bit errors along a row" arithmetic.
-     */
-    size_t contiguousCoverage(size_t per_word_bits) const
-    {
-        return intvDegree * per_word_bits;
-    }
 
   private:
     size_t wordWidth;

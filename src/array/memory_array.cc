@@ -65,7 +65,6 @@ MemoryArray::writeRow(size_t r, const BitVector &value)
 {
     assert(r < rows());
     assert(value.size() == cols());
-    ++writes;
     if (rowStore[r] == value)
         return;
     rowStore[r] = value;
@@ -77,7 +76,6 @@ MemoryArray::xorRow(size_t r, const BitVector &delta)
 {
     assert(r < rows());
     assert(delta.size() == cols());
-    ++writes;
     if (delta.none())
         return;
     rowStore[r] ^= delta;
@@ -130,7 +128,6 @@ MemoryArray::addStuckAt(size_t r, size_t c, bool value)
         }
     }
     row_faults.emplace_back(c, value);
-    ++stuckTotal;
     ++epoch;
 }
 
@@ -146,7 +143,6 @@ MemoryArray::clearFault(size_t r, size_t c)
     if (pos == row_faults.end())
         return;
     row_faults.erase(pos);
-    --stuckTotal;
     ++epoch;
     if (row_faults.empty())
         stuckByRow.erase(it);
@@ -173,7 +169,6 @@ MemoryArray::clearRowFaults(size_t r)
     // visible row is unchanged by the overlay removal.
     for (const auto &[col, value] : it->second)
         rowStore[r].set(col, value);
-    stuckTotal -= it->second.size();
     stuckByRow.erase(it);
     ++epoch;
 }

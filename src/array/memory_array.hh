@@ -134,14 +134,10 @@ class MemoryArray
      */
     void clearRowFaults(size_t r);
 
-    /** Number of stuck-at cells currently installed. */
-    size_t faultCount() const { return stuckTotal; }
-
     /** True iff cell (r, c) has a stuck-at fault. */
     bool isStuck(size_t r, size_t c) const;
 
     uint64_t readCount() const { return reads; }
-    uint64_t writeCount() const { return writes; }
 
     /**
      * Mutation epoch: moves exactly when stored bits or the stuck-at
@@ -161,10 +157,8 @@ class MemoryArray
     /** Stuck cells of each faulty row, as (column, stuck value). */
     std::unordered_map<size_t, std::vector<std::pair<size_t, bool>>>
         stuckByRow;
-    size_t stuckTotal = 0;
     size_t symbolWidth = 1;
     mutable uint64_t reads = 0;
-    uint64_t writes = 0;
     uint64_t epoch = 0;
 };
 

@@ -13,15 +13,6 @@ ProtectedArray::ProtectedArray(size_t rows, CodePtr code, size_t degree)
 }
 
 void
-ProtectedArray::writeWord(size_t row, size_t slot, const BitVector &data)
-{
-    assert(data.size() == horizontal->dataBits());
-    BitVector phys_row = array.readRow(row);
-    map.depositWord(phys_row, slot, horizontal->encode(data));
-    array.writeRow(row, phys_row);
-}
-
-void
 ProtectedArray::writeLine(size_t row, const BitVector &line_bits)
 {
     assert(line_bits.size() == map.rowBits());
@@ -46,30 +37,6 @@ ProtectedArray::readWord(size_t row, size_t slot)
         array.writeRow(row, fixed_row);
     }
     return result;
-}
-
-AccessResult
-ProtectedArray::peekWord(size_t row, size_t slot) const
-{
-    const BitVector phys_row = array.readRow(row);
-    DecodeResult decoded =
-        horizontal->decode(map.extractWord(phys_row, slot));
-    AccessResult result;
-    result.status = decoded.status;
-    result.data = std::move(decoded.data);
-    return result;
-}
-
-size_t
-ProtectedArray::contiguousDetectWidth() const
-{
-    return map.degree() * horizontal->burstDetectCapability();
-}
-
-size_t
-ProtectedArray::contiguousCorrectWidth() const
-{
-    return map.degree() * horizontal->correctCapability();
 }
 
 } // namespace tdc

@@ -59,14 +59,10 @@ class ProtectedArray
     /** The horizontal code. */
     const Code &code() const { return *horizontal; }
 
-    /** Encode and store @p data into word @p slot of row @p row. */
-    void writeWord(size_t row, size_t slot, const BitVector &data);
-
     /**
      * Store a whole encoded line into row @p row in one row write:
      * @p line_bits holds wordsPerRow() codewords interleaved as the
-     * map lays them out. On a row without stuck-at cells the result
-     * equals wordsPerRow() writeWord calls storing the same words.
+     * map lays them out.
      */
     void writeLine(size_t row, const BitVector &line_bits);
 
@@ -76,22 +72,11 @@ class ProtectedArray
      */
     AccessResult readWord(size_t row, size_t slot);
 
-    /** Decode without write-back (used by scrubbing sweeps). */
-    AccessResult peekWord(size_t row, size_t slot) const;
-
     /**
      * Fraction of cell storage spent on check bits:
      * checkBits / dataBits per word (interleaving does not change it).
      */
     double storageOverhead() const { return horizontal->storageOverhead(); }
-
-    /**
-     * Widest physically-contiguous row-direction error guaranteed
-     * covered (detected, and corrected iff the code corrects):
-     * degree * per-word guarantee.
-     */
-    size_t contiguousDetectWidth() const;
-    size_t contiguousCorrectWidth() const;
 
   private:
     CodePtr horizontal;

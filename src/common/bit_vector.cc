@@ -129,12 +129,6 @@ BitVector::flip(size_t pos)
     wordPtr[pos / bitsPerWord] ^= uint64_t(1) << (pos % bitsPerWord);
 }
 
-void
-BitVector::clear()
-{
-    std::fill_n(wordPtr, wordCount(), 0);
-}
-
 bool
 BitVector::none() const
 {
@@ -153,41 +147,12 @@ BitVector::popcount() const
     return count;
 }
 
-size_t
-BitVector::findFirst() const
-{
-    for (size_t i = 0, n = wordCount(); i < n; ++i) {
-        if (wordPtr[i] != 0)
-            return i * bitsPerWord + std::countr_zero(wordPtr[i]);
-    }
-    return numBits;
-}
-
-size_t
-BitVector::findLast() const
-{
-    for (size_t i = wordCount(); i-- > 0;) {
-        if (wordPtr[i] != 0)
-            return i * bitsPerWord + 63 - std::countl_zero(wordPtr[i]);
-    }
-    return numBits;
-}
-
 BitVector &
 BitVector::operator^=(const BitVector &other)
 {
     assert(numBits == other.numBits);
     for (size_t i = 0, n = wordCount(); i < n; ++i)
         wordPtr[i] ^= other.wordPtr[i];
-    return *this;
-}
-
-BitVector &
-BitVector::operator&=(const BitVector &other)
-{
-    assert(numBits == other.numBits);
-    for (size_t i = 0, n = wordCount(); i < n; ++i)
-        wordPtr[i] &= other.wordPtr[i];
     return *this;
 }
 
@@ -205,22 +170,6 @@ BitVector::operator^(const BitVector &other) const
 {
     BitVector out(*this);
     out ^= other;
-    return out;
-}
-
-BitVector
-BitVector::operator&(const BitVector &other) const
-{
-    BitVector out(*this);
-    out &= other;
-    return out;
-}
-
-BitVector
-BitVector::operator|(const BitVector &other) const
-{
-    BitVector out(*this);
-    out |= other;
     return out;
 }
 
@@ -285,18 +234,6 @@ BitVector::setBits(size_t pos, uint64_t value, size_t len)
 }
 
 void
-BitVector::append(const BitVector &other)
-{
-    assert(this != &other);
-    const size_t old = numBits;
-    const size_t oldWords = wordCount();
-    numBits += other.numBits;
-    reserveWords(wordCount(), oldWords);
-    std::fill(wordPtr + oldWords, wordPtr + wordCount(), 0);
-    setSlice(old, other);
-}
-
-void
 BitVector::pushBack(bool bit)
 {
     const size_t oldWords = wordCount();
@@ -332,16 +269,6 @@ BitVector::parity() const
     for (size_t i = 0, n = wordCount(); i < n; ++i)
         acc ^= wordPtr[i];
     return std::popcount(acc) & 1;
-}
-
-std::string
-BitVector::toString() const
-{
-    std::string out;
-    out.reserve(numBits);
-    for (size_t i = 0; i < numBits; ++i)
-        out.push_back(get(i) ? '1' : '0');
-    return out;
 }
 
 } // namespace tdc

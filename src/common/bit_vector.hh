@@ -14,7 +14,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace tdc
 {
@@ -68,9 +67,6 @@ class BitVector
     /** Invert the bit at @p pos. */
     void flip(size_t pos);
 
-    /** Clear all bits. */
-    void clear();
-
     /** True iff no bit is set. */
     bool none() const;
 
@@ -80,24 +76,13 @@ class BitVector
     /** Number of set bits. */
     size_t popcount() const;
 
-    /** Position of the lowest set bit, or size() if none. */
-    size_t findFirst() const;
-
-    /** Position of the highest set bit, or size() if none. */
-    size_t findLast() const;
-
     /** In-place XOR with @p other (same length required). */
     BitVector &operator^=(const BitVector &other);
-
-    /** In-place AND with @p other (same length required). */
-    BitVector &operator&=(const BitVector &other);
 
     /** In-place OR with @p other (same length required). */
     BitVector &operator|=(const BitVector &other);
 
     BitVector operator^(const BitVector &other) const;
-    BitVector operator&(const BitVector &other) const;
-    BitVector operator|(const BitVector &other) const;
 
     bool operator==(const BitVector &other) const;
     bool operator!=(const BitVector &other) const
@@ -117,9 +102,6 @@ class BitVector
      */
     void setSlice(size_t pos, const BitVector &src);
 
-    /** Append all bits of @p other at the end (grows the vector). */
-    void append(const BitVector &other);
-
     /** Append a single bit at the end (grows the vector). */
     void pushBack(bool bit);
 
@@ -137,9 +119,6 @@ class BitVector
      * the low bits of @p value (little-endian bit order).
      */
     void setBits(size_t pos, uint64_t value, size_t len = 64);
-
-    /** Render as a '0'/'1' string, bit 0 first. */
-    std::string toString() const;
 
     /** Number of 64-bit words backing the vector. */
     size_t wordCount() const

@@ -47,12 +47,6 @@ class WorkerPool
         return pool;
     }
 
-    unsigned threads()
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        return configured;
-    }
-
     void setThreads(unsigned n)
     {
         std::lock_guard<std::mutex> lock(mu);
@@ -195,12 +189,6 @@ requestedThreads()
     if (env == nullptr)
         return std::nullopt;
     return unsigned(SpecReader("TDC_THREADS").digits(env, 1, 256));
-}
-
-unsigned
-parallelThreads()
-{
-    return WorkerPool::instance().threads();
 }
 
 void

@@ -30,13 +30,10 @@ namespace tdc
 std::optional<unsigned> requestedThreads();
 
 /**
- * Worker threads parallelFor may use, including the calling thread.
- * Defaults to requestedThreads() when TDC_THREADS is set, else the
- * hardware concurrency.
+ * Set the worker threads parallelFor may use, including the calling
+ * thread; 0 restores the default: requestedThreads() when TDC_THREADS
+ * is set, else the hardware concurrency.
  */
-unsigned parallelThreads();
-
-/** Override the thread count; 0 restores the default. */
 void setParallelThreads(unsigned n);
 
 /**

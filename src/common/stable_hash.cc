@@ -1,7 +1,5 @@
 #include "common/stable_hash.hh"
 
-#include <cstring>
-
 namespace tdc
 {
 
@@ -63,29 +61,6 @@ StableHash::update(std::string_view s)
         frame[i] = (unsigned char)(len >> (8 * i));
     updateBytes(frame, 8);
     updateBytes(s.data(), s.size());
-}
-
-void
-StableHash::update(uint64_t v)
-{
-    unsigned char bytes[9];
-    bytes[0] = 'u';
-    for (int i = 0; i < 8; ++i)
-        bytes[1 + i] = (unsigned char)(v >> (8 * i));
-    updateBytes(bytes, 9);
-}
-
-void
-StableHash::update(double v)
-{
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    unsigned char bytes[9];
-    bytes[0] = 'd';
-    for (int i = 0; i < 8; ++i)
-        bytes[1 + i] = (unsigned char)(bits >> (8 * i));
-    updateBytes(bytes, 9);
 }
 
 StableDigest

@@ -42,11 +42,11 @@ struct StableDigest
 };
 
 /**
- * Streaming stable hash. Feed bytes/integers/strings in any
- * interleaving; the digest depends only on the concatenated byte
- * stream (update("ab") == update("a") + update("b")). Each typed
- * update is framed with a tag byte + length so that structurally
- * different key sequences cannot alias byte-identically.
+ * Streaming stable hash. Feed bytes and strings in any interleaving;
+ * the digest depends only on the concatenated byte stream
+ * (updateBytes("ab") == updateBytes("a") + updateBytes("b")). A
+ * string update is framed with a tag byte + length so that
+ * structurally different key sequences cannot alias byte-identically.
  */
 class StableHash
 {
@@ -58,12 +58,6 @@ class StableHash
 
     /** A length-framed string field. */
     void update(std::string_view s);
-
-    /** A framed 64-bit integer field (fed little-endian). */
-    void update(uint64_t v);
-
-    /** A framed double field (IEEE-754 bit pattern — bit-exact). */
-    void update(double v);
 
     /** Digest of everything fed so far (non-destructive). */
     StableDigest digest() const;

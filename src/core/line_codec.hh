@@ -65,9 +65,6 @@ class LineCodec
      */
     bool correctLine(BitVector &row_bits, bool &changed) const;
 
-    /** Whether lineClean uses the fused whole-row EDC fold. */
-    bool fusedCheck() const { return fusedFoldBits != 0; }
-
   private:
     const Code &code;
     const InterleaveMap &map;

@@ -385,19 +385,6 @@ TwoDimArray::verifyClean() const
     return true;
 }
 
-bool
-TwoDimArray::verifyParity() const
-{
-    for (size_t g = 0; g < parity.groups(); ++g) {
-        BitVector acc = parity.readGroup(g);
-        for (size_t r = g; r < rows(); r += parity.groups())
-            acc ^= data.readRow(r);
-        if (acc.any())
-            return false;
-    }
-    return true;
-}
-
 double
 TwoDimArray::storageOverhead() const
 {

@@ -107,8 +107,8 @@ struct TwoDimStats
  * The guaranteed coverage (Section 3): any clustered error whose
  * footprint spans at most clusterHeightCoverage() rows is correctable
  * provided the horizontal code detects the per-word corruption (true
- * for any footprint at most clusterWidthCoverage() columns wide, and
- * for any single-bit-per-word corruption regardless of width). Errors
+ * for any footprint at most degree x burst-detect width columns wide,
+ * and for any single-bit-per-word corruption regardless of width). Errors
  * taller than V rows are additionally correctable when the vertical
  * syndrome can localize the faulty columns (tall-narrow bursts).
  */
@@ -192,9 +192,6 @@ class TwoDimArray
 
     /** Verify every word decodes clean (no repair side effects). */
     bool verifyClean() const;
-
-    /** Check all parity rows against the data (no repair). */
-    bool verifyParity() const;
 
     /** Storage overhead of both dimensions combined. */
     double storageOverhead() const;

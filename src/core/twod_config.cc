@@ -1,7 +1,5 @@
 #include "core/twod_config.hh"
 
-#include "ecc/code.hh"
-
 namespace tdc
 {
 
@@ -15,25 +13,6 @@ TwoDimConfig::l1Default()
     cfg.verticalParityRows = 32;
     cfg.dataRows = 256;
     return cfg;
-}
-
-TwoDimConfig
-TwoDimConfig::l2Default()
-{
-    TwoDimConfig cfg;
-    cfg.horizontalKind = CodeKind::kEdc16;
-    cfg.wordBits = 256;
-    cfg.interleaveDegree = 2;
-    cfg.verticalParityRows = 32;
-    cfg.dataRows = 256;
-    return cfg;
-}
-
-size_t
-TwoDimConfig::clusterWidthCoverage() const
-{
-    const CodePtr code = makeCode(horizontalKind, wordBits);
-    return interleaveDegree * code->burstDetectCapability();
 }
 
 std::string

@@ -49,12 +49,6 @@ struct TwoDimConfig
     /** The paper's L1 configuration (EDC8+Intv4, EDC32). */
     static TwoDimConfig l1Default();
 
-    /** The paper's L2 configuration (EDC16+Intv2, EDC32). */
-    static TwoDimConfig l2Default();
-
-    /** Guaranteed correctable cluster width (physical columns). */
-    size_t clusterWidthCoverage() const;
-
     /** Guaranteed correctable cluster height (rows). */
     size_t clusterHeightCoverage() const { return verticalParityRows; }
 

@@ -103,10 +103,6 @@ struct ProtectionConfig
     {
         return {true, stealing, false, false};
     }
-    static ProtectionConfig l2Only()
-    {
-        return {false, false, true, false};
-    }
     static ProtectionConfig full(bool stealing = true)
     {
         return {true, stealing, true, false};

@@ -56,7 +56,6 @@ class DramArray
     const MemoryArray &cells() const { return array; }
 
     size_t chipOfCol(size_t c) const { return c / geom.symbolBits; }
-    size_t bankOfRow(size_t r) const { return r / geom.rowsPerBank; }
 
     /** Chip @p chip's symbol in row @p row, bit j = column chip*b+j. */
     uint32_t readSymbol(size_t row, size_t chip) const;

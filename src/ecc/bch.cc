@@ -596,98 +596,6 @@ BchCode::locateErrors(const uint32_t *loc, size_t deg_l,
     return true;
 }
 
-std::vector<uint32_t>
-BchCode::syndromesNaive(const BitVector &codeword) const
-{
-    // Coefficient position of codeword bit b: check bits occupy
-    // coefficients 0..r-1, data bits r..r+k-1. Iterate only the set
-    // bits via word scans.
-    std::vector<uint32_t> synd(2 * tCap, 0);
-    const uint64_t *words = codeword.wordData();
-    for (size_t w = 0, n = codeword.wordCount(); w < n; ++w) {
-        uint64_t x = words[w];
-        while (x != 0) {
-            const size_t b = w * 64 + size_t(std::countr_zero(x));
-            x &= x - 1;
-            const size_t p = b < k ? r + b : b - k;
-            for (size_t j = 0; j < 2 * tCap; ++j)
-                synd[j] ^= field->alphaPow(int64_t(j + 1) * int64_t(p));
-        }
-    }
-    return synd;
-}
-
-GFPoly
-BchCode::berlekampMassey(const std::vector<uint32_t> &synd) const
-{
-    // Standard Berlekamp-Massey over GF(2^m).
-    GFPoly locator({1}); // C(x)
-    GFPoly prev({1});    // B(x)
-    size_t lfsrLen = 0;  // L
-    size_t gap = 1;      // x^gap multiplier for B
-    uint32_t prevDisc = 1;
-
-    for (size_t n = 0; n < synd.size(); ++n) {
-        uint32_t disc = synd[n];
-        for (size_t i = 1; i <= lfsrLen; ++i)
-            disc ^= field->mul(locator.coeff(i), synd[n - i]);
-
-        if (disc == 0) {
-            ++gap;
-            continue;
-        }
-
-        // C' = C - (disc/prevDisc) * x^gap * B  (minus == plus here).
-        GFPoly shifted;
-        const uint32_t scale = field->div(disc, prevDisc);
-        for (size_t i = 0; i <= prev.degree(); ++i) {
-            if (prev.coeff(i) != 0) {
-                shifted.setCoeff(i + gap,
-                                 field->mul(scale, prev.coeff(i)));
-            }
-        }
-        GFPoly updated = GFPoly::add(locator, shifted);
-
-        if (2 * lfsrLen <= n) {
-            prev = locator;
-            prevDisc = disc;
-            lfsrLen = n + 1 - lfsrLen;
-            gap = 1;
-        } else {
-            ++gap;
-        }
-        locator = updated;
-    }
-    return locator;
-}
-
-bool
-BchCode::chienSearch(const GFPoly &locator,
-                     std::vector<size_t> &positions) const
-{
-    const size_t degL = locator.degree();
-    if (degL == 0)
-        return true; // no errors located
-    if (degL > tCap)
-        return false;
-
-    // Roots of the locator are alpha^(-p) for error position p. Only
-    // p < n can correspond to a codeword bit, so scanning stops there
-    // (not at the full group order 2^m - 1): a root in the shortened
-    // region simply never shows up and the count check below flags
-    // the word, same verdict as the old full scan at a fraction of
-    // the work.
-    positions.clear();
-    for (uint32_t p = 0; p < k + r; ++p) {
-        if (locator.eval(*field, field->alphaPow(-int64_t(p))) == 0)
-            positions.push_back(p);
-    }
-    if (positions.size() != degL)
-        return false; // does not split in range: > t errors or
-                      // shortened-region root
-    return true;
-}
-
 DecodeResult
 BchCode::decode(const BitVector &codeword) const
 {
@@ -726,44 +634,6 @@ BchCode::syndromeClean(const BitVector &codeword) const
     assert(codeword.size() == k + r);
     uint32_t synd[2 * kMaxT];
     return syndromesFast(codeword, synd);
-}
-
-DecodeResult
-BchCode::decodeNaive(const BitVector &codeword) const
-{
-    assert(codeword.size() == k + r);
-    DecodeResult result;
-    result.data = codeword.slice(0, k);
-
-    const std::vector<uint32_t> synd = syndromesNaive(codeword);
-    bool all_zero = true;
-    for (uint32_t s : synd) {
-        if (s != 0) {
-            all_zero = false;
-            break;
-        }
-    }
-    if (all_zero) {
-        result.status = DecodeStatus::kClean;
-        return result;
-    }
-
-    const GFPoly locator = berlekampMassey(synd);
-    std::vector<size_t> positions;
-    if (!chienSearch(locator, positions) || positions.empty()) {
-        result.status = DecodeStatus::kDetectedUncorrectable;
-        return result;
-    }
-
-    for (size_t p : positions) {
-        // Coefficient position -> codeword bit index.
-        const size_t bit = p < r ? k + p : p - r;
-        if (bit < k)
-            result.data.flip(bit);
-        result.correctedPositions.push_back(bit);
-    }
-    result.status = DecodeStatus::kCorrected;
-    return result;
 }
 
 size_t

@@ -61,8 +61,10 @@ class BchCode : public Code
      * error location by closed-form solvers for locator degrees 1-4
      * (see locateErrors) with a log-domain incremental Chien sweep
      * (bounded to the shortened length n, early exit at deg(locator)
-     * roots) above that. Bit-exact against decodeNaive by
-     * construction and by the differential test suite.
+     * roots) above that. Bit-exact against the element-at-a-time
+     * decoder in tests/oracles/ (per-bit Horner syndromes, polynomial
+     * Berlekamp-Massey, a Chien scan of every codeword position),
+     * which the differential test suite holds it to.
      */
     DecodeResult decode(const BitVector &codeword) const override;
 
@@ -70,19 +72,9 @@ class BchCode : public Code
      *  Code::syndromeClean). */
     bool syndromeClean(const BitVector &codeword) const override;
 
-    /**
-     * The original element-at-a-time decoder (per-bit Horner
-     * syndromes, polynomial Berlekamp-Massey, full-scan Chien),
-     * retained only as the differential-test oracle for decode().
-     */
-    DecodeResult decodeNaive(const BitVector &codeword) const;
-
     size_t correctCapability() const override { return tCap; }
     size_t detectCapability() const override { return tCap; }
     std::string name() const override;
-
-    /** Field degree m of the underlying GF(2^m). */
-    unsigned fieldDegree() const { return field->degree(); }
 
     /** Generator polynomial over GF(2), bit i = coefficient of x^i. */
     const std::vector<bool> &generator() const { return gen; }
@@ -156,21 +148,6 @@ class BchCode : public Code
      */
     bool locateClosed(const uint32_t *loc, size_t deg,
                       std::vector<size_t> &positions) const;
-
-    /** Naive-path syndromes S_1..S_2t (per-bit Horner; the oracle). */
-    std::vector<uint32_t> syndromesNaive(const BitVector &codeword) const;
-
-    /** Naive-path Berlekamp-Massey (polynomial arithmetic). */
-    GFPoly berlekampMassey(const std::vector<uint32_t> &synd) const;
-
-    /**
-     * Naive-path Chien search. Scans p in [0, n): a root at a
-     * shortened position p >= n simply never shows up, which the
-     * root-count check then flags — equivalent to (and cheaper than)
-     * scanning the full multiplicative group.
-     */
-    bool chienSearch(const GFPoly &locator,
-                     std::vector<size_t> &positions) const;
 
     size_t k;
     size_t tCap;

@@ -36,8 +36,9 @@ primitivePolyFor(unsigned m)
 } // namespace
 
 GF2m::GF2m(unsigned m_)
-    : m(m_), fieldSize(uint32_t(1) << m_), primPoly(primitivePolyFor(m_))
+    : m(m_), fieldSize(uint32_t(1) << m_)
 {
+    const uint32_t primPoly = primitivePolyFor(m_);
     expTable.resize(2 * order());
     logTable.assign(fieldSize, 0);
     uint32_t value = 1;
@@ -148,15 +149,6 @@ GFPoly::degree() const
     return c.empty() ? 0 : c.size() - 1;
 }
 
-void
-GFPoly::setCoeff(size_t i, uint32_t value)
-{
-    if (i >= c.size())
-        c.resize(i + 1, 0);
-    c[i] = value;
-    trim();
-}
-
 bool
 GFPoly::isZero() const
 {
@@ -164,24 +156,6 @@ GFPoly::isZero() const
         if (x != 0)
             return false;
     return true;
-}
-
-uint32_t
-GFPoly::eval(const GF2m &field, uint32_t x) const
-{
-    uint32_t acc = 0;
-    for (size_t i = c.size(); i-- > 0;)
-        acc = field.add(field.mul(acc, x), c[i]);
-    return acc;
-}
-
-GFPoly
-GFPoly::add(const GFPoly &a, const GFPoly &b)
-{
-    std::vector<uint32_t> out(std::max(a.c.size(), b.c.size()), 0);
-    for (size_t i = 0; i < out.size(); ++i)
-        out[i] = a.coeff(i) ^ b.coeff(i);
-    return GFPoly(std::move(out));
 }
 
 GFPoly
@@ -196,18 +170,6 @@ GFPoly::mul(const GF2m &field, const GFPoly &a, const GFPoly &b)
         for (size_t j = 0; j < b.c.size(); ++j)
             out[i + j] ^= field.mul(a.c[i], b.c[j]);
     }
-    return GFPoly(std::move(out));
-}
-
-GFPoly
-GFPoly::derivative() const
-{
-    if (c.size() <= 1)
-        return GFPoly({0});
-    std::vector<uint32_t> out(c.size() - 1, 0);
-    // d/dx sum c_i x^i = sum (i mod 2) c_i x^(i-1) in characteristic 2.
-    for (size_t i = 1; i < c.size(); i += 2)
-        out[i - 1] = c[i];
     return GFPoly(std::move(out));
 }
 

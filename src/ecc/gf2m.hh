@@ -95,13 +95,9 @@ class GF2m
      */
     uint32_t solveQuadratic(uint32_t c) const { return qrtTable[c]; }
 
-    /** The primitive polynomial used (bit i = coefficient of x^i). */
-    uint32_t primitivePoly() const { return primPoly; }
-
   private:
     unsigned m;
     uint32_t fieldSize;
-    uint32_t primPoly;
     std::vector<uint32_t> expTable; // expTable[i] = alpha^i, 0..2*order
     std::vector<uint32_t> logTable; // logTable[a] = log_alpha(a)
     std::vector<uint32_t> qrtTable; // qrtTable[c] = min y: y^2+y=c
@@ -109,7 +105,7 @@ class GF2m
 
 /**
  * Polynomial over GF(2^m), coefficient i = coeff of x^i. Minimal
- * operations needed by BCH generator construction and decoding.
+ * operations needed by BCH generator construction.
  */
 class GFPoly
 {
@@ -121,20 +117,10 @@ class GFPoly
     size_t degree() const;
 
     uint32_t coeff(size_t i) const { return i < c.size() ? c[i] : 0; }
-    void setCoeff(size_t i, uint32_t value);
 
     bool isZero() const;
 
-    /** Evaluate at @p x using Horner's rule. */
-    uint32_t eval(const GF2m &field, uint32_t x) const;
-
-    static GFPoly add(const GFPoly &a, const GFPoly &b);
     static GFPoly mul(const GF2m &field, const GFPoly &a, const GFPoly &b);
-
-    /** Formal derivative (char 2: even-power terms vanish). */
-    GFPoly derivative() const;
-
-    const std::vector<uint32_t> &coeffs() const { return c; }
 
   private:
     void trim();

@@ -69,14 +69,6 @@ SymbolRsCode::encode(std::vector<uint32_t> &word) const
     word[2] = c2;
 }
 
-bool
-SymbolRsCode::syndromeClean(const std::vector<uint32_t> &word) const
-{
-    uint32_t s[kCheckSymbols];
-    syndromes(word, s);
-    return s[0] == 0 && s[1] == 0 && s[2] == 0;
-}
-
 SymbolDecodeResult
 SymbolRsCode::decode(std::vector<uint32_t> &word) const
 {
@@ -146,27 +138,6 @@ SymbolRsCode::decodeErasure(std::vector<uint32_t> &word,
             }
             res.status = DecodeStatus::kCorrected;
             return res;
-        }
-    }
-    res.status = DecodeStatus::kDetectedUncorrectable;
-    return res;
-}
-
-SymbolDecodeResult
-SymbolRsCode::decodeNaive(std::vector<uint32_t> &word) const
-{
-    SymbolDecodeResult res;
-    if (syndromeClean(word))
-        return res;
-    for (size_t p = 0; p < codeSymbols(); ++p) {
-        for (uint32_t e = 1; e < field_.size(); ++e) {
-            word[p] = field_.add(word[p], e);
-            if (syndromeClean(word)) {
-                res.status = DecodeStatus::kCorrected;
-                res.corrections.push_back({p, e});
-                return res;
-            }
-            word[p] = field_.add(word[p], e);
         }
     }
     res.status = DecodeStatus::kDetectedUncorrectable;

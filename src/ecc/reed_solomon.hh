@@ -8,9 +8,8 @@
  * single symbol error (one whole x4/x8 DRAM chip burst), detects any
  * double symbol error, and in erasure mode corrects one known-dead
  * symbol plus one additional unknown symbol error (1 erasure + 1
- * error <= d - 1 = 3). A symbol-serial trial-patch decoder
- * (decodeNaive) is retained as the differential oracle, mirroring the
- * bit-level decodeNaive pattern of the BCH codecs.
+ * error <= d - 1 = 3). The differential tests hold decode() to a
+ * symbol-serial trial-patch oracle in tests/oracles/.
  */
 
 #ifndef TDC_ECC_REED_SOLOMON_HH
@@ -84,9 +83,6 @@ class SymbolRsCode
      */
     void encode(std::vector<uint32_t> &word) const;
 
-    /** True iff all three syndromes of @p word are zero. */
-    bool syndromeClean(const std::vector<uint32_t> &word) const;
-
     /**
      * SSC-DSD decode: corrects any single symbol error in place,
      * detects (without miscorrection) any double symbol error.
@@ -101,14 +97,6 @@ class SymbolRsCode
      */
     SymbolDecodeResult decodeErasure(std::vector<uint32_t> &word,
                                      size_t erasure) const;
-
-    /**
-     * Symbol-serial differential oracle: trial-patches every
-     * (position, value) pair and recomputes the syndromes from
-     * scratch, O(n^2 * 2^b) per word. Agrees with decode() on every
-     * input by construction of the single-error signature.
-     */
-    SymbolDecodeResult decodeNaive(std::vector<uint32_t> &word) const;
 
   private:
     /** S_j = sum_i word[i] * alpha^(i*j) for j = 0..2. */

@@ -325,12 +325,6 @@ LifetimeResult::fit() const
     return double(failures()) * 1e9 / deviceHours;
 }
 
-double
-LifetimeResult::survivalRate() const
-{
-    return trials == 0 ? 1.0 : double(survived) / double(trials);
-}
-
 std::string
 LifetimeResult::summary() const
 {

@@ -274,9 +274,6 @@ struct LifetimeResult
     /** Failures per 1e9 device-hours (0 when nothing was observed). */
     double fit() const;
 
-    /** Fraction of trials surviving the mission. */
-    double survivalRate() const;
-
     /** Campaign-cell rendering: "mttf 4.2e+03h fit 2.4e+05 (187/200)". */
     std::string summary() const;
 

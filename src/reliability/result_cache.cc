@@ -164,13 +164,6 @@ ResultCache::setDirectory(std::string dir)
 }
 
 std::string
-ResultCache::directory() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return dir_;
-}
-
-std::string
 ResultCache::entryFileName(const std::string &key)
 {
     return stableHash(key).hex() + ".tdcr";

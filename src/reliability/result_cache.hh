@@ -113,9 +113,6 @@ class ResultCache
      *  the disk tier off). The in-memory tier is unaffected. */
     void setDirectory(std::string dir);
 
-    /** Active disk-tier directory ("" when off). */
-    std::string directory() const;
-
     /** Look @p key up in memory, then on disk. */
     std::optional<Record> lookup(const std::string &key);
 

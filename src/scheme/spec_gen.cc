@@ -37,12 +37,11 @@ expandGroup(const std::string &body)
     const SpecReader in("range group \"" + group + "\"");
     const std::string lo_tok = body.substr(0, dots);
     std::string rest = body.substr(dots + 2);
-    std::string step_tok;
     const size_t dots2 = rest.find("..");
-    if (dots2 != std::string::npos) {
-        step_tok = rest.substr(dots2 + 2);
+    const bool stepped = dots2 != std::string::npos;
+    const std::string step_tok = stepped ? rest.substr(dots2 + 2) : "";
+    if (stepped)
         rest = rest.substr(0, dots2);
-    }
     const uint64_t lo = in.digits(lo_tok, 0, UINT64_MAX);
     const uint64_t hi = in.digits(rest, 0, UINT64_MAX);
     if (lo > hi)
@@ -50,9 +49,11 @@ expandGroup(const std::string &body)
 
     bool multiplicative = false;
     uint64_t step = 1;
-    if (!step_tok.empty()) {
-        multiplicative = step_tok[0] == 'x';
-        if (!multiplicative && step_tok[0] != '+')
+    if (stepped) {
+        // A second ".." needs a step after it: {1..4..} is refused,
+        // not read as {1..4}.
+        multiplicative = !step_tok.empty() && step_tok[0] == 'x';
+        if (!multiplicative && (step_tok.empty() || step_tok[0] != '+'))
             patternError("range step expects +K or xK, got", group);
         step = in.digits(step_tok, step_tok.substr(1),
                          multiplicative ? 2 : 1, UINT64_MAX);

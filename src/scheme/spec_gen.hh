@@ -13,7 +13,8 @@
  *
  * lo, hi and K are plain decimal digits at uint64 precision (no sign,
  * space or hex: the common/spec_reader.hh rule), and a range stops
- * before a value past hi.
+ * before a value past hi. A second ".." must be followed by a step:
+ * {1..4..} is refused.
  *
  * Example: "2d:edc{8,16,32}/i{1..8..x2}+vp{16,32,64}" expands to
  * 3 x 4 x 3 = 36 scheme specs. Groups expand left-to-right with the

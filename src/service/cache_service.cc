@@ -78,8 +78,9 @@ constexpr unsigned kAccessLatency = 2;
 class ShardWorker
 {
   public:
-    ShardWorker(const ServiceConfig &cfg, size_t shard, const CodePtr &code)
-        : cfg(cfg), sched(cfg.ports, cfg.stealWindow),
+    ShardWorker(const ServiceConfig &cfg, size_t shard, const CodePtr &code,
+                unsigned steal_window)
+        : cfg(cfg), sched(cfg.ports, steal_window),
           shardBase(shardSeed(cfg.seed, shard)),
           golden(cfg.totalWords() / cfg.shards, 0),
           written(golden.size(), 0)
@@ -303,11 +304,19 @@ CacheService::serve(const std::vector<ServiceRequest> &requests) const
     report.shards.resize(cfg.shards);
     if (cfg.recordOutcomes)
         report.outcomes.resize(requests.size());
+    for (const ServiceRequest &r : requests)
+        report.ticks = std::max(report.ticks, r.tick + 1);
+    // No shard advances past the tick span (ticks only clamp forward,
+    // and background events never pass the request tick), so a
+    // steal-window ring that long never wraps. A longer window would
+    // change no byte, only allocate one idle counter per cycle.
+    const unsigned steal_window =
+        unsigned(std::min<uint64_t>(cfg.stealWindow, report.ticks));
 
     // Each shard writes only its own report slot and its own outcome
     // slots, so the sweep is bit-identical at any pool size.
     parallelFor(cfg.shards, [&](size_t s) {
-        ShardWorker worker(cfg, s, code);
+        ShardWorker worker(cfg, s, code, steal_window);
         for (size_t i : byShard[s])
             worker.serveOne(requests[i], cfg.recordOutcomes
                                              ? &report.outcomes[i]
@@ -320,8 +329,6 @@ CacheService::serve(const std::vector<ServiceRequest> &requests) const
         report.total.latency += shard.latency;
         report.total.store += shard.store;
     }
-    for (const ServiceRequest &r : requests)
-        report.ticks = std::max(report.ticks, r.tick + 1);
     return report;
 }
 

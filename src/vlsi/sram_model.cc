@@ -7,18 +7,6 @@
 namespace tdc
 {
 
-std::string
-sramObjectiveName(SramObjective obj)
-{
-    switch (obj) {
-      case SramObjective::kDelay: return "delay-opt";
-      case SramObjective::kPower: return "power-opt";
-      case SramObjective::kDelayArea: return "delay+area-opt";
-      case SramObjective::kBalanced: return "balanced";
-    }
-    return {};
-}
-
 SramModel::SramModel(size_t words, size_t codeword_bits, size_t interleave,
                      const TechParams &tech_)
     : numWords(words), cwBits(codeword_bits), intv(interleave), tech(tech_)

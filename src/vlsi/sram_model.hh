@@ -25,8 +25,6 @@ enum class SramObjective
     kBalanced,       ///< power+delay+area balanced
 };
 
-std::string sramObjectiveName(SramObjective obj);
-
 /** One candidate physical organization of the array. */
 struct SramOrg
 {

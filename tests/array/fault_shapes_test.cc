@@ -158,7 +158,10 @@ TEST(DramFaultInject, HardChipKillInstallsStuckAts)
     FaultModel m = FaultModel::chipKill(1);
     m.persistence = FaultPersistence::kStuckAt;
     injector.inject(arr, m);
-    EXPECT_EQ(arr.faultCount(), 8u * 4u);
+    std::vector<std::pair<size_t, size_t>> stuck;
+    for (size_t r = 0; r < 8; ++r)
+        stuck.push_back({r, 4});
+    EXPECT_EQ(arr.stuckRows(), stuck);
     EXPECT_TRUE(arr.isStuck(0, 4));
     EXPECT_TRUE(arr.isStuck(7, 7));
     EXPECT_FALSE(arr.isStuck(0, 3));

@@ -15,6 +15,7 @@
 #include "array/protected_array.hh"
 #include "common/rng.hh"
 #include "ecc/code_factory.hh"
+#include "../core/word_trial.hh"
 
 namespace tdc
 {
@@ -38,12 +39,14 @@ TEST_P(BurstGuaranteeTest, EveryBurstWithinGuaranteeIsCovered)
     for (size_t r = 0; r < arr.rows(); ++r)
         for (size_t s = 0; s < arr.wordsPerRow(); ++s) {
             golden[r][s] = BitVector(64, rng.next());
-            arr.writeWord(r, s, golden[r][s]);
+            storeWord(arr, r, s, golden[r][s]);
         }
 
     FaultInjector inj(rng);
-    const size_t detect_w = arr.contiguousDetectWidth();
-    const size_t correct_w = arr.contiguousCorrectWidth();
+    // Degree x the per-word guarantee: the paper's "EDC8+Intv4
+    // detects 32-bit errors along a row" arithmetic.
+    const size_t detect_w = degree * arr.code().burstDetectCapability();
+    const size_t correct_w = degree * arr.code().correctCapability();
     const size_t row_bits = arr.cells().cols();
 
     for (size_t width = 1; width <= detect_w; ++width) {
@@ -73,7 +76,7 @@ TEST_P(BurstGuaranteeTest, EveryBurstWithinGuaranteeIsCovered)
             }
             // Restore the row for the next pattern.
             for (size_t s = 0; s < arr.wordsPerRow(); ++s)
-                arr.writeWord(1, s, golden[1][s]);
+                storeWord(arr, 1, s, golden[1][s]);
         }
     }
 }
@@ -97,10 +100,10 @@ TEST(BurstGuarantee, OecnedIntv4CoversFigure3bExactly)
     std::vector<BitVector> golden(arr.wordsPerRow());
     for (size_t s = 0; s < arr.wordsPerRow(); ++s) {
         golden[s] = BitVector(64, rng.next());
-        arr.writeWord(0, s, golden[s]);
+        storeWord(arr, 0, s, golden[s]);
     }
     FaultInjector inj(rng);
-    EXPECT_EQ(arr.contiguousCorrectWidth(), 32u);
+    EXPECT_EQ(arr.wordsPerRow() * arr.code().correctCapability(), 32u);
 
     inj.inject(arr.cells(), {.shape = FaultShape::kRowBurst,
                              .width = 32,

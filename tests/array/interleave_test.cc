@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "array/interleave.hh"
 #include "common/rng.hh"
 
@@ -33,8 +36,7 @@ TEST(InterleaveMap, ColumnsPartitionAcrossSlots)
             ASSERT_LT(col, map.rowBits());
             ASSERT_EQ(owner[col], -1) << "column claimed twice";
             owner[col] = int(slot);
-            EXPECT_EQ(map.slotOf(col), slot);
-            EXPECT_EQ(map.bitOf(col), b);
+            EXPECT_EQ(col, b * map.degree() + slot);
         }
     }
     for (int o : owner)
@@ -47,8 +49,12 @@ TEST(InterleaveMap, AdjacentColumnsBelongToDifferentWords)
     // physically contiguous burst of width <= degree touches each
     // word at most once.
     InterleaveMap map(64, 4);
+    std::vector<size_t> owner(map.rowBits());
+    for (size_t slot = 0; slot < map.degree(); ++slot)
+        for (size_t b = 0; b < map.wordBits(); ++b)
+            owner[map.physicalColumn(slot, b)] = slot;
     for (size_t col = 0; col + 1 < map.rowBits(); ++col)
-        EXPECT_NE(map.slotOf(col), map.slotOf(col + 1));
+        EXPECT_NE(owner[col], owner[col + 1]);
 }
 
 TEST(InterleaveMap, ContiguousBurstFootprintPerWord)
@@ -59,8 +65,13 @@ TEST(InterleaveMap, ContiguousBurstFootprintPerWord)
     const size_t width = 4 * 8; // 32 physical columns
     const size_t start = 20;
     std::vector<std::vector<size_t>> touched(4);
-    for (size_t col = start; col < start + width; ++col)
-        touched[map.slotOf(col)].push_back(map.bitOf(col));
+    for (size_t slot = 0; slot < 4; ++slot) {
+        for (size_t b = 0; b < map.wordBits(); ++b) {
+            const size_t col = map.physicalColumn(slot, b);
+            if (col >= start && col < start + width)
+                touched[slot].push_back(b);
+        }
+    }
     for (size_t slot = 0; slot < 4; ++slot) {
         ASSERT_EQ(touched[slot].size(), 8u);
         for (size_t i = 1; i < touched[slot].size(); ++i)
@@ -98,13 +109,20 @@ TEST(InterleaveMap, DepositDoesNotDisturbOtherSlots)
 
 TEST(InterleaveMap, ContiguousCoverageArithmetic)
 {
-    // EDC8 + 4-way interleave detects 32-bit row bursts (the paper's
-    // L1 configuration).
-    InterleaveMap map(72, 4);
-    EXPECT_EQ(map.contiguousCoverage(8), 32u);
-    // EDC16 + 2-way detects 32-bit bursts (the L2 configuration).
-    InterleaveMap l2(272, 2);
-    EXPECT_EQ(l2.contiguousCoverage(16), 32u);
+    // A 32-column row burst leaves 32 / degree bits in each word:
+    // 8 under EDC8 + 4-way interleave (the paper's L1 configuration)
+    // and 16 under EDC16 + 2-way (the L2 configuration), each within
+    // what the per-word EDC detects.
+    for (const auto &[word_bits, degree] :
+         {std::pair<size_t, size_t>{72, 4}, {272, 2}}) {
+        const InterleaveMap map(word_bits, degree);
+        BitVector row(map.rowBits());
+        for (size_t col = 40; col < 40 + 32; ++col)
+            row.set(col, true);
+        for (size_t slot = 0; slot < degree; ++slot)
+            EXPECT_EQ(map.extractWord(row, slot).popcount(), 32 / degree)
+                << word_bits << "/i" << degree;
+    }
 }
 
 } // namespace

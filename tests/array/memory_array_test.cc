@@ -64,7 +64,7 @@ TEST(MemoryArray, ClearFaultRestoresStoredState)
     EXPECT_FALSE(arr.readBit(0, 1));
     arr.clearFault(0, 1);
     EXPECT_TRUE(arr.readBit(0, 1));
-    EXPECT_EQ(arr.faultCount(), 0u);
+    EXPECT_TRUE(arr.stuckRows().empty());
 }
 
 TEST(MemoryArray, AccessCounters)
@@ -74,7 +74,6 @@ TEST(MemoryArray, AccessCounters)
     arr.readRow(1);
     arr.writeRow(2, BitVector(8));
     EXPECT_EQ(arr.readCount(), 2u);
-    EXPECT_EQ(arr.writeCount(), 1u);
 }
 
 TEST(MemoryArray, IsStuckQuery)

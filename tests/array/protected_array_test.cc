@@ -4,6 +4,7 @@
 #include "array/protected_array.hh"
 #include "common/rng.hh"
 #include "ecc/code_factory.hh"
+#include "../core/word_trial.hh"
 
 namespace tdc
 {
@@ -22,7 +23,7 @@ fill(ProtectedArray &arr, Rng &rng,
             BitVector data(arr.dataBits());
             for (size_t b = 0; b < data.size(); ++b)
                 data.set(b, rng.nextBool());
-            arr.writeWord(r, s, data);
+            storeWord(arr, r, s, data);
             golden[r][s] = data;
         }
     }
@@ -78,7 +79,7 @@ TEST(ProtectedArray, SecdedIntv4CorrectsFourBitRowBursts)
             }
             // readWord wrote corrections back; the row is clean now.
             for (size_t s = 0; s < arr.wordsPerRow(); ++s)
-                ASSERT_EQ(arr.peekWord(row, s).status,
+                ASSERT_EQ(arr.readWord(row, s).status,
                           DecodeStatus::kClean);
         }
     }
@@ -115,7 +116,7 @@ TEST(ProtectedArray, OecnedIntv4Corrects32BitRowBursts)
     std::vector<std::vector<BitVector>> golden;
     fill(arr, rng, golden);
     FaultInjector inj(rng);
-    EXPECT_EQ(arr.contiguousCorrectWidth(), 32u);
+    EXPECT_EQ(arr.wordsPerRow() * arr.code().correctCapability(), 32u);
 
     for (int trial = 0; trial < 20; ++trial) {
         const size_t row = rng.nextBelow(arr.rows());
@@ -155,8 +156,8 @@ TEST(ProtectedArray, EdcDetectsButNeverCorrects)
         detected += res.status == DecodeStatus::kDetectedUncorrectable;
     }
     EXPECT_GT(detected, 0u);
-    EXPECT_EQ(arr.contiguousCorrectWidth(), 0u);
-    EXPECT_EQ(arr.contiguousDetectWidth(), 32u);
+    EXPECT_EQ(arr.code().correctCapability(), 0u);
+    EXPECT_EQ(arr.wordsPerRow() * arr.code().burstDetectCapability(), 32u);
 }
 
 TEST(ProtectedArray, StuckAtFaultCorrectedOnEveryRead)
@@ -177,21 +178,8 @@ TEST(ProtectedArray, StuckAtFaultCorrectedOnEveryRead)
         }
         // Rewrite pattern; the stuck cell re-corrupts the word.
         for (size_t s = 0; s < arr.wordsPerRow(); ++s)
-            arr.writeWord(2, s, golden[2][s]);
+            storeWord(arr, 2, s, golden[2][s]);
     }
-}
-
-TEST(ProtectedArray, PeekDoesNotRepair)
-{
-    Rng rng(96);
-    ProtectedArray arr(4, makeCode(CodeKind::kSecDed, 64), 2);
-    std::vector<std::vector<BitVector>> golden;
-    fill(arr, rng, golden);
-    arr.cells().flipBit(0, 0);
-    AccessResult first = arr.peekWord(0, arr.interleave().slotOf(0));
-    EXPECT_EQ(first.status, DecodeStatus::kCorrected);
-    AccessResult second = arr.peekWord(0, arr.interleave().slotOf(0));
-    EXPECT_EQ(second.status, DecodeStatus::kCorrected) << "peek repaired";
 }
 
 } // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/bit_span.hh"
 #include "common/bit_vector.hh"
 #include "common/rng.hh"
@@ -211,22 +213,15 @@ TEST(BitVectorStorage, GrowthAcrossInlineBoundaryPreservesContent)
 {
     Rng rng(11);
     BitVector v;
-    std::string expect;
+    std::vector<bool> expect;
     for (int i = 0; i < 400; ++i) {
         const bool bit = rng.nextBool();
         v.pushBack(bit);
-        expect.push_back(bit ? '1' : '0');
+        expect.push_back(bit);
     }
-    EXPECT_EQ(v.size(), 400u);
-    EXPECT_EQ(v.toString(), expect);
-
-    BitVector a = randomVector(rng, 300);
-    const BitVector b = randomVector(rng, 300);
-    const BitVector aCopy = a;
-    a.append(b);
-    ASSERT_EQ(a.size(), 600u);
-    EXPECT_EQ(a.slice(0, 300), aCopy);
-    EXPECT_EQ(a.slice(300, 300), b);
+    ASSERT_EQ(v.size(), 400u);
+    for (size_t i = 0; i < expect.size(); ++i)
+        ASSERT_EQ(v.get(i), expect[i]) << "bit " << i;
 }
 
 } // namespace

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <optional>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -48,13 +51,27 @@ TEST(ParallelFor, ZeroAndSingleIteration)
     EXPECT_EQ(calls, 1);
 }
 
+/** The distinct threads that ran the @p n iterations of one call. */
+std::set<std::thread::id>
+threadsUsed(size_t n)
+{
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    parallelFor(n, [&](size_t) {
+        std::lock_guard<std::mutex> lock(mu);
+        ids.insert(std::this_thread::get_id());
+    });
+    return ids;
+}
+
 TEST(ParallelFor, SetThreadsIsObservable)
 {
     ThreadGuard guard;
+    setParallelThreads(1);
+    EXPECT_EQ(threadsUsed(1000),
+              std::set<std::thread::id>{std::this_thread::get_id()});
     setParallelThreads(3);
-    EXPECT_EQ(parallelThreads(), 3u);
-    setParallelThreads(0);
-    EXPECT_GE(parallelThreads(), 1u);
+    EXPECT_LE(threadsUsed(1000).size(), 3u);
 }
 
 TEST(ParallelFor, RequestedThreadsReadsAWholeNumberFromTheEnvironment)

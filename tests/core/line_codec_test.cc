@@ -50,7 +50,6 @@ struct Geometry
     const char *label;
     std::shared_ptr<Code> code;
     size_t degree;
-    bool fused;
 };
 
 std::vector<Geometry>
@@ -58,24 +57,19 @@ geometries()
 {
     return {
         // L1: EDC8 over 64-bit words, 4-way interleave -> p = 32.
-        {"edc8/i4", std::make_shared<InterleavedParityCode>(64, 8), 4,
-         true},
+        {"edc8/i4", std::make_shared<InterleavedParityCode>(64, 8), 4},
         // L2: EDC16 over 256-bit words, 2-way interleave -> p = 32.
-        {"edc16/i2", std::make_shared<InterleavedParityCode>(256, 16), 2,
-         true},
-        // Wide periods, multiples of 64: the fold keeps p/64 lanes.
-        {"edc16/i8", std::make_shared<InterleavedParityCode>(64, 16), 8,
-         true}, // p = 128
-        {"edc32/i4", std::make_shared<InterleavedParityCode>(64, 32), 4,
-         true}, // p = 128
-        {"edc32/i8", std::make_shared<InterleavedParityCode>(64, 32), 8,
-         true}, // p = 256
+        {"edc16/i2", std::make_shared<InterleavedParityCode>(256, 16), 2},
+        // Wide periods, multiples of 64 (p = 128, 128, 256): the fold
+        // keeps p/64 lanes.
+        {"edc16/i8", std::make_shared<InterleavedParityCode>(64, 16), 8},
+        {"edc32/i4", std::make_shared<InterleavedParityCode>(64, 32), 4},
+        {"edc32/i8", std::make_shared<InterleavedParityCode>(64, 32), 8},
         // Non-dividing period 3*8 = 24: fused fold must stay off.
-        {"edc8/i3", std::make_shared<InterleavedParityCode>(64, 8), 3,
-         false},
+        {"edc8/i3", std::make_shared<InterleavedParityCode>(64, 8), 3},
         // Non-EDC horizontals: per-slot syndromeClean path.
-        {"secded/i4", std::make_shared<HsiaoSecDedCode>(64), 4, false},
-        {"qecped-inner/i2", std::make_shared<BchCode>(64, 4), 2, false},
+        {"secded/i4", std::make_shared<HsiaoSecDedCode>(64), 4},
+        {"qecped-inner/i2", std::make_shared<BchCode>(64, 4), 2},
     };
 }
 
@@ -91,15 +85,6 @@ randomWords(const Geometry &g, Rng &rng)
         words.push_back(w);
     }
     return words;
-}
-
-TEST(LineCodec, FusedFoldEngagesExactlyForAlignedEdcGeometries)
-{
-    for (const Geometry &g : geometries()) {
-        const InterleaveMap map(g.code->codewordBits(), g.degree);
-        const LineCodec line(*g.code, map);
-        EXPECT_EQ(line.fusedCheck(), g.fused) << g.label;
-    }
 }
 
 TEST(LineCodec, LineCleanMatchesPerSlotTruthOnEveryBackend)

@@ -7,7 +7,9 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/twod_array.hh"
+#include "scheme/scheme.hh"
 #include "word_trial.hh"
+#include "../oracles/twod_parity.hh"
 
 namespace tdc
 {
@@ -65,7 +67,9 @@ TEST(TwoDimArray, GeometryAndOverheadMatchFigure3c)
     EXPECT_EQ(arr.rows(), 256u);
     EXPECT_EQ(arr.wordsPerRow(), 4u);
     EXPECT_DOUBLE_EQ(arr.storageOverhead(), 0.25);
-    EXPECT_EQ(arr.config().clusterWidthCoverage(), 32u);
+    EXPECT_EQ(arr.config().interleaveDegree *
+                  arr.code().burstDetectCapability(),
+              32u);
     EXPECT_EQ(arr.config().clusterHeightCoverage(), 32u);
 }
 
@@ -74,7 +78,7 @@ TEST(TwoDimArray, CleanRoundTripAndParityInvariant)
     Rng rng(110);
     TwoDimArray arr(smallConfig());
     auto golden = fill(arr, rng);
-    EXPECT_TRUE(arr.verifyParity());
+    EXPECT_TRUE(oracle::verifyParity(arr));
     EXPECT_TRUE(arr.verifyClean());
     expectAllGolden(arr, golden);
     // Overwrites keep the parity consistent.
@@ -85,7 +89,7 @@ TEST(TwoDimArray, CleanRoundTripAndParityInvariant)
         arr.writeWord(r, s, data);
         golden[r][s] = data;
     }
-    EXPECT_TRUE(arr.verifyParity());
+    EXPECT_TRUE(oracle::verifyParity(arr));
     expectAllGolden(arr, golden);
 }
 
@@ -149,7 +153,7 @@ TEST_P(ClusterCoverageTest, ClusterWithinCoverageIsCorrected)
         const bool ok = arr.scrub();
         ASSERT_TRUE(ok) << width << "x" << height;
         expectAllGolden(arr, golden);
-        ASSERT_TRUE(arr.verifyParity());
+        ASSERT_TRUE(oracle::verifyParity(arr));
     }
 }
 
@@ -188,7 +192,7 @@ TEST(TwoDimArray, FullConfigCorrects32x32Cluster)
     inj.inject(arr.cells(), FaultModel::cluster(32, 32));
     ASSERT_TRUE(arr.scrub());
     expectAllGolden(arr, golden);
-    EXPECT_TRUE(arr.verifyParity());
+    EXPECT_TRUE(oracle::verifyParity(arr));
 }
 
 TEST(TwoDimArray, ClusterTallerThanVButNarrowRecoversViaColumns)
@@ -275,7 +279,7 @@ TEST(TwoDimArray, SecdedHorizontalCorrectsSingleBitInline)
     expectAllGolden(arr, golden);
     EXPECT_EQ(arr.stats().recoveries, 0u);
     EXPECT_GE(arr.stats().inlineCorrections, 1u);
-    EXPECT_TRUE(arr.verifyParity()); // inline fix maintained parity
+    EXPECT_TRUE(oracle::verifyParity(arr)); // inline fix maintained parity
 }
 
 TEST(TwoDimArray, SecdedHorizontalStuckCellKeepsMultiBitProtection)
@@ -327,7 +331,7 @@ TEST(TwoDimArray, ErrorInParityRowDoesNotCorruptData)
     TwoDimArray arr(smallConfig());
     auto golden = fill(arr, rng);
     arr.vertical().cells().flipBit(3, 50);
-    EXPECT_FALSE(arr.verifyParity());
+    EXPECT_FALSE(oracle::verifyParity(arr));
     expectAllGolden(arr, golden);
 }
 
@@ -339,7 +343,7 @@ TEST(TwoDimArray, ReadsDoNotDisturbParity)
     for (int i = 0; i < 100; ++i)
         arr.readWord(rng.nextBelow(arr.rows()),
                      rng.nextBelow(arr.wordsPerRow()));
-    EXPECT_TRUE(arr.verifyParity());
+    EXPECT_TRUE(oracle::verifyParity(arr));
 }
 
 TEST(TwoDimArray, L2ConfigurationAlsoCovers32x32)
@@ -347,10 +351,16 @@ TEST(TwoDimArray, L2ConfigurationAlsoCovers32x32)
     // EDC16+Intv2 over 256-bit words: same 32x32 coverage with less
     // interleaving power cost (the paper's L2 design point).
     Rng rng(123);
-    TwoDimConfig cfg = TwoDimConfig::l2Default();
+    TwoDimConfig cfg = parseTwoDimConfig("2d:edc16/i2+vp32/w256");
+    EXPECT_EQ(cfg.horizontalKind, CodeKind::kEdc16);
+    EXPECT_EQ(cfg.wordBits, 256u);
+    EXPECT_EQ(cfg.interleaveDegree, 2u);
+    EXPECT_EQ(cfg.verticalParityRows, 32u);
+    EXPECT_EQ(cfg.dataRows, 256u);
     cfg.dataRows = 64; // keep the test fast
     TwoDimArray arr(cfg);
-    EXPECT_EQ(cfg.clusterWidthCoverage(), 32u);
+    EXPECT_EQ(cfg.interleaveDegree * arr.code().burstDetectCapability(),
+              32u);
     auto golden = fill(arr, rng);
     FaultInjector inj(rng);
     inj.inject(arr.cells(), FaultModel::cluster(32, 16));

@@ -6,7 +6,8 @@
  * array's word API, and every line-granular session must reach the
  * verdict it reaches. Works on a TwoDimArray (scrubbed before the
  * read-back) and on a ProtectedArray (no scrub: in-line correction on
- * read is the conventional scrub).
+ * read is the conventional scrub; a word is stored by rewriting its
+ * row).
  */
 
 #ifndef TDC_TESTS_CORE_WORD_TRIAL_HH
@@ -46,7 +47,25 @@ drawWord(size_t bits, Rng &rng)
     return d;
 }
 
-/** Golden fill through writeWord, row by row, slot by slot. */
+/**
+ * Store @p data as word @p slot of row @p row: a TwoDimArray's own
+ * writeWord, or for a ProtectedArray a read of the row, the encoded
+ * word deposited into its slot, and the row written back.
+ */
+template <class Array>
+void
+storeWord(Array &arr, size_t row, size_t slot, const BitVector &data)
+{
+    if constexpr (requires { arr.writeWord(row, slot, data); }) {
+        arr.writeWord(row, slot, data);
+    } else {
+        BitVector phys = arr.cells().readRow(row);
+        arr.interleave().depositWord(phys, slot, arr.code().encode(data));
+        arr.writeLine(row, phys);
+    }
+}
+
+/** Golden fill through storeWord, row by row, slot by slot. */
 template <class Array>
 GoldenWords
 fillWords(Array &arr, Rng &rng)
@@ -55,7 +74,7 @@ fillWords(Array &arr, Rng &rng)
     for (size_t r = 0; r < arr.rows(); ++r) {
         for (size_t s = 0; s < arr.wordsPerRow(); ++s) {
             golden[r][s] = drawWord(arr.dataBits(), rng);
-            arr.writeWord(r, s, golden[r][s]);
+            storeWord(arr, r, s, golden[r][s]);
         }
     }
     return golden;

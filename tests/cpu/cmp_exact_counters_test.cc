@@ -20,6 +20,7 @@
 #include "common/stable_hash.hh"
 #include "cpu/cmp_batch.hh"
 #include "cpu/cmp_simulator.hh"
+#include "../oracles/framed_u64.hh"
 
 namespace tdc
 {
@@ -143,7 +144,7 @@ TEST(CmpExactCounters, RecordSaltMatchesThePins)
         h.update(std::string_view(pin.protection));
         h.update(std::string_view(pin.workload));
         for (uint64_t c : pin.counters)
-            h.update(c);
+            oracle::updateU64(h, c);
     }
     EXPECT_EQ(std::to_string(kCmpRecordVersion) + ":" + h.digest().hex(),
               "1:4df9a2d35e5b11c7f7969524d463e7f7")

@@ -46,7 +46,7 @@ TEST(ProtectionConfig, Labels)
     EXPECT_EQ(ProtectionConfig::none().label(), "baseline");
     EXPECT_EQ(ProtectionConfig::l1Only(false).label(), "L1");
     EXPECT_EQ(ProtectionConfig::l1Only(true).label(), "L1+steal");
-    EXPECT_EQ(ProtectionConfig::l2Only().label(), "L2");
+    EXPECT_EQ(ProtectionConfig::parse("l2").label(), "L2");
     EXPECT_EQ(ProtectionConfig::full().label(), "L1+steal L2");
 }
 
@@ -98,7 +98,7 @@ TEST(CmpSimulator, TwoDimL1AddsOneExtraReadPerArrayWrite)
 TEST(CmpSimulator, TwoDimL2AddsExtraReadsOnWritebacks)
 {
     const CmpSimResult r =
-        simulate(CmpConfig::fat(), "OLTP", ProtectionConfig::l2Only());
+        simulate(CmpConfig::fat(), "OLTP", ProtectionConfig::parse("l2"));
     EXPECT_EQ(r.l1ExtraReads, 0u);
     // Every L2 array write — write-backs from L1 and memory refills —
     // triggers one read-before-write.
@@ -169,7 +169,7 @@ TEST(CmpSimulator, FatSuffersMoreFromL1LeanFromL2)
                 simulate(m, w, ProtectionConfig::none());
             l1 += ipcLoss(base,
                           simulate(m, w, ProtectionConfig::l1Only(false)));
-            l2 += ipcLoss(base, simulate(m, w, ProtectionConfig::l2Only()));
+            l2 += ipcLoss(base, simulate(m, w, ProtectionConfig::parse("l2")));
         }
         return std::pair<double, double>(l1, l2);
     };

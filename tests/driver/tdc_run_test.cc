@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -21,6 +22,7 @@
 #include "common/parallel.hh"
 #include "driver/tdc_run.hh"
 #include "scheme/figure_campaigns.hh"
+#include "service/request_gen.hh"
 
 #include "../common/scoped_env.hh"
 
@@ -348,6 +350,42 @@ TEST(TdcRun, ServeRecordsAReplayableTrace)
     };
     EXPECT_EQ(stripTitles(recorded), stripTitles(replayed));
     std::remove(path.c_str());
+}
+
+TEST(TdcRun, ServeStealWindowPastTheTickSpanChangesNothing)
+{
+    // The port scheduler keeps one idle counter per cycle of the steal
+    // window. No shard advances past the stream's tick span, so the
+    // service caps the window there: the widest window runs (it used
+    // to end in bad_alloc) and prints the bytes the span prints.
+    const std::string trace = testing::TempDir() + "tdc_run_span.bin";
+    for (const std::vector<std::string> &stream :
+         {std::vector<std::string>{"burst16/n1e4/g64/w0"},
+          // Writes and scrub steps both steal idle port slots.
+          std::vector<std::string>{"burst16/n1e4/g64/w50",
+                                   "--scrub-interval", "64"}}) {
+        std::vector<std::string> args = {"--serve"};
+        args.insert(args.end(), stream.begin(), stream.end());
+        const auto serve = [&](const std::string &window) {
+            std::vector<std::string> a = args;
+            a.insert(a.end(), {"--steal-window", window});
+            return runOk(a);
+        };
+        std::vector<std::string> record = args;
+        record.insert(record.end(), {"--record-trace", trace});
+        runOk(record);
+        uint64_t span = 0;
+        for (const ServiceRequest &r :
+             buildRequests(parseRequestSpec("trace:" + trace), 0, 0))
+            span = std::max(span, r.tick + 1);
+        std::remove(trace.c_str());
+
+        const std::string widest = serve("4294967295");
+        EXPECT_EQ(widest, serve(std::to_string(span))) << stream[0];
+        if (stream.size() > 1) {
+            EXPECT_NE(widest, serve("0")) << "stealing never engaged";
+        }
+    }
 }
 
 TEST(TdcRun, ServeUsageErrorsExitTwoWithQuotedToken)

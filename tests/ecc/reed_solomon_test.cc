@@ -17,6 +17,7 @@
 
 #include "common/rng.hh"
 #include "ecc/reed_solomon.hh"
+#include "../oracles/rs_naive.hh"
 
 namespace tdc
 {
@@ -39,7 +40,8 @@ TEST(SymbolRs, EncodeYieldsZeroSyndromes)
     for (unsigned b : {4u, 8u}) {
         const SymbolRsCode rs(b, b == 4 ? 12 : 8);
         for (int i = 0; i < 50; ++i)
-            EXPECT_TRUE(rs.syndromeClean(randomCodeword(rs, rng)));
+            EXPECT_TRUE(
+                oracle::syndromeCleanNaive(rs, randomCodeword(rs, rng)));
     }
 }
 
@@ -140,7 +142,8 @@ TEST(SymbolRs, NaiveOracleAgreesOnCleanSingleAndDouble)
             }
             std::vector<uint32_t> fast_word = word, naive_word = word;
             const SymbolDecodeResult fast = rs.decode(fast_word);
-            const SymbolDecodeResult naive = rs.decodeNaive(naive_word);
+            const SymbolDecodeResult naive =
+                oracle::decodeNaive(rs, naive_word);
             ASSERT_EQ(fast.status, naive.status) << "weight " << weight;
             ASSERT_EQ(fast_word, naive_word);
             ASSERT_EQ(fast.corrections, naive.corrections);
@@ -164,7 +167,8 @@ TEST(SymbolRs, NaiveOracleAgreesBeyondCapacity)
                 sym = uint32_t(rng.nextBelow(rs.field().size()));
             std::vector<uint32_t> fast_word = word, naive_word = word;
             const SymbolDecodeResult fast = rs.decode(fast_word);
-            const SymbolDecodeResult naive = rs.decodeNaive(naive_word);
+            const SymbolDecodeResult naive =
+                oracle::decodeNaive(rs, naive_word);
             ASSERT_EQ(fast.status, naive.status) << "word " << i;
             ASSERT_EQ(fast_word, naive_word) << "word " << i;
             ASSERT_EQ(fast.corrections, naive.corrections) << "word " << i;
@@ -227,7 +231,7 @@ TEST(SymbolRs, ErasurePlusDoubleErrorNeverPassesSilently)
                 uint32_t(rng.nextBelow(15)) + 1;
         const SymbolDecodeResult res = rs.decodeErasure(word, dead);
         if (res.corrected() || res.clean()) {
-            EXPECT_TRUE(rs.syndromeClean(word));
+            EXPECT_TRUE(oracle::syndromeCleanNaive(rs, word));
         }
     }
 }

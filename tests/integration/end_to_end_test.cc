@@ -16,6 +16,7 @@
 #include "cpu/cmp_simulator.hh"
 #include "reliability/soft_error_model.hh"
 #include "workload/instruction_stream.hh"
+#include "../oracles/twod_parity.hh"
 
 namespace tdc
 {
@@ -64,7 +65,7 @@ TEST(EndToEnd, CacheStreamOverTwoDimBank)
             ASSERT_TRUE(bank.scrub()) << "step " << step;
         }
     }
-    EXPECT_TRUE(bank.verifyParity());
+    EXPECT_TRUE(oracle::verifyParity(bank));
 }
 
 TEST(EndToEnd, Section52YieldScenario)

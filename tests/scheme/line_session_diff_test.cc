@@ -3,8 +3,8 @@
  * Differential test of the line-granular device sessions. The conv
  * and 2d sessions fill, scrub and verify a bank a row at a time (one
  * encoded line per row, rows that match their golden line skipped on
- * verify); the reference runs the same trial word by word through the
- * array's writeWord / readWord API (tests/core/word_trial.hh). Every
+ * verify); the reference runs the same trial word by word through
+ * storeWord / readWord (tests/core/word_trial.hh). Every
  * verdict must agree, on the scalar and the dispatched SIMD tier, for
  * fused and per-slot clean-check geometries alike, and through a
  * stuck-at mix that repairs rows through repairRow.
@@ -141,7 +141,7 @@ runReference(Array &arr, const Script &script, uint64_t seed)
         for (const auto &[row, count] : arr.cells().stuckRows()) {
             arr.cells().clearRowFaults(row);
             for (size_t s = 0; s < arr.wordsPerRow(); ++s)
-                arr.writeWord(row, s, golden[row][s]);
+                storeWord(arr, row, s, golden[row][s]);
         }
         FaultInjector(rng).inject(arr.cells(), script.after);
         out.push_back(toVerdict(scrubAndReadBack(arr, golden)));

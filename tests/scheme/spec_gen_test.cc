@@ -104,6 +104,7 @@ TEST(SpecGen, MalformedPatternsQuoteTheOffendingToken)
     expectPatternError("i{1..4..x1}", "{1..4..x1}");
     expectPatternError("i{1..4..*2}", "{1..4..*2}");
     expectPatternError("i{1..4..+0}", "{1..4..+0}");
+    expectPatternError("i{1..4..}", "{1..4..}");
     // Bounds and steps are plain decimal digits: no sign, space or hex.
     expectPatternError("conv:secded/i{+2..2}", "{+2..2}");
     expectPatternError("conv:secded/i{ 2.. 2}", "{ 2.. 2}");

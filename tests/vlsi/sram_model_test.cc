@@ -49,7 +49,7 @@ TEST(SramModel, EnergyGrowsWithInterleaving)
         for (size_t d = 1; d <= 16; d *= 2) {
             SramModel model(8192, 72, d);
             const double e = model.optimize(obj).readEnergy;
-            EXPECT_GT(e, prev) << sramObjectiveName(obj) << " d=" << d;
+            EXPECT_GT(e, prev) << "objective " << int(obj) << " d=" << d;
             prev = e;
         }
     }

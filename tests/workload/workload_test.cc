@@ -3,6 +3,7 @@
 #include "common/stable_hash.hh"
 #include "workload/instruction_stream.hh"
 #include "workload/workload_profile.hh"
+#include "../oracles/framed_u64.hh"
 
 namespace tdc
 {
@@ -99,12 +100,14 @@ TEST(InstructionStream, GoldenStreamPerWorkload)
         StableHash h;
         for (int i = 0; i < 10000; ++i) {
             const SyntheticInstr x = s.next();
-            h.update(uint64_t(x.kind));
-            h.update(uint64_t(x.ifetchMiss) | uint64_t(x.l1dMiss) << 1 |
-                     uint64_t(x.l2Miss) << 2 | uint64_t(x.dirtyEvict) << 3 |
-                     uint64_t(x.dirtyShared) << 4);
-            h.update(uint64_t(x.bankHash));
-            h.update(uint64_t(x.bubbles));
+            oracle::updateU64(h, uint64_t(x.kind));
+            oracle::updateU64(
+                h, uint64_t(x.ifetchMiss) | uint64_t(x.l1dMiss) << 1 |
+                       uint64_t(x.l2Miss) << 2 |
+                       uint64_t(x.dirtyEvict) << 3 |
+                       uint64_t(x.dirtyShared) << 4);
+            oracle::updateU64(h, uint64_t(x.bankHash));
+            oracle::updateU64(h, uint64_t(x.bubbles));
         }
         EXPECT_EQ(h.digest().hex(), pin.digest) << pin.workload;
     }
