@@ -45,7 +45,7 @@ main()
                 "read-before-write to keep the\nvertical parity current "
                 "(%llu updates so far)\n\n",
                 bank.rows() * bank.wordsPerRow(),
-                (unsigned long long)bank.vertical().updateCount());
+                (unsigned long long)bank.stats().readBeforeWrites);
 
     // A single energetic particle strike flips a solid 32x32 block.
     const FaultModel strike = FaultModel::cluster(32, 32);

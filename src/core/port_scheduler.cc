@@ -12,11 +12,9 @@ PortScheduler::PortScheduler(unsigned ports_, unsigned steal_window)
 }
 
 void
-PortScheduler::advanceTo(uint64_t cycle)
+PortScheduler::advancePast(uint64_t cycle)
 {
-    assert(cycle >= now);
-    if (cycle == now)
-        return;
+    assert(cycle > now);
 
     // Account idle slots of every fully elapsed cycle for stealing.
     // The horizon cycle may be partially used; cycles between now and
@@ -49,20 +47,6 @@ PortScheduler::advanceTo(uint64_t cycle)
 }
 
 unsigned
-PortScheduler::issueDemand()
-{
-    ++demandCount;
-    if (horizonUsed >= ports) {
-        ++horizonCycle;
-        horizonUsed = 0;
-    }
-    ++horizonUsed;
-    const unsigned delay = unsigned(horizonCycle - now);
-    delaySum += delay;
-    return delay;
-}
-
-unsigned
 PortScheduler::issueStolenRead()
 {
     if (stealWindow > 0 && idleBank > 0) {
@@ -77,12 +61,9 @@ PortScheduler::issueStolenRead()
                 i = 0;
         }
         --idleRing[i];
-        ++absorbedCount;
         return 0;
     }
-    ++chargedCount;
     issueDemand();
-    --demandCount; // counted separately as a charged stolen read
     return 1;
 }
 

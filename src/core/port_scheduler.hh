@@ -42,14 +42,26 @@ class PortScheduler
      * later cycle leaves the same state as advancing one cycle at a
      * time, so callers need only visit the cycles they access.
      */
-    void advanceTo(uint64_t cycle);
+    void advanceTo(uint64_t cycle)
+    {
+        if (cycle != now)
+            advancePast(cycle);
+    }
 
     /**
      * Issue a demand access (read, write, or fill) at the current
      * cycle. Returns the queueing delay in cycles (0 = issued this
      * cycle).
      */
-    unsigned issueDemand();
+    unsigned issueDemand()
+    {
+        if (horizonUsed >= ports) {
+            ++horizonCycle;
+            horizonUsed = 0;
+        }
+        ++horizonUsed;
+        return unsigned(horizonCycle - now);
+    }
 
     /**
      * Issue the read half of a read-before-write. Returns the number
@@ -58,12 +70,10 @@ class PortScheduler
      */
     unsigned issueStolenRead();
 
-    uint64_t demandIssued() const { return demandCount; }
-    uint64_t stolenAbsorbed() const { return absorbedCount; }
-    uint64_t stolenCharged() const { return chargedCount; }
-    uint64_t totalDelay() const { return delaySum; }
-
   private:
+    /** advanceTo() a later cycle. */
+    void advancePast(uint64_t cycle);
+
     unsigned ports;
     unsigned stealWindow;
     uint64_t now = 0;
@@ -80,11 +90,6 @@ class PortScheduler
     std::vector<unsigned> idleRing;
     unsigned idleOldest = 0;
     unsigned idleBank = 0;
-
-    uint64_t demandCount = 0;
-    uint64_t absorbedCount = 0;
-    uint64_t chargedCount = 0;
-    uint64_t delaySum = 0;
 };
 
 } // namespace tdc

@@ -30,7 +30,6 @@ VerticalParity::applyDelta(size_t r, const BitVector &delta)
         row ^= delta;
         parity.writeRow(g, row);
     }
-    ++updates;
 }
 
 } // namespace tdc

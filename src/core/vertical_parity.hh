@@ -61,13 +61,9 @@ class VerticalParity
         return double(groups()) / double(coveredRows);
     }
 
-    /** Number of incremental updates performed (stat). */
-    uint64_t updateCount() const { return updates; }
-
   private:
     size_t coveredRows;
     MemoryArray parity;
-    uint64_t updates = 0;
 };
 
 } // namespace tdc

@@ -26,15 +26,51 @@ CmpSimulator::CmpSimulator(const CmpConfig &machine_,
                            uint64_t seed)
     : machine(machine_), protection(protection_)
 {
+    std::vector<StreamRing *> rings;
+    for (StreamRing &ring : streams(machine, workload, seed, 1)) {
+        ownRings.push_back(std::make_unique<StreamRing>(std::move(ring)));
+        rings.push_back(ownRings.back().get());
+    }
+    build(rings);
+}
+
+CmpSimulator::CmpSimulator(const CmpConfig &machine_,
+                           const ProtectionConfig &protection_,
+                           const std::vector<StreamRing *> &rings)
+    : machine(machine_), protection(protection_)
+{
+    build(rings);
+}
+
+std::vector<StreamRing>
+CmpSimulator::streams(const CmpConfig &machine,
+                      const WorkloadProfile &workload, uint64_t seed,
+                      size_t capacity)
+{
+    const size_t n = size_t(machine.cores) * machine.threadsPerCore;
+    std::vector<StreamRing> rings;
+    rings.reserve(n);
+    for (size_t k = 0; k < n; ++k)
+        rings.emplace_back(workload, seed * 7919 + k + 1, capacity);
+    return rings;
+}
+
+void
+CmpSimulator::build(const std::vector<StreamRing *> &rings)
+{
+    assert(rings.size() == size_t(machine.cores) * machine.threadsPerCore);
+    readers.assign(rings.size(), nullptr);
+    // An out-of-order core issues from its first thread only.
+    const unsigned active = machine.outOfOrder ? 1 : machine.threadsPerCore;
     cores.resize(machine.cores);
-    uint64_t stream_seed = seed * 7919;
     for (unsigned c = 0; c < machine.cores; ++c) {
         CoreState &core = cores[c];
         core.selfIndex = c;
-        core.threads.resize(machine.threadsPerCore);
-        for (ThreadState &t : core.threads) {
-            t.stream = std::make_unique<InstructionStream>(workload,
-                                                           ++stream_seed);
+        core.threads.resize(active);
+        for (unsigned t = 0; t < active; ++t) {
+            const size_t k = size_t(c) * machine.threadsPerCore + t;
+            core.threads[t].ring = rings[k];
+            readers[k] = &core.threads[t];
         }
         const unsigned window =
             protection.l1PortStealing ? machine.stealWindow : 0;
@@ -48,6 +84,15 @@ CmpSimulator::CmpSimulator(const CmpConfig &machine_,
         bubbleStall[b] = uint64_t(
             (scaled + machine.issueWidth - 1) / machine.issueWidth);
     }
+}
+
+void
+CmpSimulator::detachStream(size_t k)
+{
+    ThreadState &thread = *readers[k];
+    ownRings.push_back(
+        std::make_unique<StreamRing>(thread.ring->forkAt(thread.pos)));
+    thread.ring = ownRings.back().get();
 }
 
 unsigned
@@ -225,19 +270,22 @@ CmpSimulator::stepOutOfOrderCore(CoreState &core)
         return; // waiting on an instruction refill
 
     ThreadState &thread = core.threads[0];
-    bool sq_stall = false;
     for (unsigned slot = 0; slot < machine.issueWidth; ++slot) {
         if (core.pending.size() >= machine.robSize)
             break; // in-flight window full: stall
 
         // ILP bubbles (dependency stalls attached to the previous
         // instruction) consume issue slots without committing work.
-        if (thread.bubbleDebt > 0) {
-            --thread.bubbleDebt;
-            continue;
-        }
+        // They leave the window as it is, so the check above holds
+        // for every slot they take.
+        const unsigned bubbles =
+            std::min(thread.bubbleDebt, machine.issueWidth - slot);
+        thread.bubbleDebt -= bubbles;
+        slot += bubbles;
+        if (slot == machine.issueWidth)
+            break;
 
-        const SyntheticInstr instr = thread.stream->next();
+        const SyntheticInstr instr = thread.next();
         thread.bubbleDebt = instr.bubbles;
 
         if (instr.ifetchMiss) {
@@ -249,10 +297,13 @@ CmpSimulator::stepOutOfOrderCore(CoreState &core)
                 (instr.l2Miss ? machine.memLatency : 0);
         }
 
-        switch (instr.kind) {
-          case SyntheticInstr::Kind::kNonMem:
-            break;
-          case SyntheticInstr::Kind::kLoad: {
+        // Stores and non-memory instructions share one path: the
+        // store only occupies a queue entry, counted without a branch.
+        const bool store = instr.kind == SyntheticInstr::Kind::kStore;
+        if (store & (core.storeQueueOcc >= machine.storeQueue))
+            break; // store queue full: the core stalls for the cycle
+        core.storeQueueOcc += store;
+        if (instr.kind == SyntheticInstr::Kind::kLoad) {
             const unsigned port_delay = core.l1Ports->issueDemand();
             ++result.l1ReadsData;
             // Port contention lengthens the load-to-use path; even an
@@ -273,21 +324,8 @@ CmpSimulator::stepOutOfOrderCore(CoreState &core)
             // A full MSHR file is a structural hazard: no further
             // issue this cycle.
             if (instr.l1dMiss && core.fillsInFlight >= machine.mshrs)
-                sq_stall = true;
-            break;
-          }
-          case SyntheticInstr::Kind::kStore:
-            if (core.storeQueueOcc >= machine.storeQueue) {
-                // Store queue full: the store cannot issue; the core
-                // stalls for the rest of this cycle.
-                sq_stall = true;
                 break;
-            }
-            ++core.storeQueueOcc;
-            break;
         }
-        if (sq_stall)
-            break;
         ++result.instructions;
 
         if (instr.ifetchMiss)
@@ -321,15 +359,14 @@ CmpSimulator::stepInOrderCore(CoreState &core)
         if (picked == nullptr)
             break; // every thread is blocked
 
-        const SyntheticInstr instr = picked->stream->next();
+        const SyntheticInstr instr = picked->next();
 
         // Dependency bubbles stall this thread; the other hardware
         // threads keep the issue slots busy (fine-grain SMT latency
-        // hiding).
-        if (instr.bubbles > 0) {
-            picked->blockedUntil = std::max(
-                picked->blockedUntil, now + bubbleStall[instr.bubbles]);
-        }
+        // hiding). A picked thread is unblocked (blockedUntil <= now)
+        // and bubbleStall[0] is 0, so no bubble leaves it unblocked.
+        picked->blockedUntil = std::max(picked->blockedUntil,
+                                        now + bubbleStall[instr.bubbles]);
 
         if (instr.ifetchMiss) {
             const unsigned bank = instr.bankHash % machine.l2Banks;
@@ -340,10 +377,14 @@ CmpSimulator::stepInOrderCore(CoreState &core)
                 (instr.l2Miss ? machine.memLatency : 0);
         }
 
-        switch (instr.kind) {
-          case SyntheticInstr::Kind::kNonMem:
-            break;
-          case SyntheticInstr::Kind::kLoad: {
+        const bool store = instr.kind == SyntheticInstr::Kind::kStore;
+        if (store & (core.storeQueueOcc >= machine.storeQueue)) {
+            // Store queue full: retry next cycle.
+            picked->blockedUntil = now + 1;
+            continue;
+        }
+        core.storeQueueOcc += store;
+        if (instr.kind == SyntheticInstr::Kind::kLoad) {
             const unsigned port_delay = core.l1Ports->issueDemand();
             ++result.l1ReadsData;
             if (instr.l1dMiss) {
@@ -374,16 +415,6 @@ CmpSimulator::stepInOrderCore(CoreState &core)
                     picked->blockedUntil,
                     now + port_delay + machine.l1HitLatency);
             }
-            break;
-          }
-          case SyntheticInstr::Kind::kStore:
-            if (core.storeQueueOcc >= machine.storeQueue) {
-                // Retry next cycle.
-                picked->blockedUntil = now + 1;
-                continue;
-            }
-            ++core.storeQueueOcc;
-            break;
         }
         ++result.instructions;
     }

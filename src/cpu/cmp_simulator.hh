@@ -65,7 +65,10 @@ struct CmpSimResult
 /**
  * The simulator. One instance simulates one (machine, workload,
  * protection) combination. Pair baseline and protected runs on the
- * same seed for matched-pair IPC comparison.
+ * same seed for matched-pair IPC comparison: hardware thread k reads
+ * the instruction stream seeded seed * 7919 + k + 1, so matched runs
+ * read identical streams, and a matched set can share them (one
+ * StreamRing per thread; see cpu/cmp_batch.hh).
  *
  * Time advances from one due core step to the next: after each step a
  * core records the earliest cycle at which its next step could change
@@ -80,8 +83,43 @@ class CmpSimulator
     CmpSimulator(const CmpConfig &machine, const WorkloadProfile &workload,
                  const ProtectionConfig &protection, uint64_t seed = 1);
 
+    /**
+     * A run that reads its instruction streams from @p streams, one
+     * ring per hardware thread in (core, thread) order, as streams()
+     * builds them. The rings must outlive the simulator; other runs
+     * may read them too.
+     */
+    CmpSimulator(const CmpConfig &machine,
+                 const ProtectionConfig &protection,
+                 const std::vector<StreamRing *> &streams);
+
+    /**
+     * The instruction streams of @p machine's hardware threads
+     * (cores x threads per core) under @p workload and @p seed, each
+     * a ring of @p capacity instructions.
+     */
+    static std::vector<StreamRing> streams(const CmpConfig &machine,
+                                           const WorkloadProfile &workload,
+                                           uint64_t seed, size_t capacity);
+
     /** Run for @p cycles cycles and return the aggregate result. */
     CmpSimResult run(uint64_t cycles);
+
+    /**
+     * Instructions read so far from stream @p k, or UINT64_MAX for a
+     * stream the machine never reads (an out-of-order core issues
+     * from its first thread only).
+     */
+    uint64_t streamPosition(size_t k) const
+    {
+        return readers[k] == nullptr ? UINT64_MAX : readers[k]->pos;
+    }
+
+    /**
+     * Move stream @p k onto a private fork of its ring (StreamRing::
+     * forkAt), which this run then reads alone.
+     */
+    void detachStream(size_t k);
 
   private:
     /** One pending load completion. */
@@ -93,12 +131,16 @@ class CmpSimulator
         unsigned bank = 0;        ///< L2 bank (for fills / write-backs)
     };
 
-    /** Per-hardware-thread state (one per thread per core). */
+    /** Per-hardware-thread state: one per thread of an in-order
+     *  core, one per out-of-order core. */
     struct ThreadState
     {
-        std::unique_ptr<InstructionStream> stream;
+        StreamRing *ring = nullptr;
+        uint64_t pos = 0;          ///< instructions read from the ring
         uint64_t blockedUntil = 0; ///< in-order: waiting on a load/ifetch
         unsigned bubbleDebt = 0;   ///< pending ILP bubbles
+
+        SyntheticInstr next() { return ring->read(pos++); }
     };
 
     /** Per-core state. */
@@ -116,6 +158,9 @@ class CmpSimulator
         uint64_t fetchStallUntil = 0; ///< OoO ifetch-miss stall
         uint64_t wakeAt = 0;          ///< next cycle the core is stepped
     };
+
+    /** Bind each hardware thread to its ring of @p rings. */
+    void build(const std::vector<StreamRing *> &rings);
 
     /** Track a new pending load. */
     static void addPending(CoreState &core, const Pending &p);
@@ -161,6 +206,12 @@ class CmpSimulator
 
     std::vector<CoreState> cores;
     std::vector<std::unique_ptr<PortScheduler>> l2Banks;
+
+    /** The reader of each stream, nullptr for a stream never read. */
+    std::vector<ThreadState *> readers;
+    /** Rings this run alone reads: its own streams, or forks of
+     *  shared ones. */
+    std::vector<std::unique_ptr<StreamRing>> ownRings;
 
     uint64_t now = 0;
     CmpSimResult result;

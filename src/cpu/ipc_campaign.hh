@@ -56,11 +56,12 @@ struct IpcLossCampaignSpec
 };
 
 /**
- * Run the whole grid as one cmp_batch (every workload x {baseline +
- * protections} spec in parallel), then tabulate the relative IPC loss
- * per cell plus a per-column "Average" summary row. Bit-identical at
- * any thread count: each CmpSimulator run is self-contained and the
- * table reduction happens in grid order.
+ * Run the whole grid as one cmp_batch (each workload's baseline and
+ * protections form one matched set, and the sets run in parallel),
+ * then tabulate the relative IPC loss per cell plus a per-column
+ * "Average" summary row. Bit-identical at any thread count: every run
+ * equals its solo CmpSimulator run and the table reduction happens in
+ * grid order.
  */
 CampaignResult runIpcLossCampaign(const IpcLossCampaignSpec &spec);
 

@@ -272,20 +272,28 @@ ResultCache::memoize(const std::string &key,
     return rec;
 }
 
+std::optional<ResultCache::Record>
+ResultCache::lookup(const std::string &key, size_t num_ints,
+                    size_t num_reals)
+{
+    std::optional<Record> rec = lookup(key);
+    if (!rec || (rec->ints.size() == num_ints &&
+                 rec->reals.size() == num_reals))
+        return rec;
+    // Width mismatch (a foreign record type under this key): report
+    // it absent rather than fabricate values.
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.corrupt;
+    return std::nullopt;
+}
+
 ResultCache::Record
 ResultCache::memoize(const std::string &key,
                      const std::function<Record()> &compute,
                      size_t num_ints, size_t num_reals)
 {
-    const Record rec = memoize(key, compute);
-    if (rec.ints.size() == num_ints && rec.reals.size() == num_reals)
-        return rec;
-    // Width mismatch (a foreign record type under this key):
-    // recompute and overwrite rather than fabricate values.
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.corrupt;
-    }
+    if (std::optional<Record> rec = lookup(key, num_ints, num_reals))
+        return *rec;
     const Record fresh = compute();
     store(key, fresh);
     return fresh;

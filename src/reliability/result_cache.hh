@@ -116,6 +116,15 @@ class ResultCache
     /** Look @p key up in memory, then on disk. */
     std::optional<Record> lookup(const std::string &key);
 
+    /**
+     * lookup() for records of a fixed shape. A cached record holding
+     * other than @p num_ints integers and @p num_reals doubles (a
+     * foreign record type under this key) counts as corrupt and is
+     * reported absent, so the caller recomputes and overwrites it.
+     */
+    std::optional<Record> lookup(const std::string &key, size_t num_ints,
+                                 size_t num_reals);
+
     /** Store in memory and (when enabled) on disk. */
     void store(const std::string &key, const Record &record);
 
@@ -130,10 +139,9 @@ class ResultCache
                    const std::function<Record()> &compute);
 
     /**
-     * memoize() for records of a fixed shape. A cached record holding
-     * other than @p num_ints integers and @p num_reals doubles (a
-     * foreign record type under this key) counts as corrupt, and is
-     * recomputed and overwritten rather than trusted.
+     * memoize() for records of a fixed shape: a cached record of
+     * another shape is recomputed and overwritten rather than trusted
+     * (see the shaped lookup()).
      */
     Record memoize(const std::string &key,
                    const std::function<Record()> &compute,

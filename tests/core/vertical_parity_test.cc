@@ -81,13 +81,20 @@ TEST(VerticalParity, UpdatesOnlyOwnGroup)
     }
 }
 
-TEST(VerticalParity, UpdateCountTracksWrites)
+TEST(VerticalParity, EveryWriteReachesItsGroup)
 {
+    // Each delta lands in its row's group and only there; a second
+    // write to the same group folds into the first.
     VerticalParity vp(16, 8, 4);
-    EXPECT_EQ(vp.updateCount(), 0u);
-    vp.applyDelta(0, BitVector(8, 1));
-    vp.applyDelta(1, BitVector(8, 1));
-    EXPECT_EQ(vp.updateCount(), 2u);
+    vp.applyDelta(0, BitVector(8, 0x01));
+    vp.applyDelta(1, BitVector(8, 0x01));
+    vp.applyDelta(4, BitVector(8, 0x06));
+    EXPECT_EQ(vp.readGroup(0), BitVector(8, 0x07));
+    EXPECT_EQ(vp.readGroup(1), BitVector(8, 0x01));
+    EXPECT_TRUE(vp.readGroup(2).none());
+    EXPECT_TRUE(vp.readGroup(3).none());
+    vp.applyDelta(8, BitVector(8, 0x07));
+    EXPECT_TRUE(vp.readGroup(0).none());
 }
 
 } // namespace

@@ -88,6 +88,112 @@ TEST(CmpBatch, MatchesIndividualRunsAtEveryThreadCount)
         EXPECT_EQ(countersOf(again[i]), expected[i]) << i;
 }
 
+/** One fig5 cell: the baseline and fig5's four protections. */
+std::vector<CmpRunSpec>
+fig5Cell(const CmpConfig &machine, const char *workload, uint64_t seed)
+{
+    std::vector<CmpRunSpec> cell = {
+        {machine, workloadByName(workload), ProtectionConfig::none(), seed}};
+    for (const char *p : {"l1", "l1+steal", "l2", "l1+steal+l2"})
+        cell.push_back({machine, workloadByName(workload),
+                        ProtectionConfig::parse(p), seed});
+    return cell;
+}
+
+Counters
+soloRun(const CmpRunSpec &spec, uint64_t cycles)
+{
+    CmpSimulator sim(spec.machine, spec.workload, spec.protection,
+                     spec.seed);
+    return countersOf(sim.run(cycles));
+}
+
+TEST(CmpBatch, MatchedSetsMatchSoloRuns)
+{
+    ThreadGuard guard;
+    MemoryOnlyCache memory_only;
+    // Long enough that every shared ring wraps many times and that the
+    // write-through trio, whose WT run lags the others by ~72%, forks
+    // streams off the shared rings.
+    constexpr uint64_t kCycles = 60000;
+    constexpr uint64_t kSeed = 42;
+    // fig5's fat and lean OLTP cells.
+    std::vector<CmpRunSpec> specs = fig5Cell(CmpConfig::fat(), "OLTP", kSeed);
+    for (const CmpRunSpec &spec : fig5Cell(CmpConfig::lean(), "OLTP", kSeed))
+        specs.push_back(spec);
+    // Ablation 3: the steal window changes, the thread layout does not.
+    // Window 1 is the fat CMP's own, so that run repeats the fig5
+    // cell's l1+steal run.
+    for (const unsigned window : {0u, 1u, 2u, 4u, 8u, 16u}) {
+        CmpConfig m = CmpConfig::fat();
+        m.stealWindow = window;
+        specs.push_back({m, workloadByName("OLTP"),
+                         ProtectionConfig::l1Only(window > 0), kSeed});
+    }
+    // Ablation 5's write-through trio.
+    for (const ProtectionConfig &p :
+         {ProtectionConfig::none(), ProtectionConfig::full(true),
+          ProtectionConfig::writeThroughL1()})
+        specs.push_back({CmpConfig::lean(), workloadByName("Web"), p, kSeed});
+
+    std::set<std::string> distinct;
+    std::vector<Counters> expected;
+    for (const CmpRunSpec &spec : specs) {
+        distinct.insert(cmpRunCacheKey(spec, kCycles));
+        expected.push_back(soloRun(spec, kCycles));
+    }
+    ASSERT_EQ(distinct.size(), specs.size() - 1);
+
+    ResultCache &cache = resultCache();
+    for (unsigned threads : {1u, 2u, 4u}) {
+        cache.clearMemory();
+        cache.resetStats();
+        setParallelThreads(threads);
+        const std::vector<CmpSimResult> got = runCmpBatch(specs, kCycles);
+        // The repeated run simulates once and is read back.
+        EXPECT_EQ(cache.stats().misses, distinct.size());
+        EXPECT_EQ(cache.stats().memoryHits, 1u);
+        ASSERT_EQ(got.size(), specs.size());
+        for (size_t i = 0; i < got.size(); ++i)
+            EXPECT_EQ(countersOf(got[i]), expected[i])
+                << i << " at " << threads << " threads";
+    }
+}
+
+TEST(CmpBatch, OnlyUncachedMembersOfASetSimulate)
+{
+    MemoryOnlyCache memory_only;
+    constexpr uint64_t kCycles = 20000;
+    const std::vector<CmpRunSpec> specs =
+        fig5Cell(CmpConfig::lean(), "Ocean", 9);
+    std::vector<Counters> truth;
+    for (const CmpRunSpec &spec : specs)
+        truth.push_back(soloRun(spec, kCycles));
+
+    // Runs 1 and 3 are cached, run 4 holds a record of another width;
+    // runs 0 and 2 are not cached at all.
+    ResultCache &cache = resultCache();
+    cache.clearMemory();
+    runCmpBatch({specs[1], specs[3]}, kCycles);
+    cache.store(cmpRunCacheKey(specs[4], kCycles),
+                ResultCache::Record{{1, 2, 3}, {}});
+    cache.resetStats();
+    const std::vector<CmpSimResult> got = runCmpBatch(specs, kCycles);
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(cache.stats().memoryHits, 3u);
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+    for (size_t i = 0; i < specs.size(); ++i)
+        EXPECT_EQ(countersOf(got[i]), truth[i]) << i;
+
+    // Every run, the recomputed one included, now replays its counters.
+    cache.resetStats();
+    const std::vector<CmpSimResult> again = runCmpBatch(specs, kCycles);
+    EXPECT_EQ(cache.stats().memoryHits, specs.size());
+    EXPECT_EQ(cache.stats().corrupt, 0u);
+    for (size_t i = 0; i < specs.size(); ++i)
+        EXPECT_EQ(countersOf(again[i]), truth[i]) << i;
+}
+
 TEST(CmpBatch, KeyCoversEveryField)
 {
     const CmpRunSpec base{CmpConfig::fat(), workloadByName("OLTP"),

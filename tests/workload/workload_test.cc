@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
+#include "common/rng.hh"
 #include "common/stable_hash.hh"
 #include "workload/instruction_stream.hh"
 #include "workload/workload_profile.hh"
@@ -111,6 +115,65 @@ TEST(InstructionStream, GoldenStreamPerWorkload)
         }
         EXPECT_EQ(h.digest().hex(), pin.digest) << pin.workload;
     }
+}
+
+/** Every field of @p x, as one comparable tuple. */
+auto
+fieldsOf(const SyntheticInstr &x)
+{
+    return std::make_tuple(x.kind, x.ifetchMiss, x.l1dMiss, x.l2Miss,
+                           x.dirtyEvict, x.dirtyShared, x.bankHash,
+                           x.bubbles);
+}
+
+/** The first @p n instructions of stream (@p workload, @p seed). */
+std::vector<SyntheticInstr>
+generated(const char *workload, uint64_t seed, size_t n)
+{
+    InstructionStream s(workloadByName(workload), seed);
+    std::vector<SyntheticInstr> out;
+    for (size_t i = 0; i < n; ++i)
+        out.push_back(s.next());
+    return out;
+}
+
+TEST(StreamRing, EveryReaderSeesTheGeneratorsSequence)
+{
+    // A leader runs up to capacity - 1 instructions ahead of a
+    // follower, so the ring wraps many times while both read it.
+    for (const char *workload : {"OLTP", "Moldyn"}) {
+        const std::vector<SyntheticInstr> truth =
+            generated(workload, 5, 4000);
+        StreamRing ring(workloadByName(workload), 5, 8);
+        Rng steps(11);
+        uint64_t lead = 0;
+        uint64_t lag = 0;
+        while (lead < truth.size()) {
+            const uint64_t ahead = 1 + steps.nextBelow(7);
+            for (; lead < truth.size() && lead < lag + ahead; ++lead)
+                ASSERT_EQ(fieldsOf(ring.read(lead)), fieldsOf(truth[lead]))
+                    << workload << " leader at " << lead;
+            for (uint64_t n = steps.nextBelow(lead - lag + 1); n > 0;
+                 --n, ++lag)
+                ASSERT_EQ(fieldsOf(ring.read(lag)), fieldsOf(truth[lag]))
+                    << workload << " follower at " << lag;
+        }
+    }
+}
+
+TEST(StreamRing, ForkContinuesTheSequenceFromItsReader)
+{
+    const std::vector<SyntheticInstr> truth = generated("Web", 3, 500);
+    StreamRing ring(workloadByName("Web"), 3, 8);
+    for (uint64_t p = 0; p < 20; ++p)
+        ring.read(p);
+    // A reader five instructions behind the head takes the buffered
+    // five and the generator with it; the shared ring carries on too.
+    StreamRing fork = ring.forkAt(15);
+    for (uint64_t p = 15; p < truth.size(); ++p)
+        ASSERT_EQ(fieldsOf(fork.read(p)), fieldsOf(truth[p])) << p;
+    for (uint64_t p = 15; p < truth.size(); ++p)
+        ASSERT_EQ(fieldsOf(ring.read(p)), fieldsOf(truth[p])) << p;
 }
 
 TEST(InstructionStream, MixMatchesProfileFractions)
