@@ -1,29 +1,22 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the codec kernels on the
- * access path (BENCH_0007, BENCH_0014): interleave extract/deposit,
- * EDC fold, Hsiao encode/decode, the batched line codec, and BCH
- * dirty decode. Every benchmark runs whatever backend the dispatch
- * layer selected and labels its series with it. Only the interleave
- * gather/scatter differs between the tiers (software butterfly vs
- * PEXT/PDEP); the other kernels have one code path, and their two
- * series show what the gather/scatter costs them:
+ * access path (BENCH_0007, BENCH_0014, BENCH_0016): interleave
+ * extract/deposit (one slot through the word kernel, a whole line
+ * through the line kernel), EDC fold, Hsiao encode/decode, the
+ * batched line codec, and BCH dirty decode. Every kernel has one
+ * portable code path.
  *
- *   TDC_SIMD=scalar ./bench_simd_codec   # software butterfly
- *   ./bench_simd_codec                   # dispatched (best) tier
- *
- * bench/record_bench.sh --compare-simd automates the pair.
+ *   bench/record_bench.sh --bench bench_simd_codec \
+ *     --out BENCH_0016_portable_interleave.json --repeat 3 [label]
  */
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "array/interleave.hh"
-#include "common/cpu_features.hh"
 #include "common/rng.hh"
 #include "core/line_codec.hh"
 #include "ecc/bch.hh"
@@ -34,14 +27,6 @@ using namespace tdc;
 
 namespace
 {
-
-/** Tag the series with the backend actually exercised. */
-void
-labelBackend(benchmark::State &state, const std::string &what)
-{
-    state.SetLabel(what + " [" +
-                   simdBackendName(activeSimdBackend()) + "]");
-}
 
 BitVector
 randomRow(size_t bits, uint64_t seed)
@@ -67,7 +52,7 @@ struct InterleaveGeom
 const InterleaveGeom kInterleaveGeoms[] = {
     {"(72,64)/i4", 72, 4},   // L1 EDC8 and SECDED rows
     {"(272,256)/i2", 272, 2}, // L2 EDC16 rows
-    {"(72,64)/i3", 72, 3},   // non-dividing degree (plan-cache path)
+    {"(72,64)/i3", 72, 3},   // non-dividing degree (phase walk)
 };
 
 void
@@ -85,9 +70,28 @@ BM_InterleaveExtract(benchmark::State &state)
     }
     state.SetItemsProcessed(int64_t(state.iterations()) *
                             int64_t(map.degree()));
-    labelBackend(state, std::string("extract ") + g.label);
+    state.SetLabel(std::string("extract ") + g.label);
 }
 BENCHMARK(BM_InterleaveExtract)->DenseRange(0, 2);
+
+void
+BM_InterleaveExtractLine(benchmark::State &state)
+{
+    // Every slot in one call: the line kernel's index-bit transpose at
+    // the power-of-two degrees, the word kernel's slot loop at i3.
+    const InterleaveGeom &g = kInterleaveGeoms[state.range(0)];
+    const InterleaveMap map(g.cwBits, g.degree);
+    const BitVector row = randomRow(map.rowBits(), 101);
+    std::vector<BitVector> words;
+    for (auto _ : state) {
+        map.extractLine(row, words);
+        benchmark::DoNotOptimize(words.data());
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(map.degree()));
+    state.SetLabel(std::string("extractLine ") + g.label);
+}
+BENCHMARK(BM_InterleaveExtractLine)->DenseRange(0, 2);
 
 void
 BM_InterleaveDeposit(benchmark::State &state)
@@ -104,14 +108,14 @@ BM_InterleaveDeposit(benchmark::State &state)
     }
     state.SetItemsProcessed(int64_t(state.iterations()) *
                             int64_t(map.degree()));
-    labelBackend(state, std::string("deposit ") + g.label);
+    state.SetLabel(std::string("deposit ") + g.label);
 }
 BENCHMARK(BM_InterleaveDeposit)->DenseRange(0, 2);
 
 // Per-codeword EDC *encode* is deliberately untracked: Code::encode is
 // two word-parallel slice deposits plus a handful of XORs, so it is
-// allocation-bound and tier-invariant by construction. The encode-side
-// EDC series is BM_LineEncode (four codewords plus interleave deposit).
+// allocation-bound. The encode-side EDC series is BM_LineEncode (four
+// codewords plus one line deposit).
 void
 BM_EdcSyndromeClean(benchmark::State &state)
 {
@@ -121,7 +125,7 @@ BM_EdcSyndromeClean(benchmark::State &state)
     for (auto _ : state) {
         benchmark::DoNotOptimize(code.syndromeClean(cw));
     }
-    labelBackend(state, code.name() + " syndromeClean");
+    state.SetLabel(code.name() + " syndromeClean");
 }
 BENCHMARK(BM_EdcSyndromeClean)->DenseRange(0, 1);
 
@@ -134,7 +138,7 @@ BM_HsiaoEncode(benchmark::State &state)
     for (auto _ : state) {
         benchmark::DoNotOptimize(code.computeCheck(data));
     }
-    labelBackend(state, code.name() + " encode");
+    state.SetLabel(code.name() + " encode");
 }
 BENCHMARK(BM_HsiaoEncode)->DenseRange(0, 1);
 
@@ -148,7 +152,7 @@ BM_HsiaoDecodeDirty(benchmark::State &state)
     for (auto _ : state) {
         benchmark::DoNotOptimize(code.decode(cw));
     }
-    labelBackend(state, code.name() + " decode dirty");
+    state.SetLabel(code.name() + " decode dirty");
 }
 BENCHMARK(BM_HsiaoDecodeDirty)->DenseRange(0, 1);
 
@@ -181,7 +185,7 @@ BM_LineClean(benchmark::State &state)
     for (auto _ : state) {
         benchmark::DoNotOptimize(line.lineClean(row));
     }
-    labelBackend(state, std::string("lineClean ") + g.label);
+    state.SetLabel(std::string("lineClean ") + g.label);
 }
 BENCHMARK(BM_LineClean)->DenseRange(0, 2);
 
@@ -200,7 +204,7 @@ BM_LineEncode(benchmark::State &state)
         line.encodeLine(words, row);
         benchmark::DoNotOptimize(row.wordData());
     }
-    labelBackend(state, std::string("encodeLine ") +
+    state.SetLabel(std::string("encodeLine ") +
                             (l2 ? "edc16/i2" : "edc8/i4"));
 }
 BENCHMARK(BM_LineEncode)->DenseRange(0, 1);
@@ -223,27 +227,10 @@ BM_BchDecodeDirty(benchmark::State &state)
     for (auto _ : state) {
         benchmark::DoNotOptimize(code.decode(cw));
     }
-    labelBackend(state, code.name() + " decode 4 errors");
+    state.SetLabel(code.name() + " decode 4 errors");
 }
 BENCHMARK(BM_BchDecodeDirty)->DenseRange(0, 1);
 
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    // Read TDC_SIMD before any series runs: a value that names no
-    // backend is refused rather than labelled with the tier that ran.
-    try {
-        requestedSimdBackend();
-    } catch (const std::invalid_argument &e) {
-        std::fprintf(stderr, "bench_simd_codec: %s\n", e.what());
-        return 2;
-    }
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

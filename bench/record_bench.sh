@@ -23,15 +23,6 @@
 #          machines. BENCH_0008_result_cache.json is recorded with
 #            bench/record_bench.sh --bench bench_result_cache \
 #              --out BENCH_0008_result_cache.json --repeat 3 [label]
-# --compare-simd
-#          run the same harness+filter twice in one invocation — first
-#          with TDC_SIMD=scalar forced, then with the runtime-dispatched
-#          backend — and append BOTH entries (labels suffixed
-#          "(scalar)" / "(dispatched)") to the same trajectory file, so
-#          a before/after pair always shares one build and one commit.
-#          BENCH_0007_simd_codec.json is recorded with
-#            bench/record_bench.sh --bench bench_simd_codec \
-#              --out BENCH_0007_simd_codec.json --compare-simd [label]
 #
 # The build directory can be overridden with BUILD_DIR (default: build).
 set -eu
@@ -62,7 +53,6 @@ while [ $# -gt 0 ]; do
           ''|*[!0-9]*|0) echo "error: --repeat expects a positive integer, got \"$repeat\"" >&2; exit 1 ;;
         esac
         shift 2 ;;
-      --compare-simd) compare_simd=1; shift ;;
       *) break ;;
     esac
 done
@@ -79,30 +69,19 @@ trap 'rm -rf "$raw_dir"' EXIT
 commit=$(git -C "$repo_root" rev-parse --short HEAD 2>/dev/null || echo unknown)
 repeat=${repeat:-1}
 
-# run_bench SIMD_MODE: run the harness $repeat times into
-# $raw_dir/run.N. SIMD_MODE is a TDC_SIMD value to force, or "" to
-# leave dispatch to the runtime.
-run_bench() {
-    if [ -n "$1" ]; then
-        export TDC_SIMD="$1"
+# Run the harness $repeat times into $raw_dir/run.N.
+i=1
+while [ "$i" -le "$repeat" ]; do
+    if [ -n "$filter" ]; then
+        "$bench_bin" --benchmark_filter="$filter" \
+                     --benchmark_format=json >"$raw_dir/run.$i"
     else
-        unset TDC_SIMD || true
+        "$bench_bin" --benchmark_format=json >"$raw_dir/run.$i"
     fi
-    rm -f "$raw_dir"/run.*
-    i=1
-    while [ "$i" -le "$repeat" ]; do
-        if [ -n "$filter" ]; then
-            "$bench_bin" --benchmark_filter="$filter" \
-                         --benchmark_format=json >"$raw_dir/run.$i"
-        else
-            "$bench_bin" --benchmark_format=json >"$raw_dir/run.$i"
-        fi
-        i=$((i + 1))
-    done
-}
+    i=$((i + 1))
+done
 
-append_entry() {
-    python3 - "$raw_dir" "$out_file" "$commit" "$1" "$bench_name" <<'EOF'
+python3 - "$raw_dir" "$out_file" "$commit" "$label" "$bench_name" <<'EOF'
 import glob
 import json
 import os
@@ -146,14 +125,3 @@ with open(out_path, "w") as f:
 print(f"appended entry '{label}' ({commit}) with {len(results)} results "
       f"to {out_path}")
 EOF
-}
-
-if [ "${compare_simd:-0}" = 1 ]; then
-    run_bench scalar
-    append_entry "$label (scalar)"
-    run_bench ""
-    append_entry "$label (dispatched)"
-else
-    run_bench "${TDC_SIMD:-}"
-    append_entry "$label"
-fi

@@ -61,50 +61,6 @@ class ConstBitSpan
 };
 
 /**
- * Precomputed plan for compressing (gathering) the bits selected by a
- * fixed mask to the low end of a word, and for the inverse expansion
- * (scatter). On a BMI2-capable machine (and unless TDC_SIMD forces
- * the scalar tier — see common/cpu_features.hh) compress/expand are
- * single PEXT/PDEP instructions; the retained software path is the
- * O(log w) butterfly network of Hacker's Delight 7-4, built once per
- * mask, so the scalar per-word cost is 6 shift/XOR/AND stages (log2
- * of the word width) regardless of mask weight. Both paths are
- * bit-identical; the scalar one doubles as the differential oracle.
- *
- * InterleaveMap uses one plan per interleave degree: the stride mask
- * 0b...000100010001 selects every degree-th bit, and compressing a
- * shifted row word gathers one codeword's bits out of the interleaved
- * physical row in a handful of ALU ops instead of a per-bit loop.
- */
-class BitCompressPlan
-{
-  public:
-    explicit BitCompressPlan(uint64_t mask);
-
-    uint64_t mask() const { return selectMask; }
-
-    /** Number of selected bits = size of the compressed result. */
-    unsigned count() const { return bitCount; }
-
-    /** PEXT: gather the bits of @p x under the mask to the low end. */
-    uint64_t compress(uint64_t x) const;
-
-    /**
-     * PDEP: scatter the low count() bits of @p x to the mask positions.
-     * Bits of @p x above count() are ignored.
-     */
-    uint64_t expand(uint64_t x) const;
-
-  private:
-    static constexpr unsigned stages = 6; // log2(64)
-
-    uint64_t selectMask;
-    unsigned bitCount;
-    /** Butterfly stage masks for compress (Hacker's Delight 7-4). */
-    uint64_t moveMasks[stages];
-};
-
-/**
  * The stride mask with bits set at 0, stride, 2*stride, ... (all
  * multiples of @p stride below 64). @pre 1 <= stride <= 64.
  */

@@ -63,11 +63,10 @@ LineCodec::lineClean(const BitVector &row_bits) const
         return acc == 0;
     }
 
-    for (size_t slot = 0; slot < map.degree(); ++slot) {
-        map.extractWordInto(row_bits, slot, cwScratch);
-        if (!code.syndromeClean(cwScratch))
+    map.extractLine(row_bits, lineScratch);
+    for (const BitVector &cw : lineScratch)
+        if (!code.syndromeClean(cw))
             return false;
-    }
     return true;
 }
 
@@ -77,8 +76,10 @@ LineCodec::encodeLine(const std::vector<BitVector> &words,
 {
     assert(words.size() == map.degree());
     assert(row_bits.size() == map.rowBits());
+    lineScratch.resize(map.degree());
     for (size_t slot = 0; slot < map.degree(); ++slot)
-        map.depositWord(row_bits, slot, code.encode(words[slot]));
+        lineScratch[slot] = code.encode(words[slot]);
+    map.depositLine(lineScratch, row_bits);
 }
 
 bool
@@ -88,11 +89,12 @@ LineCodec::correctLine(BitVector &row_bits, bool &changed) const
     changed = false;
     if (fusedFoldBits != 0 && lineClean(row_bits))
         return true;
+    map.extractLine(row_bits, lineScratch);
     for (size_t slot = 0; slot < map.degree(); ++slot) {
-        map.extractWordInto(row_bits, slot, cwScratch);
-        if (code.syndromeClean(cwScratch))
+        const BitVector &cw = lineScratch[slot];
+        if (code.syndromeClean(cw))
             continue;
-        DecodeResult d = code.decode(cwScratch);
+        DecodeResult d = code.decode(cw);
         if (d.uncorrectable())
             return false;
         if (d.corrected()) {

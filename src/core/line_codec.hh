@@ -22,8 +22,9 @@ namespace tdc
  * the columns. The codec batches the three row-granular operations
  * the array controllers perform — "is every word clean?", "encode all
  * words", "correct all correctable words in place" — behind one call
- * each, so the slot loop (and its per-slot extract) lives here
- * instead of being re-rolled at every call site.
+ * each, so the slot loop lives here instead of being re-rolled at
+ * every call site. Every operation gathers or scatters the whole line
+ * in one InterleaveMap::extractLine/depositLine call.
  *
  * The payoff is the fused clean check: for an interleaved-parity
  * (EDCn) horizontal code whose data width is a multiple of n, column
@@ -76,9 +77,10 @@ class LineCodec
      */
     size_t fusedFoldBits;
 
-    /** Recycled codeword scratch: row operations allocate nothing in
-     *  steady state (same non-reentrancy trade as TwoDimArray). */
-    mutable BitVector cwScratch;
+    /** Recycled codewords, one per slot: row operations allocate
+     *  nothing in steady state (same non-reentrancy trade as
+     *  TwoDimArray). */
+    mutable std::vector<BitVector> lineScratch;
 };
 
 } // namespace tdc

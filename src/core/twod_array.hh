@@ -197,7 +197,6 @@ class TwoDimArray
     double storageOverhead() const;
 
     const TwoDimStats &stats() const { return stat; }
-    void resetStats() { stat = TwoDimStats{}; }
 
     /** Report of the most recent recovery (empty if none yet). */
     const RecoveryReport &lastRecovery() const { return lastReport; }

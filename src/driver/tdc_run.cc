@@ -8,7 +8,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "common/cpu_features.hh"
 #include "common/parallel.hh"
 #include "common/spec_reader.hh"
 #include "cpu/ipc_campaign.hh"
@@ -195,8 +194,6 @@ const char *const kUsage =
     "          [--scrub-interval H ...] [--spares N ...] [--mission H]\n"
     "          [--trials N] [--seed N]       custom MTTF/FIT grid\n"
     "  tdc_run --list-figures | --list-schemes | --list-faults\n"
-    "  tdc_run --cpu                         report CPU features and the\n"
-    "                                        selected SIMD codec backend\n"
     "\n"
     "options:\n"
     "  --format table|csv|json   output format (default: table)\n"
@@ -291,7 +288,6 @@ struct CliOptions
     bool listFigures = false;
     bool listSchemes = false;
     bool listFaults = false;
-    bool cpu = false;
     bool help = false;
 };
 
@@ -299,18 +295,6 @@ struct CliOptions
 usageError(const std::string &what)
 {
     throw std::invalid_argument(what);
-}
-
-/**
- * Refuse a malformed TDC_SIMD or TDC_THREADS: their readers throw.
- * Falling back to the default instead would run a configuration the
- * caller did not ask for, e.g. a CI leg whose variable has a typo.
- */
-void
-checkEnvironment()
-{
-    requestedSimdBackend();
-    requestedThreads();
 }
 
 CliOptions
@@ -402,8 +386,6 @@ parseCli(const std::vector<std::string> &args)
             opt.listSchemes = true;
         } else if (arg == "--list-faults") {
             opt.listFaults = true;
-        } else if (arg == "--cpu") {
-            opt.cpu = true;
         } else if (arg == "--help" || arg == "-h") {
             opt.help = true;
         } else {
@@ -475,7 +457,10 @@ tdcRun(const std::vector<std::string> &args, std::string &out,
     CliOptions opt;
     try {
         opt = parseCli(args);
-        checkEnvironment();
+        // Refuse a malformed TDC_THREADS (its reader throws): falling
+        // back to the default would run a configuration the caller did
+        // not ask for, e.g. a CI leg whose variable has a typo.
+        requestedThreads();
     } catch (const std::invalid_argument &e) {
         err += std::string("tdc_run: ") + e.what() + "\n";
         return 2;
@@ -494,27 +479,6 @@ tdcRun(const std::vector<std::string> &args, std::string &out,
             out += listFaultsText();
         return 0;
     }
-    if (opt.cpu) {
-        // Machine report: probed ISA features plus the codec backend
-        // the dispatch layer settled on (honors TDC_SIMD). Goes
-        // through RunContext so --format csv/json work as everywhere
-        // else.
-        RunContext ctx(opt.format);
-        const CpuFeatures &f = cpuFeatures();
-        Table features({"feature", "present"});
-        features.addRow({"bmi2", f.bmi2 ? "yes" : "no"});
-        ctx.table(features, "cpu features");
-        const std::optional<SimdBackend> requested = requestedSimdBackend();
-        Table backend({"dispatch", "backend"});
-        backend.addRow({"best supported", simdBackendName(bestSimdBackend())});
-        backend.addRow({"TDC_SIMD request",
-                        requested ? simdBackendName(*requested) : "(auto)"});
-        backend.addRow({"active", simdBackendName(activeSimdBackend())});
-        ctx.table(backend, "simd codec backend");
-        out += ctx.str();
-        return 0;
-    }
-
     if (opt.figures.empty() && opt.schemes.empty() &&
         opt.protections.empty() && opt.optimizePatterns.empty() &&
         !opt.serve && !opt.lifetime) {

@@ -18,7 +18,7 @@
  * parameters: timelines, golden fills, and per-event injection
  * randomness derive from counter-based shardSeed streams that are
  * independent of the scrub interval and spare budget — so results are
- * bit-identical at any TDC_THREADS x TDC_SIMD setting, and more
+ * bit-identical at any TDC_THREADS setting, and more
  * scrubbing / more spares face the *same* event history.
  *
  * The engine lives in reliability/ below the scheme registry, so it

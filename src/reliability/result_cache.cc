@@ -259,19 +259,6 @@ ResultCache::store(const std::string &key, const Record &record)
     storeToDisk(key, record);
 }
 
-ResultCache::Record
-ResultCache::memoize(const std::string &key,
-                     const std::function<Record()> &compute)
-{
-    if (std::optional<Record> rec = lookup(key))
-        return *rec;
-    // Compute outside the lock: the evaluator may itself parallelFor,
-    // and racing threads at worst duplicate a pure computation.
-    const Record rec = compute();
-    store(key, rec);
-    return rec;
-}
-
 std::optional<ResultCache::Record>
 ResultCache::lookup(const std::string &key, size_t num_ints,
                     size_t num_reals)
@@ -294,6 +281,8 @@ ResultCache::memoize(const std::string &key,
 {
     if (std::optional<Record> rec = lookup(key, num_ints, num_reals))
         return *rec;
+    // Compute outside the lock: the evaluator may itself parallelFor,
+    // and racing threads at worst duplicate a pure computation.
     const Record fresh = compute();
     store(key, fresh);
     return fresh;

@@ -25,8 +25,8 @@
  * key echo + checksum). A corrupt, truncated, stale-version, or
  * digest-colliding entry is counted and silently treated as a miss —
  * the cell recomputes and the entry is rewritten. Cached results are
- * bit-identical to cold results by construction at any TDC_THREADS x
- * TDC_SIMD setting, because what is stored is exactly the value the
+ * bit-identical to cold results by construction at any TDC_THREADS
+ * setting, because what is stored is exactly the value the
  * pure evaluator returns.
  */
 
@@ -131,17 +131,11 @@ class ResultCache
     /**
      * Memoize: return the cached record for @p key, or run
      * @p compute, store its result, and return it. @p compute must be
-     * a pure function of the key. Safe to call concurrently (two
-     * racing threads may both compute; both store the identical
-     * record).
-     */
-    Record memoize(const std::string &key,
-                   const std::function<Record()> &compute);
-
-    /**
-     * memoize() for records of a fixed shape: a cached record of
-     * another shape is recomputed and overwritten rather than trusted
-     * (see the shaped lookup()).
+     * a pure function of the key. A cached record of another shape
+     * than @p num_ints x @p num_reals is recomputed and overwritten
+     * rather than trusted (see the shaped lookup()). Safe to call
+     * concurrently (two racing threads may both compute; both store
+     * the identical record).
      */
     Record memoize(const std::string &key,
                    const std::function<Record()> &compute,

@@ -109,7 +109,7 @@ using SchemePtr = std::shared_ptr<const ProtectionScheme>;
  * resultCache() — in memory always, on disk when a cache directory is
  * configured. Because injectAndRecover is a pure function of exactly
  * those arguments (counter-based seeding), the cached result is
- * bit-identical to a cold run at any TDC_THREADS x TDC_SIMD setting.
+ * bit-identical to a cold run at any TDC_THREADS setting.
  * Every figure campaign and the --optimize search evaluate injection
  * cells through this entry point.
  */

@@ -76,9 +76,6 @@ class InstructionStream
     /** Generate the next instruction. */
     SyntheticInstr next();
 
-    /** Whether the stream is currently in its bursty phase. */
-    bool bursty() const { return inBurst; }
-
   private:
     /** Load/store split of one burst phase, as thresholds of one
      *  uniform draw: load below `load`, store below `loadOrStore`. */

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "array/interleave.hh"
+#include "common/bit_span.hh"
 #include "common/rng.hh"
 
 namespace tdc
@@ -122,6 +124,117 @@ TEST(InterleaveMap, ContiguousCoverageArithmetic)
         for (size_t slot = 0; slot < degree; ++slot)
             EXPECT_EQ(map.extractWord(row, slot).popcount(), 32 / degree)
                 << word_bits << "/i" << degree;
+    }
+}
+
+/** A @p bits-long row whose 64-bit words are drawn from @p next(). */
+template <typename Next>
+BitVector
+rowOf(size_t bits, Next next)
+{
+    BitVector row(bits);
+    for (size_t w = 0; w < row.wordCount(); ++w)
+        row.wordData()[w] = next();
+    if (bits % 64 != 0)
+        row.wordData()[row.wordCount() - 1] &=
+            (uint64_t(1) << (bits % 64)) - 1;
+    return row;
+}
+
+/** True iff the storage bits past v.size() are clear. */
+bool
+topBitsClear(const BitVector &v)
+{
+    return v.size() % 64 == 0 ||
+           (v.wordData()[v.wordCount() - 1] >> (v.size() % 64)) == 0;
+}
+
+/**
+ * Row contents that stress both kernels: empty, full, alternating,
+ * half-word, edge-bit and nibble/byte fills, stride fills that alias
+ * and do not alias the degree, single bits at the row's edges and
+ * middle, and random rows.
+ */
+std::vector<BitVector>
+rowPatterns(size_t bits, Rng &rng)
+{
+    std::vector<uint64_t> fills = {
+        0,
+        ~uint64_t(0),
+        0xAAAAAAAAAAAAAAAAULL,
+        0x5555555555555555ULL,
+        0x00000000FFFFFFFFULL,
+        0xFFFFFFFF00000000ULL,
+        0x8000000000000001ULL,
+        0x0F0F0F0F0F0F0F0FULL,
+        0xFF00FF00FF00FF00ULL,
+    };
+    for (size_t stride : {3u, 5u, 7u, 16u, 63u})
+        fills.push_back(strideMask64(stride));
+    std::vector<BitVector> rows;
+    for (uint64_t fill : fills)
+        rows.push_back(rowOf(bits, [fill] { return fill; }));
+    for (size_t pos : {size_t(0), bits / 2, bits - 1}) {
+        BitVector row(bits);
+        row.set(pos, true);
+        rows.push_back(row);
+    }
+    for (int r = 0; r < 3; ++r)
+        rows.push_back(rowOf(bits, [&rng] { return rng.next(); }));
+    return rows;
+}
+
+TEST(InterleaveMap, LineAndWordPathsMatchTheColumnOracle)
+{
+    // Every degree the grammar admits, at widths that leave partial
+    // top words and degrees that do not divide 64: the line kernel
+    // (power-of-two degrees) and the word kernel (every degree) must
+    // gather exactly bit b of slot s from physicalColumn(s, b), and
+    // scatter back only those columns.
+    Rng rng(71);
+    for (size_t width : {1u, 7u, 39u, 64u, 72u, 137u}) {
+        for (size_t degree = 1; degree <= 64; ++degree) {
+            const InterleaveMap map(width, degree);
+            const std::vector<BitVector> rows =
+                rowPatterns(map.rowBits(), rng);
+            const BitVector &background = rows.back();
+            for (size_t r = 0; r < rows.size(); ++r) {
+                const BitVector &row = rows[r];
+                const std::string where = "w" + std::to_string(width) +
+                                          "/i" + std::to_string(degree) +
+                                          " pattern " + std::to_string(r);
+                std::vector<BitVector> line;
+                map.extractLine(row, line);
+                ASSERT_EQ(line.size(), degree) << where;
+                BitVector word;
+                for (size_t slot = 0; slot < degree; ++slot) {
+                    BitVector gathered(width);
+                    for (size_t b = 0; b < width; ++b)
+                        gathered.set(b,
+                                     row.get(map.physicalColumn(slot, b)));
+                    ASSERT_EQ(line[slot], gathered) << where;
+                    ASSERT_TRUE(topBitsClear(line[slot])) << where;
+                    map.extractWordInto(row, slot, word);
+                    ASSERT_EQ(word, gathered) << where;
+                    ASSERT_TRUE(topBitsClear(word)) << where;
+
+                    BitVector scattered = background;
+                    for (size_t b = 0; b < width; ++b)
+                        scattered.set(map.physicalColumn(slot, b),
+                                      gathered.get(b));
+                    BitVector deposited = background;
+                    map.depositWord(deposited, slot, gathered);
+                    ASSERT_EQ(deposited, scattered) << where;
+                    ASSERT_TRUE(topBitsClear(deposited)) << where;
+                }
+                // Every column belongs to one slot, so scattering the
+                // gathered line over any row rebuilds this one.
+                BitVector deposited = background;
+                map.depositLine(line, deposited);
+                ASSERT_EQ(deposited, row) << where;
+                ASSERT_TRUE(topBitsClear(deposited)) << where;
+            }
+        }
     }
 }
 

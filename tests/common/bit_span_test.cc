@@ -43,88 +43,6 @@ TEST(StrideMask, KnownPatterns)
     EXPECT_EQ(strideMask64(64), 1ull);
 }
 
-/** Naive reference for PEXT: gather mask-selected bits to the low end. */
-uint64_t
-compressRef(uint64_t x, uint64_t mask)
-{
-    uint64_t out = 0;
-    size_t o = 0;
-    for (size_t i = 0; i < 64; ++i) {
-        if ((mask >> i) & 1) {
-            out |= ((x >> i) & 1) << o;
-            ++o;
-        }
-    }
-    return out;
-}
-
-/** Naive reference for PDEP: scatter low bits to mask positions. */
-uint64_t
-expandRef(uint64_t x, uint64_t mask)
-{
-    uint64_t out = 0;
-    size_t o = 0;
-    for (size_t i = 0; i < 64; ++i) {
-        if ((mask >> i) & 1) {
-            out |= ((x >> o) & 1) << i;
-            ++o;
-        }
-    }
-    return out;
-}
-
-TEST(BitCompressPlan, MatchesNaiveReferenceOnRandomMasks)
-{
-    Rng rng(6);
-    for (int m = 0; m < 50; ++m) {
-        const uint64_t mask = rng.next();
-        BitCompressPlan plan(mask);
-        ASSERT_EQ(plan.count(), unsigned(std::popcount(mask)));
-        for (int t = 0; t < 50; ++t) {
-            const uint64_t x = rng.next();
-            ASSERT_EQ(plan.compress(x), compressRef(x, mask))
-                << "mask " << std::hex << mask << " x " << x;
-            ASSERT_EQ(plan.expand(x), expandRef(x, mask))
-                << "mask " << std::hex << mask << " x " << x;
-        }
-    }
-}
-
-TEST(BitCompressPlan, StrideMasksRoundTrip)
-{
-    Rng rng(7);
-    for (size_t stride : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
-        BitCompressPlan plan(strideMask64(stride));
-        for (int t = 0; t < 100; ++t) {
-            const uint64_t x = rng.next();
-            // compress(expand(low bits)) is the identity on the low bits.
-            const uint64_t low =
-                plan.count() < 64 ? x & ((uint64_t(1) << plan.count()) - 1)
-                                  : x;
-            EXPECT_EQ(plan.compress(plan.expand(low)), low);
-            // expand(compress(x)) keeps exactly the masked bits.
-            EXPECT_EQ(plan.expand(plan.compress(x)), x & plan.mask());
-        }
-    }
-}
-
-TEST(BitCompressPlan, EdgeMasks)
-{
-    BitCompressPlan zero(0);
-    EXPECT_EQ(zero.count(), 0u);
-    EXPECT_EQ(zero.compress(~uint64_t(0)), 0u);
-    EXPECT_EQ(zero.expand(~uint64_t(0)), 0u);
-
-    BitCompressPlan all(~uint64_t(0));
-    EXPECT_EQ(all.count(), 64u);
-    EXPECT_EQ(all.compress(0x123456789abcdef0ull), 0x123456789abcdef0ull);
-    EXPECT_EQ(all.expand(0x123456789abcdef0ull), 0x123456789abcdef0ull);
-
-    BitCompressPlan top(uint64_t(1) << 63);
-    EXPECT_EQ(top.compress(~uint64_t(0)), 1u);
-    EXPECT_EQ(top.expand(1), uint64_t(1) << 63);
-}
-
 // --- BitVector word-level additions & small-buffer storage ---------
 
 TEST(BitVectorWords, SetBitsSubWordEdges)

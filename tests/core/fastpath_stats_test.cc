@@ -41,7 +41,7 @@ TEST(TwoDimFastPath, CleanReadsBorrowAndNeverCopyRows)
         for (size_t s = 0; s < arr.wordsPerRow(); ++s)
             arr.writeWord(r, s, randomWord(rng, arr.dataBits()));
 
-    arr.resetStats();
+    const TwoDimStats before = arr.stats();
     uint64_t reads = 0;
     for (int round = 0; round < 3; ++round) {
         for (size_t r = 0; r < arr.rows(); ++r) {
@@ -53,9 +53,9 @@ TEST(TwoDimFastPath, CleanReadsBorrowAndNeverCopyRows)
     }
     // The fault-free bank serves every read by borrowing the stored
     // row: zero row copies is the fast-path contract.
-    EXPECT_EQ(arr.stats().rowBorrows, reads);
-    EXPECT_EQ(arr.stats().rowCopies, 0u);
-    EXPECT_EQ(arr.stats().reads, reads);
+    EXPECT_EQ(arr.stats().rowBorrows - before.rowBorrows, reads);
+    EXPECT_EQ(arr.stats().rowCopies - before.rowCopies, 0u);
+    EXPECT_EQ(arr.stats().reads - before.reads, reads);
 }
 
 TEST(TwoDimFastPath, StuckRowsFallBackToCopies)
@@ -71,22 +71,23 @@ TEST(TwoDimFastPath, StuckRowsFallBackToCopies)
     const bool stored = arr.cells().readBit(3, 0);
     arr.cells().addStuckAt(3, 0, stored);
 
-    arr.resetStats();
+    const TwoDimStats stuck = arr.stats();
     for (size_t r = 0; r < arr.rows(); ++r)
         for (size_t s = 0; s < arr.wordsPerRow(); ++s)
             ASSERT_TRUE(arr.readWord(r, s).ok());
 
-    EXPECT_EQ(arr.stats().rowCopies, arr.wordsPerRow());
-    EXPECT_EQ(arr.stats().rowBorrows,
+    EXPECT_EQ(arr.stats().rowCopies - stuck.rowCopies, arr.wordsPerRow());
+    EXPECT_EQ(arr.stats().rowBorrows - stuck.rowBorrows,
               (arr.rows() - 1) * arr.wordsPerRow());
 
     // Clearing the fault restores the all-borrow regime.
     arr.cells().clearFault(3, 0);
-    arr.resetStats();
+    const TwoDimStats cleared = arr.stats();
     for (size_t s = 0; s < arr.wordsPerRow(); ++s)
         ASSERT_TRUE(arr.readWord(3, s).ok());
-    EXPECT_EQ(arr.stats().rowCopies, 0u);
-    EXPECT_EQ(arr.stats().rowBorrows, arr.wordsPerRow());
+    EXPECT_EQ(arr.stats().rowCopies - cleared.rowCopies, 0u);
+    EXPECT_EQ(arr.stats().rowBorrows - cleared.rowBorrows,
+              arr.wordsPerRow());
 }
 
 TEST(TwoDimFastPath, WritesKeepVerticalParityConsistent)

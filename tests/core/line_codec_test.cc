@@ -1,8 +1,7 @@
 /**
  * @file
  * The batched line codec's contract: lineClean must equal the
- * per-slot syndrome ground truth on every backend (the fused EDC fold
- * included), correctLine must reproduce the historical slot-loop
+ * per-slot syndrome ground truth (the fused EDC fold included), correctLine must reproduce the historical slot-loop
  * repair, and encodeLine must round-trip — for fused and non-fused
  * geometries alike.
  */
@@ -12,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/cpu_features.hh"
 #include "common/rng.hh"
 #include "core/line_codec.hh"
 #include "ecc/bch.hh"
@@ -23,15 +21,6 @@ namespace tdc
 {
 namespace
 {
-
-std::vector<SimdBackend>
-availableBackends()
-{
-    std::vector<SimdBackend> out = {SimdBackend::kScalar};
-    if (bestSimdBackend() >= SimdBackend::kBmi2)
-        out.push_back(SimdBackend::kBmi2);
-    return out;
-}
 
 /** Ground truth: every slot's syndrome vanishes (per-slot extract). */
 bool
@@ -134,12 +123,8 @@ TEST(LineCodec, LineCleanMatchesPerSlotTruthOnEveryBackend)
         }
 
         for (const BitVector &row : rows) {
-            const bool truth = refLineClean(*g.code, map, row);
-            for (SimdBackend b : availableBackends()) {
-                ScopedSimdBackend guard(b);
-                EXPECT_EQ(line.lineClean(row), truth)
-                    << g.label << " backend=" << simdBackendName(b);
-            }
+            EXPECT_EQ(line.lineClean(row), refLineClean(*g.code, map, row))
+                << g.label;
         }
     }
 }
@@ -185,17 +170,14 @@ TEST(LineCodec, CorrectLineReproducesTheSlotLoopRepair)
                 map.depositWord(refRow, slot, g.code->encode(d.data));
         }
 
-        for (SimdBackend b : availableBackends()) {
-            ScopedSimdBackend guard(b);
-            BitVector got = row;
-            bool changed = false;
-            const bool ok = line.correctLine(got, changed);
-            EXPECT_EQ(ok, refOk) << simdBackendName(b);
-            if (ok) {
-                EXPECT_EQ(got, refRow);
-                EXPECT_EQ(changed, got != row);
-                EXPECT_TRUE(line.lineClean(got));
-            }
+        BitVector got = row;
+        bool changed = false;
+        const bool ok = line.correctLine(got, changed);
+        EXPECT_EQ(ok, refOk);
+        if (ok) {
+            EXPECT_EQ(got, refRow);
+            EXPECT_EQ(changed, got != row);
+            EXPECT_TRUE(line.lineClean(got));
         }
     }
 }
@@ -203,7 +185,7 @@ TEST(LineCodec, CorrectLineReproducesTheSlotLoopRepair)
 TEST(LineCodec, CorrectLineLeavesACleanLineUnchanged)
 {
     // On a fused geometry a clean line returns from the fold alone; on
-    // every geometry and tier it must report success and no change.
+    // every geometry it must report success and no change.
     Rng rng(54);
     for (const Geometry &g : geometries()) {
         const InterleaveMap map(g.code->codewordBits(), g.degree);
@@ -211,15 +193,11 @@ TEST(LineCodec, CorrectLineLeavesACleanLineUnchanged)
         const std::vector<BitVector> words = randomWords(g, rng);
         BitVector clean(map.rowBits());
         line.encodeLine(words, clean);
-        for (SimdBackend b : availableBackends()) {
-            ScopedSimdBackend guard(b);
-            BitVector row = clean;
-            bool changed = true;
-            EXPECT_TRUE(line.correctLine(row, changed))
-                << g.label << " backend=" << simdBackendName(b);
-            EXPECT_FALSE(changed) << g.label;
-            EXPECT_EQ(row, clean) << g.label;
-        }
+        BitVector row = clean;
+        bool changed = true;
+        EXPECT_TRUE(line.correctLine(row, changed)) << g.label;
+        EXPECT_FALSE(changed) << g.label;
+        EXPECT_EQ(row, clean) << g.label;
     }
 }
 

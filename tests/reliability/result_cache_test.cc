@@ -71,8 +71,8 @@ TEST_F(ResultCacheTest, MemoryTierMemoizes)
         ++calls;
         return record({1, 2, 3}, {0.5});
     };
-    EXPECT_EQ(cache.memoize("k", compute), record({1, 2, 3}, {0.5}));
-    EXPECT_EQ(cache.memoize("k", compute), record({1, 2, 3}, {0.5}));
+    EXPECT_EQ(cache.memoize("k", compute, 3, 1), record({1, 2, 3}, {0.5}));
+    EXPECT_EQ(cache.memoize("k", compute, 3, 1), record({1, 2, 3}, {0.5}));
     EXPECT_EQ(calls, 1);
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().memoryHits, 1u);
@@ -87,12 +87,12 @@ TEST_F(ResultCacheTest, DiskTierSurvivesProcessRestart)
         ++calls;
         return record({42}, {3.14159, -0.0});
     };
-    const ResultCache::Record first = cache.memoize("key", compute);
+    const ResultCache::Record first = cache.memoize("key", compute, 1, 2);
     EXPECT_TRUE(fs::exists(entryPath("key")));
 
     // A fresh process is modeled by dropping the memory tier.
     cache.clearMemory();
-    const ResultCache::Record second = cache.memoize("key", compute);
+    const ResultCache::Record second = cache.memoize("key", compute, 1, 2);
     EXPECT_EQ(first, second);
     EXPECT_EQ(calls, 1) << "disk tier should have served the reload";
     EXPECT_EQ(cache.stats().diskHits, 1u);
@@ -104,7 +104,7 @@ TEST_F(ResultCacheTest, DiskTierSurvivesProcessRestart)
 TEST_F(ResultCacheTest, TruncatedEntryRecomputes)
 {
     ResultCache cache(dir());
-    cache.memoize("key", [] { return record({7}, {1.25}); });
+    cache.memoize("key", [] { return record({7}, {1.25}); }, 1, 1);
 
     // Truncate the entry to half its size.
     const fs::path path = entryPath("key");
@@ -113,19 +113,19 @@ TEST_F(ResultCacheTest, TruncatedEntryRecomputes)
 
     cache.clearMemory();
     const ResultCache::Record r =
-        cache.memoize("key", [] { return record({7}, {1.25}); });
+        cache.memoize("key", [] { return record({7}, {1.25}); }, 1, 1);
     EXPECT_EQ(r, record({7}, {1.25}));
     EXPECT_EQ(cache.stats().corrupt, 1u);
     // The rewritten entry is whole again.
     cache.clearMemory();
-    cache.memoize("key", [] { return record({7}, {1.25}); });
+    cache.memoize("key", [] { return record({7}, {1.25}); }, 1, 1);
     EXPECT_EQ(cache.stats().diskHits, 1u);
 }
 
 TEST_F(ResultCacheTest, FlippedByteRecomputes)
 {
     ResultCache cache(dir());
-    cache.memoize("key", [] { return record({1, 2}, {}); });
+    cache.memoize("key", [] { return record({1, 2}, {}); }, 2, 0);
 
     const fs::path path = entryPath("key");
     std::fstream f(path, std::ios::in | std::ios::out |
@@ -140,7 +140,7 @@ TEST_F(ResultCacheTest, FlippedByteRecomputes)
     f.close();
 
     cache.clearMemory();
-    EXPECT_EQ(cache.memoize("key", [] { return record({1, 2}, {}); }),
+    EXPECT_EQ(cache.memoize("key", [] { return record({1, 2}, {}); }, 2, 0),
               record({1, 2}, {}));
     EXPECT_EQ(cache.stats().corrupt, 1u);
 }
@@ -148,7 +148,7 @@ TEST_F(ResultCacheTest, FlippedByteRecomputes)
 TEST_F(ResultCacheTest, StaleVersionSaltRecomputes)
 {
     ResultCache cache(dir());
-    cache.memoize("key", [] { return record({9}, {}); });
+    cache.memoize("key", [] { return record({9}, {}); }, 1, 0);
 
     // Rewrite the entry's version word (bytes 8..11, after the 8-byte
     // magic) to a stale value. The file is otherwise intact, so only
@@ -162,7 +162,7 @@ TEST_F(ResultCacheTest, StaleVersionSaltRecomputes)
     f.close();
 
     cache.clearMemory();
-    EXPECT_EQ(cache.memoize("key", [] { return record({9}, {}); }),
+    EXPECT_EQ(cache.memoize("key", [] { return record({9}, {}); }, 1, 0),
               record({9}, {}));
     EXPECT_EQ(cache.stats().corrupt, 1u);
 }
@@ -172,7 +172,7 @@ TEST_F(ResultCacheTest, ForeignKeyInCollidingFileRecomputes)
     // An entry file whose *content* echoes a different key (as after a
     // digest collision or a file renamed by hand) must not be served.
     ResultCache cache(dir());
-    cache.memoize("other-key", [] { return record({13}, {}); });
+    cache.memoize("other-key", [] { return record({13}, {}); }, 1, 0);
     fs::rename(entryPath("other-key"), entryPath("key"));
 
     cache.clearMemory();
@@ -181,7 +181,8 @@ TEST_F(ResultCacheTest, ForeignKeyInCollidingFileRecomputes)
                             [&] {
                                 ++calls;
                                 return record({77}, {});
-                            }),
+                            },
+                            1, 0),
               record({77}, {}));
     EXPECT_EQ(calls, 1);
     EXPECT_GE(cache.stats().corrupt, 1u);
@@ -221,15 +222,15 @@ TEST_F(ResultCacheTest, OutcomeRoundTrips)
 TEST_F(ResultCacheTest, SetDirectoryEnablesAndDisablesDiskTier)
 {
     ResultCache cache;
-    cache.memoize("key", [] { return record({1}, {}); });
+    cache.memoize("key", [] { return record({1}, {}); }, 1, 0);
     EXPECT_FALSE(fs::exists(entryPath("key")));
 
     cache.setDirectory(dir());
-    cache.memoize("key2", [] { return record({2}, {}); });
+    cache.memoize("key2", [] { return record({2}, {}); }, 1, 0);
     EXPECT_TRUE(fs::exists(entryPath("key2")));
 
     cache.setDirectory("");
-    cache.memoize("key3", [] { return record({3}, {}); });
+    cache.memoize("key3", [] { return record({3}, {}); }, 1, 0);
     EXPECT_FALSE(fs::exists(entryPath("key3")));
 }
 
@@ -268,10 +269,13 @@ TEST_F(ResultCacheTest, ConcurrentWritersSharingDirectory)
                 for (int k = 0; k < kKeys; ++k) {
                     const std::string key = "key" + std::to_string(k);
                     const ResultCache::Record r =
-                        caches[size_t(w)].memoize(key, [&] {
-                            return record({k, k * k},
-                                          {double(k) / 3.0});
-                        });
+                        caches[size_t(w)].memoize(
+                            key,
+                            [&] {
+                                return record({k, k * k},
+                                              {double(k) / 3.0});
+                            },
+                            2, 1);
                     if (r != record({k, k * k}, {double(k) / 3.0}))
                         ++failures[size_t(w)];
                 }
@@ -314,8 +318,8 @@ TEST_F(ResultCacheTest, ShapedMemoizeRecomputesAForeignWidth)
 TEST_F(ResultCacheTest, StatsDescribeMentionsEveryCounter)
 {
     ResultCache cache(dir());
-    cache.memoize("a", [] { return record({1}, {}); });
-    cache.memoize("a", [] { return record({1}, {}); });
+    cache.memoize("a", [] { return record({1}, {}); }, 1, 0);
+    cache.memoize("a", [] { return record({1}, {}); }, 1, 0);
     const std::string line = cache.stats().describe();
     EXPECT_NE(line.find("hit"), std::string::npos) << line;
     EXPECT_NE(line.find("miss"), std::string::npos) << line;

@@ -5,8 +5,8 @@
  * encoded line per row, rows that match their golden line skipped on
  * verify); the reference runs the same trial word by word through
  * storeWord / readWord (tests/core/word_trial.hh). Every
- * verdict must agree, on the scalar and the dispatched SIMD tier, for
- * fused and per-slot clean-check geometries alike, and through a
+ * verdict must agree, for fused and per-slot clean-check geometries
+ * alike, and through a
  * stuck-at mix that repairs rows through repairRow.
  */
 
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "../core/word_trial.hh"
-#include "common/cpu_features.hh"
 #include "core/twod_array.hh"
 #include "scheme/scheme.hh"
 
@@ -161,15 +160,6 @@ runReference(const std::string &spec, const Script &script, uint64_t seed)
     return runReference(arr, script, seed);
 }
 
-std::vector<SimdBackend>
-scalarAndDispatched()
-{
-    std::vector<SimdBackend> out = {SimdBackend::kScalar};
-    if (bestSimdBackend() != SimdBackend::kScalar)
-        out.push_back(bestSimdBackend());
-    return out;
-}
-
 class LineSessionDiffTest : public ::testing::TestWithParam<std::string>
 {
 };
@@ -180,25 +170,20 @@ TEST_P(LineSessionDiffTest, VerdictsMatchTheWordByWordReference)
     const SchemePtr scheme = parseScheme(spec);
     constexpr int kTrials = 2;
     std::vector<int> seen(3, 0);
-    for (SimdBackend backend : scalarAndDispatched()) {
-        ScopedSimdBackend guard(backend);
-        for (const Script &script : scripts()) {
-            for (int t = 0; t < kTrials; ++t) {
-                const uint64_t seed = shardSeed(9001, uint64_t(t));
-                const std::vector<Verdict> got =
-                    runSession(*scheme, script, seed);
-                const std::vector<Verdict> want =
-                    runReference(spec, script, seed);
-                ASSERT_EQ(got.size(), want.size());
-                for (size_t i = 0; i < got.size(); ++i) {
-                    EXPECT_EQ(got[i], want[i])
-                        << spec << " " << scriptName(script) << " trial "
-                        << t << " step " << i << " backend "
-                        << simdBackendName(backend) << ": session "
-                        << verdictName(got[i]) << ", reference "
-                        << verdictName(want[i]);
-                    ++seen[size_t(got[i])];
-                }
+    for (const Script &script : scripts()) {
+        for (int t = 0; t < kTrials; ++t) {
+            const uint64_t seed = shardSeed(9001, uint64_t(t));
+            const std::vector<Verdict> got =
+                runSession(*scheme, script, seed);
+            const std::vector<Verdict> want =
+                runReference(spec, script, seed);
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i], want[i])
+                    << spec << " " << scriptName(script) << " trial " << t
+                    << " step " << i << ": session " << verdictName(got[i])
+                    << ", reference " << verdictName(want[i]);
+                ++seen[size_t(got[i])];
             }
         }
     }

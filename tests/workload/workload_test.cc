@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 #include <vector>
 
@@ -204,18 +205,29 @@ TEST(InstructionStream, MixMatchesProfileFractions)
 
 TEST(InstructionStream, BurstsOccurAndEnd)
 {
+    // Read from what the stream emits: bursts raise the memory-op
+    // fraction above the calm mix, and because they also end, the
+    // long-run fraction settles at the Markov chain's stationary
+    // blend of the two mixes, well below the burst mix.
     const WorkloadProfile &w = workloadByName("Web");
     InstructionStream s(w, 13);
-    bool saw_burst = false, saw_calm_after_burst = false;
-    for (int i = 0; i < 100000; ++i) {
-        s.next();
-        if (s.bursty())
-            saw_burst = true;
-        else if (saw_burst)
-            saw_calm_after_burst = true;
-    }
-    EXPECT_TRUE(saw_burst);
-    EXPECT_TRUE(saw_calm_after_burst);
+    const int n = 100000;
+    int mem_ops = 0;
+    for (int i = 0; i < n; ++i)
+        mem_ops += s.next().kind != SyntheticInstr::Kind::kNonMem;
+    const double frac = double(mem_ops) / n;
+
+    const double calm = w.loadFrac + w.storeFrac;
+    const double burst_load = std::min(0.9, w.loadFrac * w.burstLoadBoost);
+    const double burst =
+        burst_load +
+        std::min(0.9 - burst_load, w.storeFrac * w.burstLoadBoost);
+    const double burst_share =
+        w.burstOnProb / (w.burstOnProb + w.burstOffProb);
+    ASSERT_GT(burst - calm, 0.2);
+    EXPECT_GT(frac, calm + 0.05);
+    EXPECT_LT(frac, burst - 0.05);
+    EXPECT_NEAR(frac, calm + burst_share * (burst - calm), 0.01);
 }
 
 TEST(InstructionStream, BubblesReflectIlpParameter)
