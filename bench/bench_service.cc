@@ -3,7 +3,8 @@
  * google-benchmark harness of the concurrent cache service: sustained
  * request throughput of the sharded serving loop under each generator
  * shape, the port-stealing fast path, background scrub + online fault
- * pressure, and the trace codec. Wall-clock only — every simulated
+ * pressure, the trace codec, and a recorded trace replayed through
+ * the block-reading file source. Wall-clock only — every simulated
  * metric (latency percentiles, reliability verdicts) is pinned by the
  * determinism tests instead, so the two never mix.
  *
@@ -14,7 +15,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "common/parallel.hh"
 #include "service/cache_service.hh"
@@ -134,6 +138,29 @@ BM_TraceRoundTrip(benchmark::State &state)
     reportThroughput(state, reqs.size());
 }
 BENCHMARK(BM_TraceRoundTrip)->Unit(benchmark::kMillisecond);
+
+/**
+ * Replay a recorded one-million-request trace through TraceReader: the
+ * file is read block by block (a validation pass, then the serving
+ * pass), as `tdc_run --serve trace:<path>` does.
+ */
+void
+BM_ServeTraceReplay(benchmark::State &state)
+{
+    const ServiceConfig cfg = serviceConfig(4);
+    const CacheService service(cfg);
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         "bench_service_replay.trace")
+            .string();
+    writeTrace(path, stream("uniform/n1e6/w30", cfg));
+    TraceReader source(path);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(service.serve(source));
+    reportThroughput(state, source.size());
+    std::remove(path.c_str());
+}
+BENCHMARK(BM_ServeTraceReplay)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -94,6 +94,13 @@ putU64(std::string &out, uint64_t v)
         out += char((v >> (8 * i)) & 0xff);
 }
 
+void
+storeU64(unsigned char *p, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        p[i] = (unsigned char)(v >> (8 * i));
+}
+
 uint32_t
 getU32(const unsigned char *p)
 {

@@ -79,6 +79,9 @@ void putU32(std::string &out, uint32_t v);
 /** Append @p v to @p out as 8 little-endian bytes. */
 void putU64(std::string &out, uint64_t v);
 
+/** Store @p v as the 8 little-endian bytes at @p p. */
+void storeU64(unsigned char *p, uint64_t v);
+
 /** The 4 little-endian bytes at @p p. */
 uint32_t getU32(const unsigned char *p);
 

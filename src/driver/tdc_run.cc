@@ -6,6 +6,9 @@
 #include <cstdlib>
 #include <iterator>
 #include <limits>
+#include <memory>
+#include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "common/parallel.hh"
@@ -434,6 +437,48 @@ listFaultsText()
            "on a 64-row bank is a full column).\n";
 }
 
+/**
+ * --record-trace: tees every block the service reads into a trace at
+ * @p path. The writer opens after the validation pass, so a stream
+ * the service refuses never creates a file, and commit() renames the
+ * finished trace into place.
+ */
+class RecordingSource final : public RequestSource
+{
+  public:
+    RecordingSource(RequestSource &source, std::string path)
+        : source(source), path(std::move(path))
+    {
+    }
+
+    uint64_t size() const override { return source.size(); }
+
+    std::span<const ServiceRequest>
+    next() override
+    {
+        const std::span<const ServiceRequest> block = source.next();
+        writer->append(block);
+        return block;
+    }
+
+    void rewind() override { source.rewind(); }
+
+    uint64_t
+    validate(uint64_t words) override
+    {
+        const uint64_t ticks = source.validate(words);
+        writer.emplace(path, source.size());
+        return ticks;
+    }
+
+    void commit() { writer->commit(); }
+
+  private:
+    RequestSource &source;
+    std::string path;
+    std::optional<TraceWriter> writer;
+};
+
 std::string
 listFiguresText()
 {
@@ -529,20 +574,27 @@ tdcRun(const std::vector<std::string> &args, std::string &out,
                 cfg.fault = parseFaultModel(opt.faults.front());
 
             // The service validates the config (its size cap too)
-            // before any request is generated or trace written.
+            // before any request is generated or trace written. The
+            // stream is then read block by block and never held whole;
+            // a recording is written as each block is served.
             const CacheService service(cfg);
             const RequestStreamSpec stream =
                 parseRequestSpec(opt.serveSpec);
-            const std::vector<ServiceRequest> requests =
-                buildRequests(stream, cfg.totalWords(), opt.seed);
-            if (!opt.recordTrace.empty())
-                writeTrace(opt.recordTrace, requests);
+            const std::unique_ptr<RequestSource> source =
+                openRequestSource(stream, cfg.totalWords(), opt.seed);
+            ServiceReport report;
+            if (opt.recordTrace.empty()) {
+                report = service.serve(*source);
+            } else {
+                RecordingSource recording(*source, opt.recordTrace);
+                report = service.serve(recording);
+                recording.commit();
+            }
 
-            const ServiceReport report = service.serve(requests);
-
-            ctx.prosef("serve %s: %zu requests, %zu shards x %zu banks "
+            ctx.prosef("serve %s: %llu requests, %zu shards x %zu banks "
                        "(%s), %llu ticks, %.1f req/ktick\n\n",
-                       stream.spec().c_str(), requests.size(),
+                       stream.spec().c_str(),
+                       (unsigned long long)source->size(),
                        cfg.shards, cfg.banksPerShard,
                        cfg.bank.describe().c_str(),
                        (unsigned long long)report.ticks,
@@ -552,6 +604,10 @@ tdcRun(const std::vector<std::string> &args, std::string &out,
             ctx.table(serviceReliabilityTable(report),
                       "service reliability: " + stream.spec());
         } catch (const std::invalid_argument &e) {
+            err += std::string("tdc_run: ") + e.what() + "\n";
+            return 2;
+        } catch (const std::out_of_range &e) {
+            // An address outside the service is malformed input too.
             err += std::string("tdc_run: ") + e.what() + "\n";
             return 2;
         } catch (const std::exception &e) {

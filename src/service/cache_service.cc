@@ -284,28 +284,20 @@ class ShardWorker
 ServiceReport
 CacheService::serve(const std::vector<ServiceRequest> &requests) const
 {
-    // Validate every address up front so a bad stream leaves nothing
-    // half-served.
-    const size_t words = cfg.totalWords();
-    for (size_t i = 0; i < requests.size(); ++i) {
-        if (requests[i].address >= words)
-            throw std::out_of_range(
-                "CacheService::serve: request " + std::to_string(i) +
-                " address " + std::to_string(requests[i].address) +
-                " >= " + std::to_string(words));
-    }
+    VectorRequestSource source(requests);
+    return serve(source);
+}
 
-    // Partition by address, preserving arrival order per shard.
-    std::vector<std::vector<size_t>> byShard(cfg.shards);
-    for (size_t i = 0; i < requests.size(); ++i)
-        byShard[requests[i].address % cfg.shards].push_back(i);
-
+ServiceReport
+CacheService::serve(RequestSource &source) const
+{
+    // The validation pass: every address is checked before the first
+    // request is served, so a bad stream leaves nothing half-served.
     ServiceReport report;
+    report.ticks = source.validate(cfg.totalWords());
     report.shards.resize(cfg.shards);
     if (cfg.recordOutcomes)
-        report.outcomes.resize(requests.size());
-    for (const ServiceRequest &r : requests)
-        report.ticks = std::max(report.ticks, r.tick + 1);
+        report.outcomes.resize(source.size());
     // No shard advances past the tick span (ticks only clamp forward,
     // and background events never pass the request tick), so a
     // steal-window ring that long never wraps. A longer window would
@@ -313,21 +305,38 @@ CacheService::serve(const std::vector<ServiceRequest> &requests) const
     const unsigned steal_window =
         unsigned(std::min<uint64_t>(cfg.stealWindow, report.ticks));
 
-    // Each shard writes only its own report slot and its own outcome
-    // slots, so the sweep is bit-identical at any pool size.
+    std::vector<std::unique_ptr<ShardWorker>> workers(cfg.shards);
     parallelFor(cfg.shards, [&](size_t s) {
-        ShardWorker worker(cfg, s, code, steal_window);
-        for (size_t i : byShard[s])
-            worker.serveOne(requests[i], cfg.recordOutcomes
-                                             ? &report.outcomes[i]
-                                             : nullptr);
-        report.shards[s] = worker.finish();
+        workers[s] =
+            std::make_unique<ShardWorker>(cfg, s, code, steal_window);
     });
 
-    for (const ShardServiceReport &shard : report.shards) {
-        report.total.counters += shard.counters;
-        report.total.latency += shard.latency;
-        report.total.store += shard.store;
+    // Each block partitions by address into reused buffers, keeping
+    // arrival order per shard. A shard's worker lives across blocks
+    // and writes only its own outcome slots, so it serves the same
+    // subsequence in the same order at any pool size.
+    std::vector<std::vector<uint32_t>> byShard(cfg.shards);
+    uint64_t first = 0;
+    for (auto block = source.next(); !block.empty(); block = source.next()) {
+        for (std::vector<uint32_t> &indices : byShard)
+            indices.clear();
+        for (size_t i = 0; i < block.size(); ++i)
+            byShard[block[i].address % cfg.shards].push_back(uint32_t(i));
+        parallelFor(cfg.shards, [&](size_t s) {
+            for (uint32_t i : byShard[s])
+                workers[s]->serveOne(block[i],
+                                     cfg.recordOutcomes
+                                         ? &report.outcomes[first + i]
+                                         : nullptr);
+        });
+        first += block.size();
+    }
+
+    for (size_t s = 0; s < cfg.shards; ++s) {
+        report.shards[s] = workers[s]->finish();
+        report.total.counters += report.shards[s].counters;
+        report.total.latency += report.shards[s].latency;
+        report.total.store += report.shards[s].store;
     }
     return report;
 }

@@ -16,6 +16,12 @@
  * function of (config, that shard's request subsequence), and shard
  * reports merge in ascending shard order — so the full report is
  * bit-identical at any TDC_THREADS setting.
+ *
+ * Streaming: serve() reads a RequestSource (service/request.hh) one
+ * block of kRequestBlock requests at a time, after a validation pass
+ * that checks every address and yields the tick span. What a run
+ * holds is its banks plus one block and its shard partition, whatever
+ * the stream's length (/n), unless per-request outcomes are recorded.
  */
 
 #ifndef TDC_SERVICE_CACHE_SERVICE_HH
@@ -139,10 +145,11 @@ struct ServiceReport
  * The concurrent cache service. Construction validates the config
  * (throws std::invalid_argument on zero shards/banks/ports, or when
  * totalWords() exceeds ServiceConfig::kMaxTotalWords) before any bank
- * is built; serve() validates addresses (throws std::out_of_range on
- * any address >= totalWords(), banks untouched) and requires
- * per-shard ticks to be served in non-decreasing order (earlier ticks
- * clamp forward).
+ * is built; serve() validates addresses in the source's validation
+ * pass, before any request is served (throws std::out_of_range on any
+ * address >= totalWords(), banks untouched), and serves each shard's
+ * requests in arrival order (a tick earlier than the shard's clock
+ * clamps forward).
  *
  * Layout: address a belongs to shard a mod shards as shard-local word
  * w = a / shards, which lives in bank w mod banksPerShard at row
@@ -157,7 +164,17 @@ class CacheService
 
     const ServiceConfig &config() const { return cfg; }
 
-    /** Serve @p requests (arrival order; ticks non-decreasing). */
+    /**
+     * Serve @p source: its validation pass, then block by block. Each
+     * block is partitioned by shard and the shards run over the pool;
+     * every shard's worker (banks, port scheduler, clock) lives across
+     * blocks, so the report does not depend on the block size or the
+     * pool size, and memory is bounded by one block, not the stream
+     * (apart from the outcomes, when recorded).
+     */
+    ServiceReport serve(RequestSource &source) const;
+
+    /** Serve @p requests (arrival order) through a VectorRequestSource. */
     ServiceReport serve(const std::vector<ServiceRequest> &requests) const;
 
   private:

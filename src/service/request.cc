@@ -2,10 +2,18 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
+#include <filesystem>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+
+#ifdef _WIN32
+#include <process.h>
+#define TDC_GETPID _getpid
+#else
+#include <unistd.h>
+#define TDC_GETPID getpid
+#endif
 
 #include "common/parallel.hh"
 #include "common/stable_hash.hh"
@@ -27,11 +35,58 @@ expandValue(uint64_t value, size_t bits)
     return word;
 }
 
+uint64_t
+RequestSource::validate(uint64_t words)
+{
+    rewind();
+    uint64_t ticks = 0, index = 0;
+    uint64_t bad = UINT64_MAX, bad_address = 0;
+    for (auto block = next(); !block.empty(); block = next()) {
+        for (const ServiceRequest &r : block) {
+            ticks = std::max(ticks, r.tick + 1);
+            if (r.address >= words && bad == UINT64_MAX) {
+                bad = index;
+                bad_address = r.address;
+            }
+            ++index;
+        }
+    }
+    rewind();
+    // Reported after the whole pass, so every format error of the
+    // stream comes first, as when a trace was loaded before serving.
+    if (bad != UINT64_MAX)
+        throw std::out_of_range(
+            "request \"" + std::to_string(bad) + "\" address \"" +
+            std::to_string(bad_address) + "\" >= " +
+            std::to_string(words) + " words of the service");
+    return ticks;
+}
+
+std::vector<ServiceRequest>
+drainRequests(RequestSource &source)
+{
+    std::vector<ServiceRequest> requests;
+    requests.reserve(source.size());
+    for (auto block = source.next(); !block.empty(); block = source.next())
+        requests.insert(requests.end(), block.begin(), block.end());
+    return requests;
+}
+
+std::span<const ServiceRequest>
+VectorRequestSource::next()
+{
+    const size_t n = std::min(kRequestBlock, requests.size() - pos);
+    const std::span<const ServiceRequest> block(requests.data() + pos, n);
+    pos += n;
+    return block;
+}
+
 namespace
 {
 
 constexpr char kMagic[8] = {'T', 'D', 'C', 'T', 'R', 'A', 'C', 'E'};
 constexpr uint32_t kVersion = 1;
+constexpr size_t kHeaderBytes = sizeof(kMagic) + 8; // + version, count
 constexpr size_t kRecordBytes = 25; // tick u64 + op u8 + addr/value u64
 
 [[noreturn]] void
@@ -42,89 +97,199 @@ traceError(const std::string &what)
 
 } // namespace
 
+TraceReader::TraceReader(const std::string &path)
+    : file(path, std::ios::binary), in(file)
+{
+    if (!file)
+        throw std::runtime_error("trace: cannot open \"" + path + "\"");
+    readHeader();
+}
+
+TraceReader::TraceReader(std::istream &in) : in(in)
+{
+    readHeader();
+}
+
+void
+TraceReader::readHeader()
+{
+    unsigned char header[kHeaderBytes];
+    in.read(reinterpret_cast<char *>(header), kHeaderBytes);
+    if (size_t(in.gcount()) < kHeaderBytes)
+        traceError("file shorter than the 16-byte header");
+    if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0)
+        traceError("bad magic (expected \"TDCTRACE\")");
+    const uint32_t version = getU32(header + 8);
+    if (version != kVersion)
+        traceError("unsupported version \"" + std::to_string(version) +
+                   "\" (expected " + std::to_string(kVersion) + ")");
+    count = getU32(header + 12);
+
+    // The body size comes from the stream's end, so a truncated or
+    // overlong trace is refused before any record is read.
+    bodyStart = in.tellg();
+    in.seekg(0, std::ios::end);
+    const std::streamoff end = in.tellg();
+    if (bodyStart < 0 || end < 0)
+        throw std::runtime_error("trace: stream is not seekable");
+    const uint64_t body = uint64_t(end - bodyStart);
+    if (body != count * kRecordBytes)
+        traceError("truncated body: header promises \"" +
+                   std::to_string(count) + "\" records (" +
+                   std::to_string(count * kRecordBytes) +
+                   " bytes), file carries " + std::to_string(body));
+    const size_t capacity = size_t(std::min<uint64_t>(count, kRequestBlock));
+    bytes.resize(capacity * kRecordBytes);
+    block.resize(capacity);
+    rewind();
+}
+
+void
+TraceReader::rewind()
+{
+    in.clear();
+    in.seekg(bodyStart);
+    consumed = 0;
+}
+
+std::span<const ServiceRequest>
+TraceReader::next()
+{
+    const size_t n = size_t(std::min<uint64_t>(kRequestBlock,
+                                               count - consumed));
+    if (n == 0)
+        return {};
+    in.read(reinterpret_cast<char *>(bytes.data()),
+            std::streamsize(n * kRecordBytes));
+    if (size_t(in.gcount()) != n * kRecordBytes)
+        throw std::runtime_error("trace: read failed");
+    const unsigned char *rec = bytes.data();
+    for (size_t i = 0; i < n; ++i, rec += kRecordBytes) {
+        ServiceRequest &r = block[i];
+        r.tick = getU64(rec);
+        const uint8_t op = rec[8];
+        if (op > uint8_t(RequestOp::kWrite))
+            traceError("record " + std::to_string(consumed + i) +
+                       ": malformed op byte \"" + std::to_string(op) +
+                       "\"");
+        r.op = RequestOp(op);
+        r.address = getU64(rec + 9);
+        r.value = getU64(rec + 17);
+    }
+    consumed += n;
+    return {block.data(), n};
+}
+
+TraceWriter::TraceWriter(const std::string &path, uint64_t count)
+    : path(path),
+      tmpPath(path + ".tmp." + std::to_string(uint64_t(TDC_GETPID()))),
+      file(tmpPath, std::ios::binary | std::ios::trunc), out(file),
+      count(count)
+{
+    if (!file)
+        throw std::runtime_error("trace: cannot open \"" + path +
+                                 "\" for writing");
+    writeHeader();
+}
+
+TraceWriter::TraceWriter(std::ostream &out, uint64_t count)
+    : out(out), count(count)
+{
+    writeHeader();
+}
+
+TraceWriter::~TraceWriter()
+{
+    if (!committed && !tmpPath.empty()) {
+        file.close();
+        std::error_code ec;
+        std::filesystem::remove(tmpPath, ec);
+    }
+}
+
+void
+TraceWriter::writeHeader()
+{
+    std::string header(kMagic, sizeof(kMagic));
+    putU32(header, kVersion);
+    putU32(header, uint32_t(count));
+    out.write(header.data(), std::streamsize(header.size()));
+}
+
+void
+TraceWriter::append(std::span<const ServiceRequest> requests)
+{
+    while (!requests.empty()) {
+        const size_t n = std::min(kRequestBlock, requests.size());
+        bytes.resize(n * kRecordBytes);
+        unsigned char *rec = bytes.data();
+        for (size_t i = 0; i < n; ++i, rec += kRecordBytes) {
+            const ServiceRequest &r = requests[i];
+            storeU64(rec, r.tick);
+            rec[8] = uint8_t(r.op);
+            storeU64(rec + 9, r.address);
+            storeU64(rec + 17, r.value);
+        }
+        out.write(reinterpret_cast<const char *>(bytes.data()),
+                  std::streamsize(bytes.size()));
+        written += n;
+        requests = requests.subspan(n);
+    }
+}
+
+void
+TraceWriter::commit()
+{
+    if (written != count)
+        throw std::runtime_error(
+            "trace: header promises " + std::to_string(count) +
+            " records, " + std::to_string(written) + " were written");
+    out.flush();
+    if (!out)
+        throw std::runtime_error(
+            path.empty() ? std::string("trace: write failed")
+                         : "trace: write to \"" + path + "\" failed");
+    if (!tmpPath.empty()) {
+        file.close();
+        std::error_code ec;
+        if (file)
+            std::filesystem::rename(tmpPath, path, ec);
+        if (!file || ec)
+            throw std::runtime_error("trace: write to \"" + path +
+                                     "\" failed");
+    }
+    committed = true;
+}
+
 void
 writeTrace(std::ostream &out, const std::vector<ServiceRequest> &requests)
 {
-    std::string bytes;
-    bytes.reserve(sizeof(kMagic) + 8 + requests.size() * kRecordBytes);
-    bytes.append(kMagic, sizeof(kMagic));
-    putU32(bytes, kVersion);
-    putU32(bytes, uint32_t(requests.size()));
-    for (const ServiceRequest &r : requests) {
-        putU64(bytes, r.tick);
-        bytes += char(uint8_t(r.op));
-        putU64(bytes, r.address);
-        putU64(bytes, r.value);
-    }
-    out.write(bytes.data(), std::streamsize(bytes.size()));
-    if (!out)
-        throw std::runtime_error("trace: write failed");
+    TraceWriter writer(out, requests.size());
+    writer.append(requests);
+    writer.commit();
 }
 
 void
 writeTrace(const std::string &path,
            const std::vector<ServiceRequest> &requests)
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        throw std::runtime_error("trace: cannot open \"" + path +
-                                 "\" for writing");
-    writeTrace(out, requests);
-    out.flush();
-    if (!out)
-        throw std::runtime_error("trace: write to \"" + path +
-                                 "\" failed");
+    TraceWriter writer(path, requests.size());
+    writer.append(requests);
+    writer.commit();
 }
 
 std::vector<ServiceRequest>
 readTrace(std::istream &in)
 {
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    if (bytes.size() < sizeof(kMagic) + 8)
-        traceError("file shorter than the 16-byte header");
-    if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
-        traceError("bad magic (expected \"TDCTRACE\")");
-    const auto *p =
-        reinterpret_cast<const unsigned char *>(bytes.data());
-    const uint32_t version = getU32(p + 8);
-    if (version != kVersion)
-        traceError("unsupported version \"" + std::to_string(version) +
-                   "\" (expected " + std::to_string(kVersion) + ")");
-    const uint32_t count = getU32(p + 12);
-    const size_t body = bytes.size() - sizeof(kMagic) - 8;
-    if (body != size_t(count) * kRecordBytes)
-        traceError("truncated body: header promises \"" +
-                   std::to_string(count) + "\" records (" +
-                   std::to_string(size_t(count) * kRecordBytes) +
-                   " bytes), file carries " + std::to_string(body));
-
-    std::vector<ServiceRequest> requests;
-    requests.reserve(count);
-    const unsigned char *rec = p + 16;
-    for (uint32_t i = 0; i < count; ++i, rec += kRecordBytes) {
-        ServiceRequest r;
-        r.tick = getU64(rec);
-        const uint8_t op = rec[8];
-        if (op > uint8_t(RequestOp::kWrite))
-            traceError("record " + std::to_string(i) +
-                       ": malformed op byte \"" + std::to_string(op) +
-                       "\"");
-        r.op = RequestOp(op);
-        r.address = getU64(rec + 9);
-        r.value = getU64(rec + 17);
-        requests.push_back(r);
-    }
-    return requests;
+    TraceReader reader(in);
+    return drainRequests(reader);
 }
 
 std::vector<ServiceRequest>
 readTrace(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw std::runtime_error("trace: cannot open \"" + path + "\"");
-    return readTrace(in);
+    TraceReader reader(path);
+    return drainRequests(reader);
 }
 
 } // namespace tdc

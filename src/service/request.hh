@@ -1,16 +1,25 @@
 /**
  * @file
  * The request-level workload unit of the cache service: one timestamped
- * read or write aimed at a flat word address, plus the replayable
- * binary trace format (recorder/loader) that pins a stream of them to
- * disk byte-for-byte.
+ * read or write aimed at a flat word address; the bounded, rewindable
+ * RequestSource every stream is served from; and the replayable binary
+ * trace format (TraceReader/TraceWriter) that pins a stream of requests
+ * to disk byte-for-byte.
+ *
+ * Every source hands out its stream in blocks of at most kRequestBlock
+ * requests, so serving, recording and replaying hold one block of the
+ * stream at a time: memory is bounded by the block, never by the
+ * stream's length. The vector adapters (readTrace, writeTrace) are thin
+ * wrappers over the same block path.
  */
 
 #ifndef TDC_SERVICE_REQUEST_HH
 #define TDC_SERVICE_REQUEST_HH
 
 #include <cstdint>
+#include <fstream>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,6 +59,67 @@ struct ServiceRequest
  */
 BitVector expandValue(uint64_t value, size_t bits);
 
+/** Requests per block of every RequestSource (not a knob). */
+inline constexpr size_t kRequestBlock = size_t(1) << 16;
+
+/**
+ * A rewindable request stream read in blocks. Serving takes two passes
+ * over it: validate() first, which checks the whole stream and stores
+ * nothing, then next() block by block.
+ */
+class RequestSource
+{
+  public:
+    RequestSource() = default;
+    RequestSource(const RequestSource &) = delete;
+    RequestSource &operator=(const RequestSource &) = delete;
+    virtual ~RequestSource() = default;
+
+    /** Requests in the stream. */
+    virtual uint64_t size() const = 0;
+
+    /**
+     * The next block, at most kRequestBlock requests in arrival order;
+     * empty once the stream is drained. Valid until the next call.
+     */
+    virtual std::span<const ServiceRequest> next() = 0;
+
+    /** Restart the stream at request 0. */
+    virtual void rewind() = 0;
+
+    /**
+     * The validation pass, made before the first request is served:
+     * read the stream from request 0, confirm every address is below
+     * @p words, and return the tick span (largest tick + 1; 0 for an
+     * empty stream). Leaves the source rewound.
+     * @throws std::out_of_range quoting the index and address of the
+     *         first request whose address is out of range, after any
+     *         format error the source's next() throws on the way
+     */
+    virtual uint64_t validate(uint64_t words);
+};
+
+/** Read all of @p source into one vector (the vector adapters). */
+std::vector<ServiceRequest> drainRequests(RequestSource &source);
+
+/** A vector served in blocks; the vector must outlive the source. */
+class VectorRequestSource final : public RequestSource
+{
+  public:
+    explicit VectorRequestSource(const std::vector<ServiceRequest> &requests)
+        : requests(requests)
+    {
+    }
+
+    uint64_t size() const override { return requests.size(); }
+    std::span<const ServiceRequest> next() override;
+    void rewind() override { pos = 0; }
+
+  private:
+    const std::vector<ServiceRequest> &requests;
+    size_t pos = 0;
+};
+
 /**
  * Binary trace format, version 1: a 16-byte header ("TDCTRACE",
  * version u32, count u32) followed by one packed little-endian record
@@ -58,22 +128,103 @@ BitVector expandValue(uint64_t value, size_t bits);
  * the round trip byte-identical.
  */
 
-/** Write @p requests to @p path. @throws std::runtime_error on I/O. */
+/**
+ * A recorded trace as a RequestSource. Opening checks the header and
+ * that the body holds exactly the records the header promises; next()
+ * reads one block with a plain stream read and throws on a malformed
+ * op byte, so a trace's format errors come before any address error of
+ * validate().
+ */
+class TraceReader final : public RequestSource
+{
+  public:
+    /**
+     * Open the trace at @p path. @throws std::runtime_error when the
+     * file is unreadable, and std::invalid_argument (offending detail
+     * quoted) on a bad magic, unsupported version, or a body shorter
+     * or longer than the header's count.
+     */
+    explicit TraceReader(const std::string &path);
+
+    /** Read from the seekable stream @p in, which must outlive the
+     *  reader. Throws as the path constructor does. */
+    explicit TraceReader(std::istream &in);
+
+    uint64_t size() const override { return count; }
+    /** @throws std::invalid_argument on a malformed record. */
+    std::span<const ServiceRequest> next() override;
+    void rewind() override;
+
+  private:
+    void readHeader();
+
+    std::ifstream file; ///< open when reading by path
+    std::istream &in;
+    std::streamoff bodyStart = 0;
+    uint64_t count = 0;
+    uint64_t consumed = 0; ///< records handed out since the last rewind
+    std::vector<unsigned char> bytes;
+    std::vector<ServiceRequest> block;
+};
+
+/**
+ * Writes a trace block by block. The header carries @p count, and
+ * commit() refuses a stream that appended any other number of
+ * requests.
+ */
+class TraceWriter
+{
+  public:
+    /**
+     * Write to @p path through a temporary file beside it: commit()
+     * renames it over @p path, and a writer destroyed uncommitted
+     * removes it, so a failed run leaves no half-written trace and
+     * @p path may be the trace being replayed.
+     * @throws std::runtime_error when the file cannot be created
+     */
+    TraceWriter(const std::string &path, uint64_t count);
+
+    /** Serialize onto @p out, which must outlive the writer. */
+    TraceWriter(std::ostream &out, uint64_t count);
+
+    ~TraceWriter();
+
+    TraceWriter(const TraceWriter &) = delete;
+    TraceWriter &operator=(const TraceWriter &) = delete;
+
+    /** Append @p requests after those already written. */
+    void append(std::span<const ServiceRequest> requests);
+
+    /** Finish the trace. @throws std::runtime_error on I/O or when
+     *  the appended count differs from the header's. */
+    void commit();
+
+  private:
+    void writeHeader();
+
+    std::string path, tmpPath; ///< empty when writing to a stream
+    std::ofstream file;
+    std::ostream &out;
+    uint64_t count = 0;
+    uint64_t written = 0;
+    bool committed = false;
+    std::vector<unsigned char> bytes;
+};
+
+/** Write @p requests to @p path (a TraceWriter, committed).
+ *  @throws std::runtime_error on I/O. */
 void writeTrace(const std::string &path,
                 const std::vector<ServiceRequest> &requests);
 
-/** Serialize to a stream (the writeTrace backend). */
+/** Serialize to a stream through a TraceWriter. */
 void writeTrace(std::ostream &out,
                 const std::vector<ServiceRequest> &requests);
 
-/**
- * Load a recorded trace. @throws std::runtime_error when the file is
- * unreadable, and std::invalid_argument (offending detail quoted) on a
- * bad magic, unsupported version, truncated body, or malformed record.
- */
+/** Load a recorded trace (a TraceReader, drained). Throws as
+ *  TraceReader does. */
 std::vector<ServiceRequest> readTrace(const std::string &path);
 
-/** Deserialize from a stream (the readTrace backend). */
+/** Deserialize from a seekable stream (a TraceReader, drained). */
 std::vector<ServiceRequest> readTrace(std::istream &in);
 
 } // namespace tdc

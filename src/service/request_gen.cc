@@ -1,5 +1,6 @@
 #include "service/request_gen.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -89,64 +90,120 @@ parseRequestSpec(const std::string &spec)
     return s;
 }
 
-std::vector<ServiceRequest>
-buildRequests(const RequestStreamSpec &spec, size_t words, uint64_t seed)
+RequestGenerator::RequestGenerator(const RequestStreamSpec &spec,
+                                   size_t words, uint64_t seed)
+    : spec(spec), words(words), seed(seed),
+      burstGap(spec.burstGap != 0 ? spec.burstGap : 4 * spec.burstLen),
+      // Power-law skew exponent for the zipf approximation: drawing
+      // u ~ U[0,1) and taking floor(words * u^k) concentrates mass
+      // near address 0 with Zipf-like tail weight for k = 1/(1-theta).
+      zipfK(1.0 / (1.0 - double(spec.zipfHundredths) / 100.0)),
+      block(std::min<size_t>(spec.count, kRequestBlock))
 {
     if (spec.dist == RequestDist::kTrace)
-        return readTrace(spec.tracePath);
+        throw std::invalid_argument(
+            "RequestGenerator: a trace spec is read, not generated");
     if (words == 0)
         throw std::invalid_argument(
             "buildRequests: generator needs a nonzero address space");
+}
 
-    const size_t burst_gap = spec.burstGap != 0 ? spec.burstGap
-                                                : 4 * spec.burstLen;
-    // Power-law skew exponent for the zipf approximation: drawing
-    // u ~ U[0,1) and taking floor(words * u^k) concentrates mass near
-    // address 0 with Zipf-like tail weight for k = 1/(1-theta).
-    const double zipf_k =
-        1.0 / (1.0 - double(spec.zipfHundredths) / 100.0);
-
-    std::vector<ServiceRequest> requests(spec.count);
+ServiceRequest
+RequestGenerator::make(uint64_t i) const
+{
     // Request i is a pure function of its own workload-domain stream,
-    // so generation itself can shard over the pool (and the stream
-    // never collides with injection/scrub consumers of the same seed).
-    parallelFor(spec.count, [&](size_t i) {
-        Rng rng(shardSeed(seed, kSeedDomainWorkload, i));
-        ServiceRequest &r = requests[i];
-        switch (spec.dist) {
-          case RequestDist::kUniform:
-            r.tick = i;
-            r.address = rng.nextBelow(words);
-            break;
-          case RequestDist::kZipf: {
-            r.tick = i;
-            const size_t rank =
-                size_t(double(words) * std::pow(rng.nextDouble(), zipf_k));
-            // Scatter hot ranks over the space (and over banks/shards)
-            // with a fixed mixing stride coprime to any power of two.
-            r.address =
-                (std::min(rank, words - 1) * 0x9e3779b97f4a7c15ULL) %
-                words;
-            break;
-          }
-          case RequestDist::kBurst: {
-            const size_t burst = i / spec.burstLen;
-            const size_t offset = i % spec.burstLen;
-            // The burst base address is a pure function of the burst
-            // index: every request of the burst derives it afresh.
-            Rng base_rng(shardSeed(seed, kSeedDomainWorkload + 1, burst));
-            r.tick = burst * burst_gap + offset;
-            r.address = (base_rng.nextBelow(words) + offset) % words;
-            break;
-          }
-          case RequestDist::kTrace:
-            break; // unreachable
-        }
-        r.op = rng.nextBelow(100) < spec.writePct ? RequestOp::kWrite
-                                                  : RequestOp::kRead;
-        r.value = rng.next();
+    // so requests can be made in any order on any thread (and the
+    // stream never collides with injection/scrub consumers of the
+    // same seed).
+    Rng rng(shardSeed(seed, kSeedDomainWorkload, i));
+    ServiceRequest r;
+    switch (spec.dist) {
+      case RequestDist::kUniform:
+        r.tick = i;
+        r.address = rng.nextBelow(words);
+        break;
+      case RequestDist::kZipf: {
+        r.tick = i;
+        const size_t rank =
+            size_t(double(words) * std::pow(rng.nextDouble(), zipfK));
+        // Scatter hot ranks over the space (and over banks/shards)
+        // with a fixed mixing stride coprime to any power of two.
+        r.address =
+            (std::min(rank, words - 1) * 0x9e3779b97f4a7c15ULL) % words;
+        break;
+      }
+      case RequestDist::kBurst: {
+        const size_t burst = i / spec.burstLen;
+        const size_t offset = i % spec.burstLen;
+        // The burst base address is a pure function of the burst
+        // index: every request of the burst derives it afresh.
+        Rng base_rng(shardSeed(seed, kSeedDomainWorkload + 1, burst));
+        r.tick = burst * burstGap + offset;
+        r.address = (base_rng.nextBelow(words) + offset) % words;
+        break;
+      }
+      case RequestDist::kTrace:
+        break; // refused by the constructor
+    }
+    r.op = rng.nextBelow(100) < spec.writePct ? RequestOp::kWrite
+                                              : RequestOp::kRead;
+    r.value = rng.next();
+    return r;
+}
+
+std::span<const ServiceRequest>
+RequestGenerator::next()
+{
+    const size_t n = size_t(std::min<uint64_t>(kRequestBlock,
+                                               spec.count - made));
+    // The pool hands out one index at a time, so a block shards in
+    // runs of requests: one per request would make every request a
+    // contended atomic increment.
+    constexpr size_t kRun = 1024;
+    parallelFor((n + kRun - 1) / kRun, [&](size_t run) {
+        const size_t end = std::min(n, (run + 1) * kRun);
+        for (size_t k = run * kRun; k < end; ++k)
+            block[k] = make(made + k);
     });
-    return requests;
+    made += n;
+    return {block.data(), n};
+}
+
+uint64_t
+RequestGenerator::validate(uint64_t limit)
+{
+    if (limit < words)
+        return RequestSource::validate(limit);
+    rewind();
+    if (spec.count == 0)
+        return 0;
+    if (spec.dist != RequestDist::kBurst)
+        return spec.count; // request i arrives at tick i
+    // Burst b spans ticks b * gap + [0, len). The last burst may be
+    // cut short; with a gap below the length, the full burst before
+    // it can end later.
+    const uint64_t last = spec.count - 1;
+    const uint64_t burst = last / spec.burstLen;
+    uint64_t max_tick = burst * burstGap + last % spec.burstLen;
+    if (burst > 0)
+        max_tick = std::max<uint64_t>(
+            max_tick, (burst - 1) * burstGap + spec.burstLen - 1);
+    return max_tick + 1;
+}
+
+std::unique_ptr<RequestSource>
+openRequestSource(const RequestStreamSpec &spec, size_t words,
+                  uint64_t seed)
+{
+    if (spec.dist == RequestDist::kTrace)
+        return std::make_unique<TraceReader>(spec.tracePath);
+    return std::make_unique<RequestGenerator>(spec, words, seed);
+}
+
+std::vector<ServiceRequest>
+buildRequests(const RequestStreamSpec &spec, size_t words, uint64_t seed)
+{
+    return drainRequests(*openRequestSource(spec, words, seed));
 }
 
 } // namespace tdc

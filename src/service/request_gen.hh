@@ -29,12 +29,19 @@
  * function of (spec, words, seed, i) — workload-domain counter
  * streams, never shared state — so streams are reproducible
  * everywhere and identical at any TDC_THREADS.
+ *
+ * A stream is served from a RequestSource (service/request.hh), one
+ * block of kRequestBlock requests at a time: RequestGenerator makes
+ * each block afresh, in parallel over the block, and answers the
+ * validation pass in closed form, so a generated stream of any /n
+ * holds one block in memory.
  */
 
 #ifndef TDC_SERVICE_REQUEST_GEN_HH
 #define TDC_SERVICE_REQUEST_GEN_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -77,10 +84,52 @@ struct RequestStreamSpec
 RequestStreamSpec parseRequestSpec(const std::string &spec);
 
 /**
- * Materialize the stream: synthesize spec.count requests over the
- * address space [0, words), or load spec.tracePath for trace specs
- * (then @p words / @p seed are ignored; the trace replays verbatim).
- * Ticks are non-decreasing. @p words must be nonzero for generators.
+ * A synthetic stream as a RequestSource: spec.count requests over the
+ * address space [0, words). Ticks are non-decreasing, except in burst
+ * streams whose gap is shorter than the burst.
+ */
+class RequestGenerator final : public RequestSource
+{
+  public:
+    /** @throws std::invalid_argument on a trace spec or zero words. */
+    RequestGenerator(const RequestStreamSpec &spec, size_t words,
+                     uint64_t seed);
+
+    uint64_t size() const override { return spec.count; }
+    std::span<const ServiceRequest> next() override;
+    void rewind() override { made = 0; }
+
+    /**
+     * The tick span in closed form (no request is generated); every
+     * address is below the generator's words by construction, so only
+     * a smaller @p words takes the reading pass.
+     */
+    uint64_t validate(uint64_t words) override;
+
+  private:
+    /** Request @p i of the stream. */
+    ServiceRequest make(uint64_t i) const;
+
+    RequestStreamSpec spec;
+    size_t words;
+    uint64_t seed;
+    size_t burstGap; ///< the spec's gap, its default resolved
+    double zipfK;    ///< power-law skew exponent, zipf only
+    uint64_t made = 0; ///< requests handed out since the last rewind
+    std::vector<ServiceRequest> block;
+};
+
+/**
+ * Open @p spec as a source: a TraceReader of spec.tracePath for trace
+ * specs (then @p words / @p seed are ignored; the trace replays
+ * verbatim), else a RequestGenerator.
+ */
+std::unique_ptr<RequestSource> openRequestSource(const RequestStreamSpec &spec,
+                                                 size_t words, uint64_t seed);
+
+/**
+ * Materialize the stream: openRequestSource, drained into a vector.
+ * @p words must be nonzero for generators.
  */
 std::vector<ServiceRequest> buildRequests(const RequestStreamSpec &spec,
                                           size_t words, uint64_t seed);

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 
 #include "common/parallel.hh"
 #include "driver/tdc_run.hh"
@@ -324,6 +325,23 @@ TEST(TdcRun, ServeIsThreadCountInvariant)
     EXPECT_EQ(runOk(one), runOk(eight));
 }
 
+/** csv output without its "#" title lines, which name the stream. */
+std::string
+withoutTitles(const std::string &text)
+{
+    std::string kept;
+    size_t start = 0;
+    while (start < text.size()) {
+        size_t end = text.find('\n', start);
+        if (end == std::string::npos)
+            end = text.size();
+        if (text[start] != '#')
+            kept += text.substr(start, end - start) + "\n";
+        start = end + 1;
+    }
+    return kept;
+}
+
 TEST(TdcRun, ServeRecordsAReplayableTrace)
 {
     const std::string path =
@@ -334,20 +352,7 @@ TEST(TdcRun, ServeRecordsAReplayableTrace)
     const std::string replayed =
         runOk({"--serve", "trace:" + path, "--format", "csv"});
     // Identical data rows; only the spec named in the titles differs.
-    const auto stripTitles = [](const std::string &text) {
-        std::string kept;
-        size_t start = 0;
-        while (start < text.size()) {
-            size_t end = text.find('\n', start);
-            if (end == std::string::npos)
-                end = text.size();
-            if (text[start] != '#')
-                kept += text.substr(start, end - start) + "\n";
-            start = end + 1;
-        }
-        return kept;
-    };
-    EXPECT_EQ(stripTitles(recorded), stripTitles(replayed));
+    EXPECT_EQ(withoutTitles(recorded), withoutTitles(replayed));
     std::remove(path.c_str());
 }
 
@@ -421,6 +426,42 @@ TEST(TdcRun, ServeUsageErrorsExitTwoWithQuotedToken)
     expectUsageError({"--serve", "uniform", "--steal-window", "4294967304"},
                      "\"4294967304\"");
     expectUsageError({"--serve", "uniform/n0x10"}, "\"n0x10\"");
+
+    // A trace recorded for a larger service replays into a smaller
+    // one: its first out-of-range record is quoted, index and address,
+    // and no --record-trace output is left behind.
+    const std::string big = testing::TempDir() + "tdc_run_big.trace";
+    const std::string copy = testing::TempDir() + "tdc_run_big_copy.trace";
+    runOk({"--serve", "uniform/n1000", "--shards", "8", "--record-trace",
+           big});
+    expectUsageError({"--serve", "trace:" + big, "--record-trace", copy},
+                     "request \"0\" address \"23413\" >= 16384");
+    EXPECT_FALSE(std::ifstream(copy).good()) << "trace was written";
+    std::remove(big.c_str());
+}
+
+TEST(TdcRun, ServeReRecordsAReplayedTraceInPlace)
+{
+    // The recording goes to a temporary file renamed into place once
+    // the run succeeds, so a trace can be replayed and re-recorded
+    // onto its own path without truncating its input.
+    const std::string path = testing::TempDir() + "tdc_run_in_place.trace";
+    const auto bytes = [&] {
+        std::ifstream in(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+    };
+    const std::string first =
+        runOk({"--serve", "burst16/n70000/g8/w40", "--record-trace", path,
+               "--format", "csv"});
+    const std::string recorded = bytes();
+    ASSERT_EQ(recorded.size(), 16u + 25u * 70000u);
+    const std::string replayed =
+        runOk({"--serve", "trace:" + path, "--record-trace", path,
+               "--format", "csv"});
+    EXPECT_EQ(bytes(), recorded);
+    EXPECT_EQ(withoutTitles(first), withoutTitles(replayed));
+    std::remove(path.c_str());
 }
 
 TEST(TdcRun, ServeRejectsAStoreOverTheWordCap)

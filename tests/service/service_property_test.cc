@@ -318,6 +318,20 @@ TEST(ServiceProperty, MultiPortStolenWindowMatchesTheOracle)
                            cfg.totalWords(), 14));
 }
 
+TEST(ServiceProperty, StreamAcrossBlockBoundariesMatchesTheOracle)
+{
+    // The service reads its stream in blocks of kRequestBlock; the
+    // oracle serves it whole. Shards keep their clocks, scrub cursors
+    // and fault streams across blocks, with ticks that fall at every
+    // burst start (gap shorter than the burst).
+    ServiceConfig cfg = propertyConfig();
+    cfg.scrubInterval = 23;
+    cfg.faultInterval = 3001;
+    RequestStreamSpec spec = parseRequestSpec("burst16/g8/w40");
+    spec.count = 2 * kRequestBlock + 5;
+    expectMatchesOracle(cfg, buildRequests(spec, cfg.totalWords(), 15));
+}
+
 TEST(ServiceProperty, ScrubRepairedFaultsStayInvisible)
 {
     // The oracle replays the same injection streams, so any fault the
