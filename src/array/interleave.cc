@@ -10,6 +10,16 @@
 namespace tdc
 {
 
+uint64_t
+strideMask64(size_t stride)
+{
+    assert(stride >= 1 && stride <= 64);
+    uint64_t mask = 0;
+    for (size_t p = 0; p < 64; p += stride)
+        mask |= uint64_t(1) << p;
+    return mask;
+}
+
 InterleaveMap::InterleaveMap(size_t word_bits, size_t degree)
     : wordWidth(word_bits), intvDegree(degree)
 {
@@ -128,7 +138,7 @@ InterleaveMap::extractWord(const BitVector &row, size_t slot) const
 }
 
 void
-InterleaveMap::extractWordInto(ConstBitSpan row, size_t slot,
+InterleaveMap::extractWordInto(const BitVector &row, size_t slot,
                                BitVector &word) const
 {
     assert(row.size() == rowBits());
@@ -140,7 +150,7 @@ InterleaveMap::extractWordInto(ConstBitSpan row, size_t slot,
     // this slot sit at in-word positions p == phase (mod degree),
     // where the phase starts at the slot index and advances by
     // phaseStep per word. The word kernel packs them to the low end.
-    const uint64_t *src = row.words();
+    const uint64_t *src = row.wordData();
     uint64_t *dst = word.wordData();
     const size_t dstWords = word.wordCount();
     for (size_t i = 0; i < dstWords; ++i)

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/bit_span.hh"
 #include "common/bit_vector.hh"
 
 namespace tdc
@@ -72,16 +71,11 @@ class InterleaveMap
     /**
      * Gather word slot @p slot out of @p row into @p word, reusing
      * the storage of @p word (resized once if its length differs).
-     * The allocation-free form the access hot paths use; the span
-     * overload lets a clean read borrow the stored row directly.
+     * The allocation-free form the access hot paths use; a clean read
+     * passes the stored row it borrows (MemoryArray::viewRow).
      */
-    void extractWordInto(ConstBitSpan row, size_t slot,
-                         BitVector &word) const;
     void extractWordInto(const BitVector &row, size_t slot,
-                         BitVector &word) const
-    {
-        extractWordInto(ConstBitSpan(row), slot, word);
-    }
+                         BitVector &word) const;
 
     /** Scatter @p word into slot @p slot of a physical row. */
     void depositWord(BitVector &row, size_t slot,
@@ -155,6 +149,12 @@ class InterleaveMap
     unsigned lineLog2 = 0;
     bool lineKernel = false;
 };
+
+/**
+ * The stride mask with bits set at 0, stride, 2*stride, ... (all
+ * multiples of @p stride below 64). @pre 1 <= stride <= 64.
+ */
+uint64_t strideMask64(size_t stride);
 
 } // namespace tdc
 

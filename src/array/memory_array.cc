@@ -51,13 +51,13 @@ MemoryArray::rowEquals(size_t r, const BitVector &value) const
     return visible == value;
 }
 
-ConstBitSpan
+const BitVector &
 MemoryArray::viewRow(size_t r) const
 {
     assert(r < rows());
     assert(!rowHasStuck(r) && "stuck rows must be read through readRow");
     ++reads;
-    return ConstBitSpan(rowStore[r]);
+    return rowStore[r];
 }
 
 void

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/bit_span.hh"
 #include "common/bit_vector.hh"
 
 namespace tdc
@@ -29,8 +28,8 @@ namespace tdc
  * Reads and writes are whole physical rows, matching wordline
  * granularity; the interleave map slices words out of rows. The fault
  * overlay is kept per row, so fault-free rows (the overwhelmingly
- * common case) can be *borrowed* as a ConstBitSpan instead of copied —
- * the basis of the allocation-free clean-read path in TwoDimArray.
+ * common case) can be *borrowed* by reference instead of copied — the
+ * basis of the allocation-free clean-read path in TwoDimArray.
  */
 class MemoryArray
 {
@@ -70,12 +69,12 @@ class MemoryArray
     void copyRowInto(size_t r, BitVector &out) const;
 
     /**
-     * Borrow physical row @p r as a non-owning view — no copy, no
-     * allocation. @pre !rowHasStuck(r) (a stuck overlay would need a
-     * materialized copy; callers check and fall back to readRow).
-     * The view is invalidated by any write to the array.
+     * Borrow physical row @p r as stored — no copy, no allocation.
+     * @pre !rowHasStuck(r) (a stuck overlay would need a materialized
+     * copy; callers check and fall back to readRow). The reference
+     * sees any later write to the array.
      */
-    ConstBitSpan viewRow(size_t r) const;
+    const BitVector &viewRow(size_t r) const;
 
     /**
      * True iff row @p r as readRow would return it (stuck-at overlay

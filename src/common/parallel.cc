@@ -34,7 +34,10 @@ defaultThreads()
  * Persistent pool. Workers sleep on a condition variable between
  * jobs; a job is a (body, n) pair dispatched through an atomic
  * iteration counter. The submitting thread works alongside the pool,
- * so a configured count of T uses T-1 pool threads. Jobs are
+ * so a configured count of T uses T-1 pool threads. The pool only
+ * grows, to T-1 workers on the first job after setThreads: a job of
+ * fewer iterations, or a smaller T, leaves the workers past its share
+ * asleep, so no thread is ever stopped and restarted. Jobs are
  * submitted from one thread at a time (the simulation drivers all run
  * their sweeps from the main thread).
  */
@@ -63,13 +66,21 @@ class WorkerPool
                 fn(i);
             return;
         }
-        resize(lock, want - 1);
+        while (workers.size() < configured - 1) {
+            // Hand each worker the generation current at spawn time so
+            // it never mistakes an already-finished job for a new one.
+            const size_t index = workers.size();
+            const uint64_t seen = generation;
+            workers.emplace_back(
+                [this, index, seen] { workerLoop(index, seen); });
+        }
 
         body = &fn;
         limit = n;
         next.store(0, std::memory_order_relaxed);
         firstError = nullptr;
-        active = workers.size();
+        helpers = want - 1;
+        active = helpers;
         ++generation;
         lock.unlock();
         cvWork.notify_all();
@@ -105,30 +116,9 @@ class WorkerPool
             w.join();
     }
 
-    /** Adjust the pool to @p count workers. @p lock holds mu and no
-     *  job is in flight. Rare (bench/test setup), so the simplest
-     *  correct scheme is used: retire the whole pool and respawn. */
-    void resize(std::unique_lock<std::mutex> &lock, size_t count)
-    {
-        if (workers.size() == count)
-            return;
-        stop = true;
-        lock.unlock();
-        cvWork.notify_all();
-        for (std::thread &w : workers)
-            w.join();
-        lock.lock();
-        workers.clear();
-        stop = false;
-        for (size_t i = 0; i < count; ++i) {
-            // Hand each worker the generation current at spawn time so
-            // it never mistakes an already-finished job for a new one.
-            const uint64_t seen = generation;
-            workers.emplace_back([this, seen] { workerLoop(seen); });
-        }
-    }
-
-    void workerLoop(uint64_t seen)
+    /** Worker @p index takes part in the jobs that want more than
+     *  index helpers. */
+    void workerLoop(size_t index, uint64_t seen)
     {
         inWorker = true;
         std::unique_lock<std::mutex> lock(mu);
@@ -138,6 +128,8 @@ class WorkerPool
             if (stop)
                 return;
             seen = generation;
+            if (index >= helpers)
+                continue;
             const std::function<void(size_t)> *fn = body;
             lock.unlock();
             workItems(*fn);
@@ -174,7 +166,8 @@ class WorkerPool
     const std::function<void(size_t)> *body = nullptr;
     size_t limit = 0;
     std::atomic<size_t> next{0};
-    size_t active = 0;
+    size_t helpers = 0; ///< workers the current job uses
+    size_t active = 0;  ///< of those, still working
     uint64_t generation = 0;
     bool stop = false;
     std::exception_ptr firstError;

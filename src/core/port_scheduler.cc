@@ -1,12 +1,13 @@
 #include "core/port_scheduler.hh"
 
 #include <cassert>
+#include <cstddef>
 
 namespace tdc
 {
 
 PortScheduler::PortScheduler(unsigned ports_, unsigned steal_window)
-    : ports(ports_), stealWindow(steal_window), idleRing(steal_window, 0)
+    : ports(ports_), stealWindow(steal_window)
 {
     assert(ports > 0);
 }
@@ -31,11 +32,17 @@ PortScheduler::advancePast(uint64_t cycle)
             else if (c == horizonCycle)
                 used = horizonUsed;
             const unsigned idle = ports - used;
-            idleBank -= idleRing[idleOldest];
             idleBank += idle;
-            idleRing[idleOldest] = idle;
-            if (++idleOldest == stealWindow)
-                idleOldest = 0;
+            if (idleRing.size() == stealWindow) {
+                idleBank -= idleRing[idleOldest];
+                idleRing[idleOldest] = idle;
+                if (++idleOldest == stealWindow)
+                    idleOldest = 0;
+            } else {
+                // Still filling: the entries run oldest first from 0,
+                // where the full ring's oldest entry starts.
+                idleRing.push_back(idle);
+            }
         }
     }
 
@@ -55,9 +62,9 @@ PortScheduler::issueStolenRead()
         // now.
         --idleBank;
         // Consume the oldest recorded idle slot.
-        unsigned i = idleOldest;
+        size_t i = idleOldest;
         while (idleRing[i] == 0) {
-            if (++i == stealWindow)
+            if (++i == idleRing.size())
                 i = 0;
         }
         --idleRing[i];

@@ -84,8 +84,11 @@ class PortScheduler
 
     /**
      * Idle slots of each of the last stealWindow cycles: a ring whose
-     * oldest entry is at idleOldest. Cycles before time began count
-     * as zero idle slots. idleBank is the ring's sum.
+     * oldest entry is at idleOldest. It grows by one entry per elapsed
+     * cycle until it holds stealWindow entries, so it never holds more
+     * counters than cycles have elapsed, whatever the window; the
+     * cycles before time began have no idle slot to steal. idleBank is
+     * the ring's sum.
      */
     std::vector<unsigned> idleRing;
     unsigned idleOldest = 0;

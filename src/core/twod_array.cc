@@ -63,9 +63,9 @@ AccessResult
 TwoDimArray::readWord(size_t row, size_t slot)
 {
     ++stat.reads;
-    // Error-free fast path: borrow the stored row as a span and gather
-    // the codeword straight out of it — the only per-access work is
-    // the strided extract plus the horizontal syndrome. Rows carrying
+    // Error-free fast path: borrow the stored row and gather the
+    // codeword straight out of it — the only per-access work is the
+    // strided extract plus the horizontal syndrome. Rows carrying
     // a stuck-at overlay are materialized through the scratch buffer.
     if (!data.rowHasStuck(row)) {
         map.extractWordInto(data.viewRow(row), slot, cwScratch);

@@ -70,7 +70,7 @@ struct TwoDimStats
     uint64_t recoverySweeps = 0;
 
     /**
-     * readWord accesses served by borrowing the stored row as a span
+     * readWord accesses served by borrowing the stored row by reference
      * (no copy) vs. those that had to materialize a copy because the
      * row carries a stuck-at overlay. On a fault-free bank every read
      * is a borrow: rowCopies == 0 is the allocation-free fast-path

@@ -87,7 +87,6 @@ runIpcLossCampaign(const IpcLossCampaignSpec &spec)
     for (const WorkloadProfile &w : workloads)
         grid.rowLabels.push_back(w.name);
     grid.colHeaders = spec.columnHeaders;
-    grid.parallelCells = false; // the batch above did the heavy work
     grid.cell = [&](size_t row, size_t col) {
         return Table::pct(loss[row][col]);
     };

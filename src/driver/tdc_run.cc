@@ -7,7 +7,6 @@
 #include <iterator>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -439,15 +438,15 @@ listFaultsText()
 
 /**
  * --record-trace: tees every block the service reads into a trace at
- * @p path. The writer opens after the validation pass, so a stream
- * the service refuses never creates a file, and commit() renames the
- * finished trace into place.
+ * @p path. The writer goes through a temporary file, so a stream the
+ * service refuses leaves no file, and commit() renames the finished
+ * trace into place.
  */
 class RecordingSource final : public RequestSource
 {
   public:
-    RecordingSource(RequestSource &source, std::string path)
-        : source(source), path(std::move(path))
+    RecordingSource(RequestSource &source, const std::string &path)
+        : source(source), writer(path, source.size())
     {
     }
 
@@ -457,26 +456,15 @@ class RecordingSource final : public RequestSource
     next() override
     {
         const std::span<const ServiceRequest> block = source.next();
-        writer->append(block);
+        writer.append(block);
         return block;
     }
 
-    void rewind() override { source.rewind(); }
-
-    uint64_t
-    validate(uint64_t words) override
-    {
-        const uint64_t ticks = source.validate(words);
-        writer.emplace(path, source.size());
-        return ticks;
-    }
-
-    void commit() { writer->commit(); }
+    void commit() { writer.commit(); }
 
   private:
     RequestSource &source;
-    std::string path;
-    std::optional<TraceWriter> writer;
+    TraceWriter writer;
 };
 
 std::string

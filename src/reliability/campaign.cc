@@ -41,15 +41,9 @@ runCampaignGrid(const CampaignGrid &grid)
     result.rows.assign(nr, std::vector<std::string>(1 + nc));
     for (size_t r = 0; r < nr; ++r)
         result.rows[r][0] = grid.rowLabels[r];
-    const auto eval = [&](size_t i) {
+    parallelFor(nr * nc, [&](size_t i) {
         result.rows[i / nc][1 + i % nc] = grid.cell(i / nc, i % nc);
-    };
-    if (grid.parallelCells) {
-        parallelFor(nr * nc, eval);
-    } else {
-        for (size_t i = 0; i < nr * nc; ++i)
-            eval(i);
-    }
+    });
     return result;
 }
 

@@ -47,14 +47,6 @@ struct CampaignGrid
      * memoized numeric outcome never includes the formatting.
      */
     std::function<std::string(size_t row, size_t col)> cell;
-
-    /**
-     * Evaluate cells over the worker pool. Leave on for grids of
-     * Monte-Carlo campaigns (each cell's inner sweep then degrades to
-     * serial via the nested-parallelFor rule); analytic grids may
-     * clear it to keep the pool free for an outer driver.
-     */
-    bool parallelCells = true;
 };
 
 /** An executed campaign: its title, headers and rendered rows. */

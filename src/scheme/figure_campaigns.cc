@@ -112,7 +112,6 @@ figure1StorageCampaign()
     grid.rowHeader = "Code";
     grid.rowLabels = figure1RowLabels();
     grid.colHeaders = {"HD", "64b word", "256b word"};
-    grid.parallelCells = false;
     grid.cell = [](size_t row, size_t col) -> std::string {
         const CodeKind kind = kFigure1Kinds[row];
         switch (col) {
@@ -134,7 +133,6 @@ figure1EnergyCampaign()
     grid.rowHeader = "Code";
     grid.rowLabels = figure1RowLabels();
     grid.colHeaders = {"64b word / 64kB array", "256b word / 4MB array"};
-    grid.parallelCells = false;
     grid.cell = [](size_t row, size_t col) {
         const CodeKind kind = kFigure1Kinds[row];
         return col == 0
@@ -167,7 +165,6 @@ figure2EnergyCampaign(const std::string &title, size_t capacity_bytes,
         grid.rowLabels.push_back(std::to_string(degree) + ":1");
     grid.colHeaders = {"Delay-opt", "Delay+Area-opt", "Balanced",
                        "Power-opt"};
-    grid.parallelCells = false;
     grid.cell = [=](size_t row, size_t col) {
         const size_t degree = size_t(1) << row;
         const SramMetrics m =
@@ -193,7 +190,6 @@ figure3OverheadCampaign()
                       "(b) " + schemes[1]->name(),
                       "(c) 2D EDC8+Intv4/EDC32"};
     grid.colHeaders = {"Storage overhead", "Guaranteed coverage"};
-    grid.parallelCells = false;
     grid.cell = [schemes](size_t row, size_t col) -> std::string {
         if (col == 1) {
             static const char *coverage[] = {"4-bit row bursts",
@@ -248,7 +244,6 @@ figure7Campaign(const std::string &title, const CacheGeometry &geom,
     for (const SchemePtr &s : schemes)
         grid.rowLabels.push_back(s->name());
     grid.colHeaders = {"Code area", "Coding latency", "Dynamic power"};
-    grid.parallelCells = false;
     grid.cell = [=](size_t row, size_t col) {
         // The normalized triple is dominated by the SRAM-optimizer
         // search inside costSpec(), so it is memoized as one 3-wide
@@ -272,7 +267,6 @@ figure8YieldCampaign()
         grid.rowLabels.push_back(Table::num(f, 0));
     grid.colHeaders = {"Spare_128", "ECC only", "ECC + Spare_16",
                        "ECC + Spare_32"};
-    grid.parallelCells = false;
     grid.cell = [](size_t row, size_t col) {
         const YieldModel ym(YieldParams::l2Cache16MB());
         const double f = kFailingCells[row];
@@ -334,7 +328,6 @@ figure8SoftErrorCampaign()
         grid.rowLabels.push_back(Table::num(years, 0));
     grid.colHeaders = {"With 2D coding", "No 2D, HER=0.0005%",
                        "No 2D, HER=0.001%", "No 2D, HER=0.005%"};
-    grid.parallelCells = false;
     grid.cell = [](size_t row, size_t col) {
         const double years = double(row);
         if (col == 0) {
@@ -387,7 +380,6 @@ chipkillOverheadCampaign()
     for (const SchemePtr &s : schemes)
         grid.rowLabels.push_back(s->name());
     grid.colHeaders = {"Storage overhead", "Guaranteed coverage"};
-    grid.parallelCells = false;
     grid.cell = [schemes](size_t row, size_t col) -> std::string {
         if (col == 1) {
             static const char *coverage[] = {

@@ -78,9 +78,8 @@ constexpr unsigned kAccessLatency = 2;
 class ShardWorker
 {
   public:
-    ShardWorker(const ServiceConfig &cfg, size_t shard, const CodePtr &code,
-                unsigned steal_window)
-        : cfg(cfg), sched(cfg.ports, steal_window),
+    ShardWorker(const ServiceConfig &cfg, size_t shard, const CodePtr &code)
+        : cfg(cfg), sched(cfg.ports, cfg.stealWindow),
           shardBase(shardSeed(cfg.seed, shard)),
           golden(cfg.totalWords() / cfg.shards, 0),
           written(golden.size(), 0)
@@ -291,46 +290,56 @@ CacheService::serve(const std::vector<ServiceRequest> &requests) const
 ServiceReport
 CacheService::serve(RequestSource &source) const
 {
-    // The validation pass: every address is checked before the first
-    // request is served, so a bad stream leaves nothing half-served.
     ServiceReport report;
-    report.ticks = source.validate(cfg.totalWords());
     report.shards.resize(cfg.shards);
     if (cfg.recordOutcomes)
         report.outcomes.resize(source.size());
-    // No shard advances past the tick span (ticks only clamp forward,
-    // and background events never pass the request tick), so a
-    // steal-window ring that long never wraps. A longer window would
-    // change no byte, only allocate one idle counter per cycle.
-    const unsigned steal_window =
-        unsigned(std::min<uint64_t>(cfg.stealWindow, report.ticks));
 
     std::vector<std::unique_ptr<ShardWorker>> workers(cfg.shards);
     parallelFor(cfg.shards, [&](size_t s) {
-        workers[s] =
-            std::make_unique<ShardWorker>(cfg, s, code, steal_window);
+        workers[s] = std::make_unique<ShardWorker>(cfg, s, code);
     });
 
-    // Each block partitions by address into reused buffers, keeping
-    // arrival order per shard. A shard's worker lives across blocks
+    // One pass: each block is checked and partitioned by address into
+    // reused buffers, keeping arrival order per shard, and the tick
+    // span is tracked on the way. A shard's worker lives across blocks
     // and writes only its own outcome slots, so it serves the same
     // subsequence in the same order at any pool size.
+    const uint64_t words = cfg.totalWords();
     std::vector<std::vector<uint32_t>> byShard(cfg.shards);
     uint64_t first = 0;
+    uint64_t bad = UINT64_MAX, bad_address = 0;
     for (auto block = source.next(); !block.empty(); block = source.next()) {
         for (std::vector<uint32_t> &indices : byShard)
             indices.clear();
-        for (size_t i = 0; i < block.size(); ++i)
-            byShard[block[i].address % cfg.shards].push_back(uint32_t(i));
-        parallelFor(cfg.shards, [&](size_t s) {
-            for (uint32_t i : byShard[s])
-                workers[s]->serveOne(block[i],
-                                     cfg.recordOutcomes
-                                         ? &report.outcomes[first + i]
-                                         : nullptr);
-        });
+        for (size_t i = 0; i < block.size() && bad == UINT64_MAX; ++i) {
+            const ServiceRequest &r = block[i];
+            if (r.address >= words) {
+                bad = first + i;
+                bad_address = r.address;
+                break;
+            }
+            report.ticks = std::max(report.ticks, r.tick + 1);
+            byShard[r.address % cfg.shards].push_back(uint32_t(i));
+        }
+        // From the first refused request on, nothing is served and the
+        // stream is only read on, so a format error that a trace's
+        // next() throws later still comes first.
+        if (bad == UINT64_MAX)
+            parallelFor(cfg.shards, [&](size_t s) {
+                for (uint32_t i : byShard[s])
+                    workers[s]->serveOne(block[i],
+                                         cfg.recordOutcomes
+                                             ? &report.outcomes[first + i]
+                                             : nullptr);
+            });
         first += block.size();
     }
+    if (bad != UINT64_MAX)
+        throw std::out_of_range(
+            "request \"" + std::to_string(bad) + "\" address \"" +
+            std::to_string(bad_address) + "\" >= " +
+            std::to_string(words) + " words of the service");
 
     for (size_t s = 0; s < cfg.shards; ++s) {
         report.shards[s] = workers[s]->finish();

@@ -17,9 +17,9 @@
  * reports merge in ascending shard order — so the full report is
  * bit-identical at any TDC_THREADS setting.
  *
- * Streaming: serve() reads a RequestSource (service/request.hh) one
- * block of kRequestBlock requests at a time, after a validation pass
- * that checks every address and yields the tick span. What a run
+ * Streaming: serve() reads a RequestSource (service/request.hh) once,
+ * one block of kRequestBlock requests at a time, checking each address
+ * and tracking the tick span as it partitions the block. What a run
  * holds is its banks plus one block and its shard partition, whatever
  * the stream's length (/n), unless per-request outcomes are recorded.
  */
@@ -132,7 +132,7 @@ struct ServiceReport
 {
     std::vector<ShardServiceReport> shards; ///< ascending shard order
     ShardServiceReport total;               ///< merged in shard order
-    uint64_t ticks = 0;                     ///< simulated duration
+    uint64_t ticks = 0; ///< simulated duration: largest tick + 1
     std::vector<RequestOutcome> outcomes;   ///< per input request, opt.
 
     /** Served requests per 1000 simulated cycles. */
@@ -145,11 +145,11 @@ struct ServiceReport
  * The concurrent cache service. Construction validates the config
  * (throws std::invalid_argument on zero shards/banks/ports, or when
  * totalWords() exceeds ServiceConfig::kMaxTotalWords) before any bank
- * is built; serve() validates addresses in the source's validation
- * pass, before any request is served (throws std::out_of_range on any
- * address >= totalWords(), banks untouched), and serves each shard's
- * requests in arrival order (a tick earlier than the shard's clock
- * clamps forward).
+ * is built; serve() serves each shard's requests in arrival order (a
+ * tick earlier than the shard's clock clamps forward). From the first
+ * address >= totalWords() on it serves nothing, reads the source to
+ * its end (so the source's own format errors come first), and throws
+ * std::out_of_range quoting that request's index and address.
  *
  * Layout: address a belongs to shard a mod shards as shard-local word
  * w = a / shards, which lives in bank w mod banksPerShard at row
@@ -165,8 +165,8 @@ class CacheService
     const ServiceConfig &config() const { return cfg; }
 
     /**
-     * Serve @p source: its validation pass, then block by block. Each
-     * block is partitioned by shard and the shards run over the pool;
+     * Serve @p source in one pass, block by block. Each block is
+     * partitioned by shard and the shards run over the pool;
      * every shard's worker (banks, port scheduler, clock) lives across
      * blocks, so the report does not depend on the block size or the
      * pool size, and memory is bounded by one block, not the stream

@@ -35,33 +35,6 @@ expandValue(uint64_t value, size_t bits)
     return word;
 }
 
-uint64_t
-RequestSource::validate(uint64_t words)
-{
-    rewind();
-    uint64_t ticks = 0, index = 0;
-    uint64_t bad = UINT64_MAX, bad_address = 0;
-    for (auto block = next(); !block.empty(); block = next()) {
-        for (const ServiceRequest &r : block) {
-            ticks = std::max(ticks, r.tick + 1);
-            if (r.address >= words && bad == UINT64_MAX) {
-                bad = index;
-                bad_address = r.address;
-            }
-            ++index;
-        }
-    }
-    rewind();
-    // Reported after the whole pass, so every format error of the
-    // stream comes first, as when a trace was loaded before serving.
-    if (bad != UINT64_MAX)
-        throw std::out_of_range(
-            "request \"" + std::to_string(bad) + "\" address \"" +
-            std::to_string(bad_address) + "\" >= " +
-            std::to_string(words) + " words of the service");
-    return ticks;
-}
-
 std::vector<ServiceRequest>
 drainRequests(RequestSource &source)
 {
@@ -127,7 +100,7 @@ TraceReader::readHeader()
 
     // The body size comes from the stream's end, so a truncated or
     // overlong trace is refused before any record is read.
-    bodyStart = in.tellg();
+    const std::streamoff bodyStart = in.tellg();
     in.seekg(0, std::ios::end);
     const std::streamoff end = in.tellg();
     if (bodyStart < 0 || end < 0)
@@ -141,15 +114,7 @@ TraceReader::readHeader()
     const size_t capacity = size_t(std::min<uint64_t>(count, kRequestBlock));
     bytes.resize(capacity * kRecordBytes);
     block.resize(capacity);
-    rewind();
-}
-
-void
-TraceReader::rewind()
-{
-    in.clear();
     in.seekg(bodyStart);
-    consumed = 0;
 }
 
 std::span<const ServiceRequest>

@@ -1,10 +1,10 @@
 /**
  * @file
  * The request-level workload unit of the cache service: one timestamped
- * read or write aimed at a flat word address; the bounded, rewindable
- * RequestSource every stream is served from; and the replayable binary
- * trace format (TraceReader/TraceWriter) that pins a stream of requests
- * to disk byte-for-byte.
+ * read or write aimed at a flat word address; the bounded RequestSource
+ * every stream is served from, read once from start to end; and the
+ * replayable binary trace format (TraceReader/TraceWriter) that pins a
+ * stream of requests to disk byte-for-byte.
  *
  * Every source hands out its stream in blocks of at most kRequestBlock
  * requests, so serving, recording and replaying hold one block of the
@@ -63,9 +63,8 @@ BitVector expandValue(uint64_t value, size_t bits);
 inline constexpr size_t kRequestBlock = size_t(1) << 16;
 
 /**
- * A rewindable request stream read in blocks. Serving takes two passes
- * over it: validate() first, which checks the whole stream and stores
- * nothing, then next() block by block.
+ * A request stream read in blocks, once, from request 0 to the end.
+ * The service checks each request as it serves it (CacheService::serve).
  */
 class RequestSource
 {
@@ -83,20 +82,6 @@ class RequestSource
      * empty once the stream is drained. Valid until the next call.
      */
     virtual std::span<const ServiceRequest> next() = 0;
-
-    /** Restart the stream at request 0. */
-    virtual void rewind() = 0;
-
-    /**
-     * The validation pass, made before the first request is served:
-     * read the stream from request 0, confirm every address is below
-     * @p words, and return the tick span (largest tick + 1; 0 for an
-     * empty stream). Leaves the source rewound.
-     * @throws std::out_of_range quoting the index and address of the
-     *         first request whose address is out of range, after any
-     *         format error the source's next() throws on the way
-     */
-    virtual uint64_t validate(uint64_t words);
 };
 
 /** Read all of @p source into one vector (the vector adapters). */
@@ -113,7 +98,6 @@ class VectorRequestSource final : public RequestSource
 
     uint64_t size() const override { return requests.size(); }
     std::span<const ServiceRequest> next() override;
-    void rewind() override { pos = 0; }
 
   private:
     const std::vector<ServiceRequest> &requests;
@@ -132,8 +116,8 @@ class VectorRequestSource final : public RequestSource
  * A recorded trace as a RequestSource. Opening checks the header and
  * that the body holds exactly the records the header promises; next()
  * reads one block with a plain stream read and throws on a malformed
- * op byte, so a trace's format errors come before any address error of
- * validate().
+ * op byte. The service reads a refused stream to its end before it
+ * reports an address, so a trace's format errors come first.
  */
 class TraceReader final : public RequestSource
 {
@@ -153,16 +137,14 @@ class TraceReader final : public RequestSource
     uint64_t size() const override { return count; }
     /** @throws std::invalid_argument on a malformed record. */
     std::span<const ServiceRequest> next() override;
-    void rewind() override;
 
   private:
     void readHeader();
 
     std::ifstream file; ///< open when reading by path
     std::istream &in;
-    std::streamoff bodyStart = 0;
     uint64_t count = 0;
-    uint64_t consumed = 0; ///< records handed out since the last rewind
+    uint64_t consumed = 0; ///< records handed out so far
     std::vector<unsigned char> bytes;
     std::vector<ServiceRequest> block;
 };

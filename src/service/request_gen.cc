@@ -169,28 +169,6 @@ RequestGenerator::next()
     return {block.data(), n};
 }
 
-uint64_t
-RequestGenerator::validate(uint64_t limit)
-{
-    if (limit < words)
-        return RequestSource::validate(limit);
-    rewind();
-    if (spec.count == 0)
-        return 0;
-    if (spec.dist != RequestDist::kBurst)
-        return spec.count; // request i arrives at tick i
-    // Burst b spans ticks b * gap + [0, len). The last burst may be
-    // cut short; with a gap below the length, the full burst before
-    // it can end later.
-    const uint64_t last = spec.count - 1;
-    const uint64_t burst = last / spec.burstLen;
-    uint64_t max_tick = burst * burstGap + last % spec.burstLen;
-    if (burst > 0)
-        max_tick = std::max<uint64_t>(
-            max_tick, (burst - 1) * burstGap + spec.burstLen - 1);
-    return max_tick + 1;
-}
-
 std::unique_ptr<RequestSource>
 openRequestSource(const RequestStreamSpec &spec, size_t words,
                   uint64_t seed)

@@ -32,9 +32,8 @@
  *
  * A stream is served from a RequestSource (service/request.hh), one
  * block of kRequestBlock requests at a time: RequestGenerator makes
- * each block afresh, in parallel over the block, and answers the
- * validation pass in closed form, so a generated stream of any /n
- * holds one block in memory.
+ * each block afresh, in parallel over the block, so a generated stream
+ * of any /n holds one block in memory.
  */
 
 #ifndef TDC_SERVICE_REQUEST_GEN_HH
@@ -97,14 +96,6 @@ class RequestGenerator final : public RequestSource
 
     uint64_t size() const override { return spec.count; }
     std::span<const ServiceRequest> next() override;
-    void rewind() override { made = 0; }
-
-    /**
-     * The tick span in closed form (no request is generated); every
-     * address is below the generator's words by construction, so only
-     * a smaller @p words takes the reading pass.
-     */
-    uint64_t validate(uint64_t words) override;
 
   private:
     /** Request @p i of the stream. */
@@ -115,7 +106,7 @@ class RequestGenerator final : public RequestSource
     uint64_t seed;
     size_t burstGap; ///< the spec's gap, its default resolved
     double zipfK;    ///< power-law skew exponent, zipf only
-    uint64_t made = 0; ///< requests handed out since the last rewind
+    uint64_t made = 0; ///< requests handed out so far
     std::vector<ServiceRequest> block;
 };
 

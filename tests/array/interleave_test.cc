@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "array/interleave.hh"
-#include "common/bit_span.hh"
 #include "common/rng.hh"
 
 namespace tdc
@@ -236,6 +235,15 @@ TEST(InterleaveMap, LineAndWordPathsMatchTheColumnOracle)
             }
         }
     }
+}
+
+TEST(StrideMask, KnownPatterns)
+{
+    EXPECT_EQ(strideMask64(1), ~uint64_t(0));
+    EXPECT_EQ(strideMask64(2), 0x5555555555555555ull);
+    EXPECT_EQ(strideMask64(4), 0x1111111111111111ull);
+    EXPECT_EQ(strideMask64(8), 0x0101010101010101ull);
+    EXPECT_EQ(strideMask64(64), 1ull);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Pins the allocation-free clean-read invariant: fault-free reads
- * borrow the stored row as a span and never materialize a row copy.
+ * borrow the stored row by reference and never materialize a row copy.
  */
 
 #include <gtest/gtest.h>

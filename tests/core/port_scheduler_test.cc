@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.hh"
@@ -164,6 +165,44 @@ TEST(PortScheduler, JumpingEqualsSteppingEveryCycle)
             EXPECT_GT(delay, 0u) << ports << "x" << window;
         }
     }
+}
+
+TEST(PortScheduler, WindowsPastTheElapsedSpanAgree)
+{
+    // The idle ring holds at most one counter per elapsed cycle, so a
+    // window as long as the whole schedule, 2^20 cycles and 2^32 - 1
+    // cycles all run in a few kilobytes, and on a schedule that short
+    // every elapsed cycle is in each window: the three must issue
+    // alike. A short window must not (the schedule reaches far back).
+    static constexpr uint64_t kCycles = 3000;
+    const auto run = [](unsigned window) {
+        PortScheduler ps(2, window);
+        Rng rng(2026);
+        std::vector<unsigned> results;
+        uint64_t cycle = 0;
+        while (cycle < kCycles) {
+            // Quiet stretches bank idle slots; busy ones, deeper than
+            // the two ports, drain them and build a backlog.
+            cycle = std::min(kCycles, cycle + 1 + rng.nextBelow(
+                                                      rng.nextBool(0.1)
+                                                          ? 60
+                                                          : 2));
+            ps.advanceTo(cycle);
+            const uint64_t accesses = rng.nextBelow(9);
+            for (uint64_t i = 0; i < accesses; ++i)
+                results.push_back(rng.nextBool(0.5)
+                                      ? ps.issueDemand()
+                                      : 100 + ps.issueStolenRead());
+        }
+        return results;
+    };
+    const std::vector<unsigned> span = run(unsigned(kCycles));
+    EXPECT_EQ(run(1u << 20), span);
+    EXPECT_EQ(run(4294967295u), span);
+    EXPECT_NE(run(8), span);
+    // Both stolen-read outcomes occurred.
+    EXPECT_NE(std::count(span.begin(), span.end(), 100u), 0);
+    EXPECT_NE(std::count(span.begin(), span.end(), 101u), 0);
 }
 
 } // namespace

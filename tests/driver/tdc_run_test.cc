@@ -358,10 +358,10 @@ TEST(TdcRun, ServeRecordsAReplayableTrace)
 
 TEST(TdcRun, ServeStealWindowPastTheTickSpanChangesNothing)
 {
-    // The port scheduler keeps one idle counter per cycle of the steal
-    // window. No shard advances past the stream's tick span, so the
-    // service caps the window there: the widest window runs (it used
-    // to end in bad_alloc) and prints the bytes the span prints.
+    // The port scheduler's idle ring grows by one counter per elapsed
+    // cycle up to the steal window. No shard advances past the
+    // stream's tick span, so the widest window runs (it used to end in
+    // bad_alloc) and prints the bytes the span prints.
     const std::string trace = testing::TempDir() + "tdc_run_span.bin";
     for (const std::vector<std::string> &stream :
          {std::vector<std::string>{"burst16/n1e4/g64/w0"},

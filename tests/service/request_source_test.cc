@@ -3,7 +3,7 @@
  * The block path of the service: serving a RequestSource one block at
  * a time must equal serving the same stream drained into a vector,
  * outcomes included, at TDC_THREADS 1 and 4, for stream lengths on
- * and around the block size; the validation pass must report the tick
+ * and around the block size; the one serving pass must report the tick
  * span (largest tick + 1) for streams whose ticks are not monotone;
  * and a trace's format errors must still come before its address
  * errors, as when a trace was loaded whole before serving.
@@ -15,6 +15,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -75,16 +77,17 @@ fallingTicks(size_t n, size_t words)
     return requests;
 }
 
+/** A fresh source over the same stream at every call. */
+using SourceOpener = std::function<std::unique_ptr<RequestSource>()>;
+
 /** serve(source) == serve(its drained vector) at 1 and 4 threads, and
  *  report.ticks is the span. */
 void
-expectSourceMatchesVector(const ServiceConfig &cfg, RequestSource &source,
+expectSourceMatchesVector(const ServiceConfig &cfg, const SourceOpener &open,
                           const std::string &what)
 {
     ThreadGuard guard;
-    const std::vector<ServiceRequest> requests = drainRequests(source);
-    source.rewind();
-    ASSERT_EQ(requests.size(), source.size()) << what;
+    const std::vector<ServiceRequest> requests = drainRequests(*open());
     const CacheService service(cfg);
     setParallelThreads(1);
     const ServiceReport reference = service.serve(requests);
@@ -92,7 +95,9 @@ expectSourceMatchesVector(const ServiceConfig &cfg, RequestSource &source,
     EXPECT_EQ(reference.outcomes.size(), requests.size()) << what;
     for (unsigned threads : {1u, 4u}) {
         setParallelThreads(threads);
-        EXPECT_EQ(service.serve(source), reference)
+        const std::unique_ptr<RequestSource> source = open();
+        ASSERT_EQ(source->size(), requests.size()) << what;
+        EXPECT_EQ(service.serve(*source), reference)
             << what << " TDC_THREADS=" << threads;
     }
 }
@@ -104,9 +109,13 @@ TEST(RequestSource, GeneratedStreamsServeLikeTheirVectors)
         for (size_t n : kLengths) {
             RequestStreamSpec spec = parseRequestSpec(shape);
             spec.count = n;
-            RequestGenerator source(spec, cfg.totalWords(), 77);
             expectSourceMatchesVector(
-                cfg, source, std::string(shape) + " n=" + std::to_string(n));
+                cfg,
+                [&] {
+                    return std::make_unique<RequestGenerator>(
+                        spec, cfg.totalWords(), 77);
+                },
+                std::string(shape) + " n=" + std::to_string(n));
         }
     }
 }
@@ -119,9 +128,10 @@ TEST(RequestSource, TraceWithFallingTicksServesLikeItsVector)
         const std::vector<ServiceRequest> requests =
             fallingTicks(n, cfg.totalWords());
         writeTrace(path, requests);
+        expectSourceMatchesVector(
+            cfg, [&] { return std::make_unique<TraceReader>(path); },
+            "n=" + std::to_string(n));
         TraceReader source(path);
-        expectSourceMatchesVector(cfg, source, "n=" + std::to_string(n));
-        source.rewind();
         EXPECT_TRUE(drainRequests(source) == requests) << "n=" << n;
     }
     std::remove(path.c_str());
@@ -138,36 +148,54 @@ TEST(RequestSource, BlocksNeverExceedTheBlockSize)
     EXPECT_EQ(sizes, (std::vector<size_t>{kB, kB, 3}));
 }
 
-TEST(RequestSource, GeneratorSpanIsTheReadingPassSpan)
+TEST(RequestSource, ServedTicksAreTheLargestTickPlusOne)
 {
-    // The generator answers the validation pass in closed form; it must
-    // match the pass that reads every request, bursts whose gap is
-    // shorter than the burst (ticks not monotone) included.
+    // serve() tracks the tick span in the pass that serves the stream;
+    // bursts whose gap is shorter than the burst (ticks not monotone)
+    // included.
+    ServiceConfig cfg = blockConfig();
+    cfg.recordOutcomes = false;
+    const CacheService service(cfg);
     for (const char *shape :
          {"uniform/n1", "uniform/n1000", "zipf90/n777", "burst16/n1/g8",
           "burst16/n15/g8", "burst16/n16/g8", "burst16/n17/g8",
           "burst16/n100/g8", "burst16/n100/g1", "burst16/n100/g16",
           "burst16/n100/g200", "burst64/n100000", "burst1/n9/g1"}) {
-        RequestGenerator source(parseRequestSpec(shape), 4096, 5);
-        const uint64_t closed = source.validate(4096);
-        EXPECT_EQ(closed, source.RequestSource::validate(4096)) << shape;
-        EXPECT_EQ(closed, maxTickPlusOne(drainRequests(source))) << shape;
+        const RequestStreamSpec spec = parseRequestSpec(shape);
+        RequestGenerator source(spec, cfg.totalWords(), 5);
+        RequestGenerator copy(spec, cfg.totalWords(), 5);
+        EXPECT_EQ(service.serve(source).ticks,
+                  maxTickPlusOne(drainRequests(copy)))
+            << shape;
     }
 }
 
 TEST(RequestSource, GeneratorForALargerSpaceIsCheckedAddressByAddress)
 {
-    // A generator over more words than the service holds takes the
-    // reading pass and names its first out-of-range request.
-    RequestGenerator source(parseRequestSpec("uniform/n100"), 1 << 20, 3);
+    // A generator over more words than the service holds is served
+    // until its first out-of-range request, which is named, and then
+    // read to its end.
+    const ServiceConfig cfg = blockConfig();
+    const uint64_t words = cfg.totalWords();
+    const RequestStreamSpec spec = parseRequestSpec("uniform/n100");
+    RequestGenerator copy(spec, 1 << 20, 3);
+    const std::vector<ServiceRequest> requests = drainRequests(copy);
+    const auto bad = std::find_if(
+        requests.begin(), requests.end(),
+        [&](const ServiceRequest &r) { return r.address >= words; });
+    ASSERT_NE(bad, requests.end());
+    RequestGenerator source(spec, 1 << 20, 3);
     try {
-        source.validate(16);
+        CacheService(cfg).serve(source);
         FAIL() << "accepted addresses past the service";
     } catch (const std::out_of_range &e) {
-        EXPECT_NE(std::string(e.what()).find("request \"0\""),
-                  std::string::npos)
-            << e.what();
+        EXPECT_EQ(std::string(e.what()),
+                  "request \"" + std::to_string(bad - requests.begin()) +
+                      "\" address \"" + std::to_string(bad->address) +
+                      "\" >= " + std::to_string(words) +
+                      " words of the service");
     }
+    EXPECT_TRUE(source.next().empty()) << "the stream was not read on";
 }
 
 std::string
