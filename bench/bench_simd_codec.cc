@@ -212,15 +212,13 @@ BENCHMARK(BM_LineEncode)->DenseRange(0, 1);
 void
 BM_BchDecodeDirty(benchmark::State &state)
 {
-    // Four errors drive the locator to degree 4, which the
-    // closed-form quartic answers — the BENCH_0007 "dirty decode"
-    // series.
+    // Four errors drive the locator to degree 4 — the BENCH_0007
+    // "dirty decode" series.
     const size_t t = state.range(0) == 0 ? 4 : 8;
     const BchCode code(64, t);
     BitVector cw = code.encode(randomRow(64, 110));
-    // High-position errors: a Chien sweep would scan nearly the whole
-    // shortened length before its first deflation, while the quartic
-    // closed form is position independent.
+    // High-position errors: the Chien sweep scans nearly the whole
+    // shortened length before its first deflation, its worst case.
     const size_t n = code.codewordBits();
     for (size_t i = 0; i < 4; ++i)
         cw.flip(n - 1 - i * 4);

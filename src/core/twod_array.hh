@@ -105,12 +105,13 @@ struct TwoDimStats
  * on every write via read-before-write.
  *
  * The guaranteed coverage (Section 3): any clustered error whose
- * footprint spans at most clusterHeightCoverage() rows is correctable
- * provided the horizontal code detects the per-word corruption (true
- * for any footprint at most degree x burst-detect width columns wide,
- * and for any single-bit-per-word corruption regardless of width). Errors
- * taller than V rows are additionally correctable when the vertical
- * syndrome can localize the faulty columns (tall-narrow bursts).
+ * footprint spans at most V rows (TwoDimConfig::verticalParityRows)
+ * is correctable provided the horizontal code detects the per-word
+ * corruption (true for any footprint at most degree x burst-detect
+ * width columns wide, and for any single-bit-per-word corruption
+ * regardless of width). Errors taller than V rows are additionally
+ * correctable when the vertical syndrome can localize the faulty
+ * columns (tall-narrow bursts).
  */
 class TwoDimArray
 {

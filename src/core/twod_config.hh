@@ -49,9 +49,6 @@ struct TwoDimConfig
     /** The paper's L1 configuration (EDC8+Intv4, EDC32). */
     static TwoDimConfig l1Default();
 
-    /** Guaranteed correctable cluster height (rows). */
-    size_t clusterHeightCoverage() const { return verticalParityRows; }
-
     std::string describe() const;
 };
 

@@ -292,224 +292,11 @@ BchCode::berlekampMasseyFast(const uint32_t *synd, uint32_t *loc) const
     return deg;
 }
 
-namespace
-{
-
-/**
- * All solutions of the affine equation y^4 + P y^2 + Q y = R over
- * GF(2^m), m <= 12. The left side L(y) is GF(2)-linear in y
- * (squaring and constant multiplication both are), so the solution
- * set is a coset: one particular solution plus the kernel of the
- * m x m bit matrix of L — found by one Gaussian elimination over the
- * basis images L(e_i), reducing R against the same pivots.
- *
- * Returns 4 with the solutions in @p out when the kernel has
- * dimension exactly 2 and R lies in the image, 0 otherwise. The
- * locator paths only ever need full splitting (deg distinct roots),
- * so partial solution sets are not reported. With R == 0 the
- * particular solution is 0 and @p out is the kernel itself — the
- * cubic path uses its three nonzero elements.
- */
-size_t
-affineQuarticSolutions(const GF2m &gf, uint32_t P, uint32_t Q, uint32_t R,
-                       uint32_t out[4])
-{
-    const unsigned m = gf.degree();
-    uint32_t piv_col[12];  // reduced columns with a pivot
-    uint32_t piv_comb[12]; // input combination producing each
-    int pivot_of_bit[12];
-    for (unsigned i = 0; i < m; ++i)
-        pivot_of_bit[i] = -1;
-    size_t num_piv = 0;
-    uint32_t kernel[2];
-    size_t kdim = 0;
-    for (unsigned i = 0; i < m; ++i) {
-        const uint32_t e = uint32_t(1) << i;
-        uint32_t v = gf.sqr(gf.sqr(e)) ^ gf.mul(P, gf.sqr(e)) ^
-                     gf.mul(Q, e);
-        uint32_t comb = e;
-        while (v != 0) {
-            const int hb = int(std::bit_width(v)) - 1;
-            const int j = pivot_of_bit[hb];
-            if (j < 0)
-                break;
-            v ^= piv_col[j];
-            comb ^= piv_comb[j];
-        }
-        if (v != 0) {
-            piv_col[num_piv] = v;
-            piv_comb[num_piv] = comb;
-            pivot_of_bit[std::bit_width(v) - 1] = int(num_piv);
-            ++num_piv;
-        } else {
-            if (kdim < 2)
-                kernel[kdim] = comb;
-            ++kdim;
-        }
-    }
-    if (kdim != 2)
-        return 0;
-
-    // Particular solution: reduce R against the pivots. Every step
-    // cancels the current leading bit, so it terminates; a leading
-    // bit with no pivot means R is outside the image — no solution.
-    uint32_t part = 0;
-    uint32_t rem = R;
-    while (rem != 0) {
-        const int j = pivot_of_bit[std::bit_width(rem) - 1];
-        if (j < 0)
-            return 0;
-        rem ^= piv_col[j];
-        part ^= piv_comb[j];
-    }
-    out[0] = part;
-    out[1] = part ^ kernel[0];
-    out[2] = part ^ kernel[1];
-    out[3] = part ^ kernel[0] ^ kernel[1];
-    return 4;
-}
-
-} // namespace
-
-bool
-BchCode::locateClosed(const uint32_t *loc, size_t deg,
-                      std::vector<size_t> &positions) const
-{
-    const GF2m &gf = *field;
-    const uint32_t order = gf.order();
-    const size_t n = k + r;
-
-    // Roots are x = alpha^-p: position p = (order - log x) mod order,
-    // valid only when p < n. The locator's constant term is nonzero
-    // (invariant of BM and preserved by deflation: 0 is never a
-    // root), so x = 0 never occurs.
-    const auto push_root = [&](uint32_t x) {
-        const uint32_t lx = gf.log(x);
-        const uint32_t p = lx == 0 ? 0 : order - lx;
-        if (p >= n)
-            return false;
-        positions.push_back(p);
-        return true;
-    };
-
-    if (deg == 1) {
-        // loc0 + loc1 x = 0  =>  x = loc0/loc1.
-        return push_root(gf.div(loc[0], loc[1]));
-    }
-
-    if (deg == 2) {
-        // x^2 + a x + b with a = loc1/loc2, b = loc0/loc2. a == 0
-        // means a repeated root: two distinct error positions cannot
-        // exist.
-        if (loc[1] == 0)
-            return false;
-        const uint32_t a = gf.div(loc[1], loc[2]);
-        const uint32_t b = gf.div(loc[0], loc[2]);
-        // Substitute x = a*y: y^2 + y + b/a^2 = 0.
-        const uint32_t y0 = gf.solveQuadratic(gf.div(b, gf.sqr(a)));
-        if (y0 == GF2m::kNoRoot)
-            return false;
-        return push_root(gf.mul(a, y0)) && push_root(gf.mul(a, y0 ^ 1));
-    }
-
-    if (deg == 3) {
-        // Berlekamp's closed form. Monic: x^3 + a x^2 + b x + c;
-        // substituting x = y + a gives the depressed cubic
-        // y^3 + P y + Q with P = a^2 + b, Q = a*b + c.
-        const uint32_t a = gf.div(loc[2], loc[3]);
-        const uint32_t b = gf.div(loc[1], loc[3]);
-        const uint32_t c = gf.div(loc[0], loc[3]);
-        const uint32_t P = gf.sqr(a) ^ b;
-        const uint32_t Q = gf.mul(a, b) ^ c;
-
-        if (Q == 0) {
-            // y (y^2 + P) = 0: y = 0 plus a double root sqrt(P) —
-            // never three distinct roots.
-            return false;
-        }
-
-        // Multiplying by y gives L(y) = y^4 + P y^2 + Q y = 0, whose
-        // nonzero solutions are exactly the cubic's roots (0 is no
-        // cubic root: Q != 0). The cubic splits with distinct roots
-        // iff L's kernel has dimension 2; its three nonzero elements
-        // are the roots. Uniform over every field — no trace-case
-        // analysis.
-        uint32_t sols[4];
-        if (affineQuarticSolutions(gf, P, Q, 0, sols) != 4)
-            return false; // at most one root: cannot split
-        for (uint32_t y : sols) {
-            if (y != 0 && !push_root(y ^ a)) // x = y + a
-                return false;
-        }
-        return true;
-    }
-
-    // deg == 4: closed-form quartic. Monic: x^4 + a x^3 + b x^2 +
-    // c x + d (d != 0: zero is never a locator root).
-    assert(deg == 4);
-    const uint32_t a = gf.div(loc[3], loc[4]);
-    const uint32_t b = gf.div(loc[2], loc[4]);
-    const uint32_t c = gf.div(loc[1], loc[4]);
-    const uint32_t d = gf.div(loc[0], loc[4]);
-
-    uint32_t sols[4];
-    if (a == 0) {
-        // The cubic term is already gone. c == 0 would leave
-        // x^4 + b x^2 + d = (x^2 + sqrt(b) x + sqrt(d))^2 — a perfect
-        // square, at most two distinct roots, never four.
-        if (c == 0)
-            return false;
-        if (affineQuarticSolutions(gf, b, c, d, sols) != 4)
-            return false;
-        for (uint32_t x : sols) {
-            if (!push_root(x))
-                return false;
-        }
-        return true;
-    }
-
-    // Kill the linear term: the derivative is a x^2 + c (char 2), so
-    // shifting by rr = sqrt(c/a), x = y + rr, gives
-    // y^4 + a y^3 + b' y^2 + d' with b' = a*rr + b and d' = f(rr).
-    const uint32_t rr = gf.sqrt(gf.div(c, a));
-    const uint32_t rr2 = gf.sqr(rr);
-    const uint32_t bp = gf.mul(a, rr) ^ b;
-    const uint32_t fr = gf.sqr(rr2) ^ gf.mul(a, gf.mul(rr2, rr)) ^
-                        gf.mul(b, rr2) ^ gf.mul(c, rr) ^ d;
-    if (fr == 0) {
-        // x = rr itself is a root: deflate by (x + rr) with synthetic
-        // division and finish with the cubic closed form. A repeated
-        // root reappearing among the cubic's is caught by the
-        // caller's duplicate check.
-        uint32_t q[4];
-        q[3] = 1;
-        q[2] = a ^ rr;
-        q[1] = b ^ gf.mul(rr, q[2]);
-        q[0] = c ^ gf.mul(rr, q[1]);
-        return push_root(rr) && locateClosed(q, 3, positions);
-    }
-    // No root at y = 0, so substitute y = 1/z and multiply by z^4/d':
-    // the affine z^4 + (b'/d') z^2 + (a/d') z = 1/d'. Solutions are
-    // nonzero automatically (L(0) = 0 != 1/d'), and distinct z give
-    // distinct x = 1/z + rr.
-    const uint32_t dInv = gf.inv(fr);
-    if (affineQuarticSolutions(gf, gf.mul(bp, dInv), gf.mul(a, dInv),
-                               dInv, sols) != 4)
-        return false;
-    for (uint32_t z : sols) {
-        if (!push_root(gf.inv(z) ^ rr))
-            return false;
-    }
-    return true;
-}
-
 bool
 BchCode::locateErrors(const uint32_t *loc, size_t deg_l,
                       std::vector<size_t> &positions) const
 {
     positions.clear();
-    if (deg_l == 0)
-        return true; // no errors located
     if (deg_l > tCap)
         return false;
 
@@ -522,76 +309,64 @@ BchCode::locateErrors(const uint32_t *loc, size_t deg_l,
         work[i] = loc[i];
     size_t deg = deg_l;
 
-    // Incremental (log-domain) Chien sweep for degrees the closed
-    // forms do not reach: term i of L(alpha^-p) is
+    // Incremental (log-domain) Chien sweep: term i of L(alpha^-p) is
     // alpha^(log loc_i - i*p), so stepping p -> p+1 adds the constant
     // (order - i) to each term's exponent — no Horner pass, no
     // modular arithmetic beyond a wrap subtraction. Every root found
     // is deflated out of the locator (synthetic division), shrinking
-    // the term count, until the quartic closed form takes over.
-    size_t p = 0;
-    while (deg > 4) {
-        uint32_t exps[kBmLen];
-        uint32_t steps[kBmLen];
-        size_t terms = 0;
+    // the term count, and the sweep resumes at the next position
+    // until the locator is a constant. Positions therefore come out
+    // ascending and distinct; a repeated root is never found twice,
+    // so the roots fall short of the degree and the word is refused.
+    uint32_t exps[kBmLen];
+    uint32_t steps[kBmLen];
+    size_t terms = 0;
+    // The nonzero terms of the working locator, positioned at p.
+    const auto loadTerms = [&](size_t p) {
+        terms = 0;
         for (size_t i = 0; i <= deg; ++i) {
             if (work[i] == 0)
                 continue;
-            exps[terms] = uint32_t(
-                (gf.log(work[i]) +
-                 uint64_t(order - uint32_t(i % order)) * p) %
-                order);
             steps[terms] = order - uint32_t(i % order);
+            exps[terms] = uint32_t(
+                (gf.log(work[i]) + uint64_t(steps[terms]) * p) % order);
             ++terms;
         }
-
-        bool found = false;
-        for (; p < n; ++p) {
-            uint32_t v = 0;
-            for (size_t j = 0; j < terms; ++j)
-                v ^= gf.expDirect(exps[j]);
-            if (v == 0) {
-                positions.push_back(p);
-                // Deflate by the root x0 = alpha^-p and restart the
-                // sweep state from the next position.
-                const uint32_t x0 =
-                    gf.expDirect(p == 0 ? 0 : order - uint32_t(p));
-                uint32_t carry = work[deg]; // quotient coeff q[deg-1]
-                for (size_t i = deg - 1;; --i) {
-                    const uint32_t tmp = work[i];
-                    work[i] = carry;
-                    if (i == 0)
-                        break;
-                    carry = tmp ^ gf.mul(x0, carry);
-                }
-                --deg;
-                ++p;
-                found = true;
-                break;
-            }
-            for (size_t j = 0; j < terms; ++j) {
-                exps[j] += steps[j];
-                if (exps[j] >= order)
-                    exps[j] -= order;
-            }
-        }
-        if (!found) {
+    };
+    loadTerms(0);
+    for (size_t p = 0; deg > 0; ++p) {
+        if (p == n) {
             // Fewer roots in [0, n) than the degree demands: the
-            // locator does not split over the field (> t errors) or a
-            // root sits in the shortened region. Both uncorrectable.
+            // locator does not split over the field (> t errors), has
+            // a repeated root, or a root sits in the shortened region.
+            // All uncorrectable.
             return false;
         }
-    }
+        // Evaluate at p and step every term on to p + 1 in one pass.
+        uint32_t v = 0;
+        for (size_t j = 0; j < terms; ++j) {
+            v ^= gf.expDirect(exps[j]);
+            exps[j] += steps[j];
+            if (exps[j] >= order)
+                exps[j] -= order;
+        }
+        if (v != 0)
+            continue;
 
-    if (!locateClosed(work, deg, positions))
-        return false;
-
-    std::sort(positions.begin(), positions.end());
-    // Coincident positions mean a repeated root: the locator cannot
-    // describe deg_l distinct error locations.
-    for (size_t i = 1; i < positions.size(); ++i) {
-        if (positions[i] == positions[i - 1])
-            return false;
+        positions.push_back(p);
+        // Deflate by the root x0 = alpha^-p and reload the shorter
+        // locator's terms at the next position.
+        const uint32_t x0 = gf.expDirect(p == 0 ? 0 : order - uint32_t(p));
+        uint32_t carry = work[deg]; // quotient coeff q[deg-1]
+        for (size_t i = deg - 1;; --i) {
+            const uint32_t tmp = work[i];
+            work[i] = carry;
+            if (i == 0)
+                break;
+            carry = tmp ^ gf.mul(x0, carry);
+        }
+        --deg;
+        loadTerms(p + 1);
     }
     return true;
 }

@@ -58,10 +58,10 @@ class BchCode : public Code
      * Table-driven decode engine: odd syndromes from per-byte
      * contribution tables (even ones by Frobenius squaring),
      * inversion-free Berlekamp-Massey on fixed stack buffers, and
-     * error location by closed-form solvers for locator degrees 1-4
-     * (see locateErrors) with a log-domain incremental Chien sweep
-     * (bounded to the shortened length n, early exit at deg(locator)
-     * roots) above that. Bit-exact against the element-at-a-time
+     * error location by one log-domain incremental Chien sweep that
+     * deflates the locator at every root (see locateErrors), bounded
+     * to the shortened length n and done once the locator is a
+     * constant. Bit-exact against the element-at-a-time
      * decoder in tests/oracles/ (per-bit Horner syndromes, polynomial
      * Berlekamp-Massey, a Chien scan of every codeword position),
      * which the differential test suite holds it to.
@@ -128,25 +128,15 @@ class BchCode : public Code
 
     /**
      * Error positions (polynomial coefficient indices, ascending) of
-     * the locator's roots. Degrees 1-4 go straight to closed-form
-     * solvers; higher degrees run the log-domain incremental Chien
-     * sweep over p in [0, n), deflating the locator at every root
-     * until the closed forms take over. False on degree/root-count
-     * mismatch or any root outside the shortened length.
+     * the locator's roots, for every degree up to t: a log-domain
+     * incremental Chien sweep over p in [0, n) that deflates the
+     * locator at every root and resumes at the next position, so it
+     * runs until the degree reaches 0 and never visits a position
+     * twice. False on degree > t or when fewer distinct roots than
+     * the degree lie in the shortened length (a root outside it, a
+     * repeated root, or a locator that does not split).
      */
     bool locateErrors(const uint32_t *loc, size_t deg_l,
-                      std::vector<size_t> &positions) const;
-
-    /**
-     * Closed-form root solver for locator degree 1 (direct log), 2
-     * (quadratic y^2+y=c table), 3 (kernel of the linearized
-     * y^4+Py^2+Qy) and 4 (shift by sqrt(c/a) to kill the linear
-     * term, then the reciprocal substitution reduces to the same
-     * affine quartic with a nonzero right-hand side). Appends
-     * coefficient positions unsorted; false if the locator cannot
-     * have deg distinct in-range roots.
-     */
-    bool locateClosed(const uint32_t *loc, size_t deg,
                       std::vector<size_t> &positions) const;
 
     size_t k;

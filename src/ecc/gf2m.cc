@@ -53,16 +53,6 @@ GF2m::GF2m(unsigned m_)
     // Duplicate the table so mul can skip one modular reduction.
     for (uint32_t i = order(); i < 2 * order(); ++i)
         expTable[i] = expTable[i - order()];
-
-    // Quadratic-solution table: y^2 + y covers exactly the trace-zero
-    // half of the field; iterating y ascending records the smaller
-    // root of each reachable c.
-    qrtTable.assign(fieldSize, kNoRoot);
-    for (uint32_t y = 0; y < fieldSize; ++y) {
-        const uint32_t c = sqr(y) ^ y;
-        if (qrtTable[c] == kNoRoot)
-            qrtTable[c] = y;
-    }
 }
 
 uint32_t
@@ -71,13 +61,6 @@ GF2m::mul(uint32_t a, uint32_t b) const
     if (a == 0 || b == 0)
         return 0;
     return expTable[logTable[a] + logTable[b]];
-}
-
-uint32_t
-GF2m::inv(uint32_t a) const
-{
-    assert(a != 0);
-    return expTable[order() - logTable[a]];
 }
 
 uint32_t

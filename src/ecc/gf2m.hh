@@ -36,7 +36,6 @@ class GF2m
     uint32_t add(uint32_t a, uint32_t b) const { return a ^ b; }
 
     uint32_t mul(uint32_t a, uint32_t b) const;
-    uint32_t inv(uint32_t a) const;
     uint32_t div(uint32_t a, uint32_t b) const;
 
     /** alpha^e for any integer exponent (reduced mod order). */
@@ -63,20 +62,6 @@ class GF2m
     }
 
     /**
-     * Unique square root (the Frobenius map is a bijection in
-     * characteristic 2): sqrt(a) = a^((2^m - 1 + 1) / 2) via
-     * log/antilog — the group order is odd, so (order + 1) / 2
-     * inverts doubling mod order.
-     */
-    uint32_t sqrt(uint32_t a) const
-    {
-        if (a == 0)
-            return 0;
-        return expTable[uint32_t(uint64_t(logTable[a]) *
-                                 ((order() + 1) / 2) % order())];
-    }
-
-    /**
      * Batch scale: out[i] = a * in[i] for i in [0, n). The log of
      * @p a is hoisted out of the loop, so each element costs one log
      * and one exp table read. Aliasing out == in is allowed.
@@ -84,23 +69,11 @@ class GF2m
     void mulColumn(uint32_t a, const uint32_t *in, uint32_t *out,
                    size_t n) const;
 
-    /** Sentinel returned by solveQuadratic when no root exists. */
-    static constexpr uint32_t kNoRoot = 0xFFFFFFFFu;
-
-    /**
-     * The smaller root y of y^2 + y = c (the other is y ^ 1), or
-     * kNoRoot when c has no such decomposition (odd trace). One table
-     * read; the backbone of the closed-form quadratic/cubic error
-     * locators.
-     */
-    uint32_t solveQuadratic(uint32_t c) const { return qrtTable[c]; }
-
   private:
     unsigned m;
     uint32_t fieldSize;
     std::vector<uint32_t> expTable; // expTable[i] = alpha^i, 0..2*order
     std::vector<uint32_t> logTable; // logTable[a] = log_alpha(a)
-    std::vector<uint32_t> qrtTable; // qrtTable[c] = min y: y^2+y=c
 };
 
 /**

@@ -8,13 +8,7 @@
 #include <fstream>
 #include <iterator>
 
-#ifdef _WIN32
-#include <process.h>
-#define TDC_GETPID _getpid
-#else
 #include <unistd.h>
-#define TDC_GETPID getpid
-#endif
 
 #include "common/stable_hash.hh"
 
@@ -212,7 +206,7 @@ ResultCache::storeToDisk(const std::string &key, const Record &record)
     static std::atomic<uint64_t> counter{0};
     const std::filesystem::path tmp_path =
         final_path.string() + ".tmp." +
-        std::to_string(uint64_t(TDC_GETPID())) + "." +
+        std::to_string(uint64_t(getpid())) + "." +
         std::to_string(counter.fetch_add(1));
     {
         std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);

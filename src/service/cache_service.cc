@@ -92,7 +92,8 @@ class ShardWorker
     }
 
     void
-    serveOne(const ServiceRequest &req, RequestOutcome *outcome)
+    serveOne(const ServiceRequest &req, uint64_t index,
+             const RequestObserver &observe)
     {
         // Ticks clamp forward: the port model is monotonic.
         const uint64_t t = std::max(req.tick, clock);
@@ -149,10 +150,10 @@ class ShardWorker
             written[local] = 1;
         }
         rep.latency.add(latency);
-        if (outcome) {
+        if (observe) {
             out.latency = uint32_t(std::min<uint64_t>(latency,
                                                       0xffffffffULL));
-            *outcome = out;
+            observe(index, out);
         }
     }
 
@@ -281,19 +282,19 @@ class ShardWorker
 } // namespace
 
 ServiceReport
-CacheService::serve(const std::vector<ServiceRequest> &requests) const
+CacheService::serve(const std::vector<ServiceRequest> &requests,
+                    const RequestObserver &observe) const
 {
     VectorRequestSource source(requests);
-    return serve(source);
+    return serve(source, observe);
 }
 
 ServiceReport
-CacheService::serve(RequestSource &source) const
+CacheService::serve(RequestSource &source,
+                    const RequestObserver &observe) const
 {
     ServiceReport report;
     report.shards.resize(cfg.shards);
-    if (cfg.recordOutcomes)
-        report.outcomes.resize(source.size());
 
     std::vector<std::unique_ptr<ShardWorker>> workers(cfg.shards);
     parallelFor(cfg.shards, [&](size_t s) {
@@ -303,8 +304,8 @@ CacheService::serve(RequestSource &source) const
     // One pass: each block is checked and partitioned by address into
     // reused buffers, keeping arrival order per shard, and the tick
     // span is tracked on the way. A shard's worker lives across blocks
-    // and writes only its own outcome slots, so it serves the same
-    // subsequence in the same order at any pool size.
+    // and reports only its own requests to the observer, so it serves
+    // the same subsequence in the same order at any pool size.
     const uint64_t words = cfg.totalWords();
     std::vector<std::vector<uint32_t>> byShard(cfg.shards);
     uint64_t first = 0;
@@ -328,10 +329,7 @@ CacheService::serve(RequestSource &source) const
         if (bad == UINT64_MAX)
             parallelFor(cfg.shards, [&](size_t s) {
                 for (uint32_t i : byShard[s])
-                    workers[s]->serveOne(block[i],
-                                         cfg.recordOutcomes
-                                             ? &report.outcomes[first + i]
-                                             : nullptr);
+                    workers[s]->serveOne(block[i], first + i, observe);
             });
         first += block.size();
     }

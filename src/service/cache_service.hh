@@ -21,13 +21,15 @@
  * one block of kRequestBlock requests at a time, checking each address
  * and tracking the tick span as it partitions the block. What a run
  * holds is its banks plus one block and its shard partition, whatever
- * the stream's length (/n), unless per-request outcomes are recorded.
+ * the stream's length (/n). Per-request outcomes go to an optional
+ * observer as they are served; the service keeps none of them.
  */
 
 #ifndef TDC_SERVICE_CACHE_SERVICE_HH
 #define TDC_SERVICE_CACHE_SERVICE_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "array/fault.hh"
@@ -70,9 +72,6 @@ struct ServiceConfig
     /** Base seed; every stream derives via domain-separated shards. */
     uint64_t seed = 12345;
 
-    /** Record a per-request outcome vector (latency + verdict). */
-    bool recordOutcomes = false;
-
     /** Largest totalWords() a service may hold (1024x the default). */
     static constexpr size_t kMaxTotalWords = size_t(1) << 24;
 
@@ -84,7 +83,7 @@ struct ServiceConfig
     }
 };
 
-/** Per-request result (recorded when ServiceConfig::recordOutcomes). */
+/** Per-request result, passed to a RequestObserver. */
 struct RequestOutcome
 {
     uint32_t latency = 0;             ///< cycles, queueing included
@@ -93,6 +92,15 @@ struct RequestOutcome
 
     bool operator==(const RequestOutcome &) const = default;
 };
+
+/**
+ * Called once per served request with its index in the stream and its
+ * outcome. Shard workers call it concurrently, each index exactly once
+ * and each shard's indices in arrival order, so an observer that
+ * writes only to slot @p index needs no lock.
+ */
+using RequestObserver =
+    std::function<void(uint64_t index, const RequestOutcome &outcome)>;
 
 /** Scalar service counters (merged field-wise, shard order). */
 struct ServiceCounters
@@ -133,7 +141,6 @@ struct ServiceReport
     std::vector<ShardServiceReport> shards; ///< ascending shard order
     ShardServiceReport total;               ///< merged in shard order
     uint64_t ticks = 0; ///< simulated duration: largest tick + 1
-    std::vector<RequestOutcome> outcomes;   ///< per input request, opt.
 
     /** Served requests per 1000 simulated cycles. */
     double throughputPerKTick() const;
@@ -169,13 +176,15 @@ class CacheService
      * partitioned by shard and the shards run over the pool;
      * every shard's worker (banks, port scheduler, clock) lives across
      * blocks, so the report does not depend on the block size or the
-     * pool size, and memory is bounded by one block, not the stream
-     * (apart from the outcomes, when recorded).
+     * pool size, and memory is bounded by one block, not the stream.
+     * @p observe, when set, sees every request's outcome.
      */
-    ServiceReport serve(RequestSource &source) const;
+    ServiceReport serve(RequestSource &source,
+                        const RequestObserver &observe = {}) const;
 
     /** Serve @p requests (arrival order) through a VectorRequestSource. */
-    ServiceReport serve(const std::vector<ServiceRequest> &requests) const;
+    ServiceReport serve(const std::vector<ServiceRequest> &requests,
+                        const RequestObserver &observe = {}) const;
 
   private:
     ServiceConfig cfg;

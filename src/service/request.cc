@@ -7,13 +7,7 @@
 #include <ostream>
 #include <stdexcept>
 
-#ifdef _WIN32
-#include <process.h>
-#define TDC_GETPID _getpid
-#else
 #include <unistd.h>
-#define TDC_GETPID getpid
-#endif
 
 #include "common/parallel.hh"
 #include "common/stable_hash.hh"
@@ -147,7 +141,7 @@ TraceReader::next()
 
 TraceWriter::TraceWriter(const std::string &path, uint64_t count)
     : path(path),
-      tmpPath(path + ".tmp." + std::to_string(uint64_t(TDC_GETPID()))),
+      tmpPath(path + ".tmp." + std::to_string(uint64_t(getpid()))),
       file(tmpPath, std::ios::binary | std::ios::trunc), out(file),
       count(count)
 {

@@ -70,7 +70,7 @@ TEST(TwoDimArray, GeometryAndOverheadMatchFigure3c)
     EXPECT_EQ(arr.config().interleaveDegree *
                   arr.code().burstDetectCapability(),
               32u);
-    EXPECT_EQ(arr.config().clusterHeightCoverage(), 32u);
+    EXPECT_EQ(arr.config().verticalParityRows, 32u);
 }
 
 TEST(TwoDimArray, CleanRoundTripAndParityInvariant)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Differential tests pinning the table-driven BCH decode engine
- * (byte-table syndromes, inversion-free Berlekamp-Massey, closed-form
- * + deflating-Chien error location) bit-exact against the
+ * (byte-table syndromes, inversion-free Berlekamp-Massey, deflating
+ * Chien error location) bit-exact against the
  * element-at-a-time oracle in tests/oracles/bch_naive.hh, in the same
  * spirit as the word-parallel access-path differentials of the
  * interleave layer.
@@ -124,9 +124,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BchDecodeDiff, ExhaustiveTriplesSmallCode)
 {
-    // Every 3-bit pattern on a small t=3 code: the closed-form cubic
-    // solver (linearized-kernel path) sees every split/non-split case
-    // the geometry can produce, compared against the oracle.
+    // Every 3-bit pattern on a small t=3 code: the deflating Chien
+    // sweep sees every split/non-split degree-3 locator the geometry
+    // can produce, compared against the oracle.
     BchCode code(16, 3);
     Rng rng(62);
     BitVector data(16);

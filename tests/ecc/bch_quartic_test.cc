@@ -1,11 +1,10 @@
 /**
  * @file
- * Exhaustive verification of the degree-4 closed-form BCH locator
- * (which replaces the Chien sweep at four errors), mirroring the
- * deg-3 exhaustive suite of the closed-form family: on a small-field
- * t=4 code, every 4-subset of codeword positions must decode back to
- * exactly those positions, with the naive oracle agreeing on
- * subsampled patterns.
+ * Exhaustive verification of the BCH locator at degree 4, mirroring
+ * the exhaustive degree-3 suite in bch_decode_diff_test.cc: on a
+ * small-field t=4 code, every 4-subset of codeword positions must
+ * decode back to exactly those positions, with the naive oracle
+ * agreeing on subsampled patterns.
  */
 
 #include <gtest/gtest.h>
@@ -50,7 +49,7 @@ TEST(BchQuartic, EveryFourErrorPatternLocatesExhaustively)
         data.set(i, rng.nextBool());
     const BitVector clean = code.encode(data);
 
-    // The quartic closed form on every quadruple; the naive oracle
+    // The deflating Chien sweep on every quadruple; the naive oracle
     // (full-scan Chien search) on a subsample, required to agree.
     size_t combo = 0;
     for (size_t a = 0; a < n; ++a) {
@@ -108,8 +107,9 @@ TEST(BchQuartic, BeyondCapacityQuadrupleNeighborhoodsAgreeWithOracle)
 TEST(BchQuartic, DegreeFourPathsCoverShiftAndDeflation)
 {
     // Wider field sanity: random quadruples on the paper's QECPED
-    // inner code hit all three quartic sub-cases (a == 0 affine,
-    // shifted reciprocal, f(rr) == 0 deflation) over many trials.
+    // inner code, roots anywhere in the shortened length, so the
+    // sweep deflates four times from every kind of starting point
+    // over many trials.
     const BchCode code(64, 4);
     const size_t n = code.codewordBits();
     Rng rng(43);

@@ -61,7 +61,7 @@ TEST_P(GF2mFieldTest, DistributesOverAddition)
 TEST_P(GF2mFieldTest, InverseIsInverse)
 {
     for (uint32_t a = 1; a < field.size(); ++a)
-        EXPECT_EQ(field.mul(a, field.inv(a)), 1u);
+        EXPECT_EQ(field.mul(a, field.div(1, a)), 1u);
 }
 
 TEST_P(GF2mFieldTest, DivisionMatchesInverseMultiply)
@@ -70,13 +70,13 @@ TEST_P(GF2mFieldTest, DivisionMatchesInverseMultiply)
     for (int trial = 0; trial < 100; ++trial) {
         const uint32_t a = uint32_t(rng.nextBelow(field.size()));
         const uint32_t b = 1 + uint32_t(rng.nextBelow(field.order()));
-        EXPECT_EQ(field.div(a, b), field.mul(a, field.inv(b)));
+        EXPECT_EQ(field.mul(field.div(a, b), b), a);
     }
 }
 
 TEST_P(GF2mFieldTest, NegativeExponents)
 {
-    EXPECT_EQ(field.alphaPow(-1), field.inv(2)); // alpha = 2
+    EXPECT_EQ(field.alphaPow(-1), field.div(1, 2)); // alpha = 2
     EXPECT_EQ(field.alphaPow(-int64_t(field.order())), 1u);
     EXPECT_EQ(field.alphaPow(0), 1u);
 }
@@ -105,23 +105,6 @@ TEST_P(GF2mFieldTest, SqrMatchesMul)
         ASSERT_FALSE(seen[s]) << a;
         seen[s] = true;
     }
-}
-
-TEST_P(GF2mFieldTest, SolveQuadraticExhaustive)
-{
-    // Every c: either no y with y^2 + y = c (odd trace, exactly half
-    // the field) or the reported y and y^1 both solve it.
-    uint32_t solvable = 0;
-    for (uint32_t c = 0; c < field.size(); ++c) {
-        const uint32_t y = field.solveQuadratic(c);
-        if (y == GF2m::kNoRoot)
-            continue;
-        ++solvable;
-        ASSERT_EQ(uint32_t(field.sqr(y) ^ y), c);
-        const uint32_t y2 = y ^ 1;
-        ASSERT_EQ(uint32_t(field.sqr(y2) ^ y2), c);
-    }
-    EXPECT_EQ(solvable, field.size() / 2);
 }
 
 TEST_P(GF2mFieldTest, MulColumnMatchesScalarMul)

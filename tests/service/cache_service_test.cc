@@ -12,6 +12,8 @@
 #include "service/cache_service.hh"
 #include "service/request_gen.hh"
 
+#include "recorded_serve.hh"
+
 namespace tdc
 {
 namespace
@@ -60,8 +62,7 @@ TEST(CacheService, RejectsOutOfRangeAddressesUpFront)
 
 TEST(CacheService, ReadsReturnTheLastWrittenValue)
 {
-    ServiceConfig cfg = smallConfig();
-    cfg.recordOutcomes = true;
+    const ServiceConfig cfg = smallConfig();
     const CacheService service(cfg);
 
     // Write every word twice (two different values), then read all.
@@ -76,7 +77,8 @@ TEST(CacheService, ReadsReturnTheLastWrittenValue)
     for (size_t a = 0; a < cfg.totalWords(); ++a)
         reqs.push_back({tick++, RequestOp::kRead, a, 0});
 
-    const ServiceReport report = service.serve(reqs);
+    const RecordedServe served = serveRecorded(service, reqs);
+    const ServiceReport &report = served.report;
     EXPECT_EQ(report.total.counters.requests, reqs.size());
     EXPECT_EQ(report.total.counters.writes, 2 * cfg.totalWords());
     EXPECT_EQ(report.total.counters.reads, cfg.totalWords());
@@ -85,17 +87,16 @@ TEST(CacheService, ReadsReturnTheLastWrittenValue)
     EXPECT_EQ(report.total.counters.sdc, 0u);
     EXPECT_EQ(report.total.counters.due, 0u);
     EXPECT_EQ(report.total.counters.corrected, 0u);
-    ASSERT_EQ(report.outcomes.size(), reqs.size());
+    ASSERT_EQ(served.outcomes.size(), reqs.size());
     for (size_t i = first_read; i < reqs.size(); ++i) {
-        EXPECT_EQ(report.outcomes[i].status, DecodeStatus::kClean);
-        EXPECT_FALSE(report.outcomes[i].silent);
+        EXPECT_EQ(served.outcomes[i].status, DecodeStatus::kClean);
+        EXPECT_FALSE(served.outcomes[i].silent);
     }
 }
 
 TEST(CacheService, UnwrittenWordsReadAsZeroClean)
 {
-    ServiceConfig cfg = smallConfig();
-    cfg.recordOutcomes = true;
+    const ServiceConfig cfg = smallConfig();
     const CacheService service(cfg);
     std::vector<ServiceRequest> reqs;
     for (size_t a = 0; a < cfg.totalWords(); ++a)
@@ -140,7 +141,6 @@ TEST(CacheService, ScrubbedFaultsAreNeverVisibleToLaterReads)
     // is ever outstanding per bank — and one is always recoverable.
     // No read in the entire run may be DUE or silent.
     ServiceConfig cfg = smallConfig();
-    cfg.recordOutcomes = true;
     cfg.scrubInterval = 5;
     cfg.faultInterval = 1000;
     cfg.fault = FaultModel::singleBit();
@@ -156,12 +156,13 @@ TEST(CacheService, ScrubbedFaultsAreNeverVisibleToLaterReads)
         tick += 500; // long idle stretch: faults land, scrub cleans
     }
 
-    const ServiceReport report = service.serve(reqs);
+    const RecordedServe served = serveRecorded(service, reqs);
+    const ServiceReport &report = served.report;
     EXPECT_GT(report.total.counters.faultEvents, 30u);
     EXPECT_GT(report.total.counters.scrubSteps, 1000u);
     EXPECT_EQ(report.total.counters.due, 0u);
     EXPECT_EQ(report.total.counters.sdc, 0u);
-    for (const RequestOutcome &out : report.outcomes)
+    for (const RequestOutcome &out : served.outcomes)
         EXPECT_FALSE(out.silent);
     // Something was actually repaired along the way (scrub or demand).
     EXPECT_GT(report.total.counters.scrubRepairs +

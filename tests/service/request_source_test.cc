@@ -25,6 +25,8 @@
 #include "service/cache_service.hh"
 #include "service/request_gen.hh"
 
+#include "recorded_serve.hh"
+
 namespace tdc
 {
 namespace
@@ -47,7 +49,6 @@ blockConfig()
     cfg.shards = 3; // not a power of two
     cfg.scrubInterval = 29;
     cfg.faultInterval = 4099;
-    cfg.recordOutcomes = true;
     cfg.seed = 0xB10C;
     return cfg;
 }
@@ -90,14 +91,14 @@ expectSourceMatchesVector(const ServiceConfig &cfg, const SourceOpener &open,
     const std::vector<ServiceRequest> requests = drainRequests(*open());
     const CacheService service(cfg);
     setParallelThreads(1);
-    const ServiceReport reference = service.serve(requests);
-    EXPECT_EQ(reference.ticks, maxTickPlusOne(requests)) << what;
+    const RecordedServe reference = serveRecorded(service, requests);
+    EXPECT_EQ(reference.report.ticks, maxTickPlusOne(requests)) << what;
     EXPECT_EQ(reference.outcomes.size(), requests.size()) << what;
     for (unsigned threads : {1u, 4u}) {
         setParallelThreads(threads);
         const std::unique_ptr<RequestSource> source = open();
         ASSERT_EQ(source->size(), requests.size()) << what;
-        EXPECT_EQ(service.serve(*source), reference)
+        EXPECT_EQ(serveRecorded(service, *source), reference)
             << what << " TDC_THREADS=" << threads;
     }
 }
@@ -153,8 +154,7 @@ TEST(RequestSource, ServedTicksAreTheLargestTickPlusOne)
     // serve() tracks the tick span in the pass that serves the stream;
     // bursts whose gap is shorter than the burst (ticks not monotone)
     // included.
-    ServiceConfig cfg = blockConfig();
-    cfg.recordOutcomes = false;
+    const ServiceConfig cfg = blockConfig();
     const CacheService service(cfg);
     for (const char *shape :
          {"uniform/n1", "uniform/n1000", "zipf90/n777", "burst16/n1/g8",

@@ -17,6 +17,8 @@
 #include "service/cache_service.hh"
 #include "service/request_gen.hh"
 
+#include "recorded_serve.hh"
+
 namespace tdc
 {
 namespace
@@ -38,7 +40,6 @@ pinnedConfig()
     cfg.stealWindow = 8;
     cfg.scrubInterval = 11;
     cfg.faultInterval = 401;
-    cfg.recordOutcomes = true;
     cfg.seed = 2026;
     return cfg;
 }
@@ -49,10 +50,10 @@ expectIdenticalAcrossThreadCounts(const ServiceConfig &cfg,
 {
     ThreadGuard guard;
     setParallelThreads(1);
-    const ServiceReport reference = CacheService(cfg).serve(reqs);
+    const RecordedServe reference = serveRecorded(CacheService(cfg), reqs);
     for (unsigned threads : {2u, 4u, 8u}) {
         setParallelThreads(threads);
-        EXPECT_EQ(CacheService(cfg).serve(reqs), reference)
+        EXPECT_EQ(serveRecorded(CacheService(cfg), reqs), reference)
             << "TDC_THREADS=" << threads;
     }
 }
@@ -103,10 +104,11 @@ TEST(ServiceDeterminism, RecordedTraceReplaysBitIdentically)
     ASSERT_EQ(loaded, generated);
 
     setParallelThreads(1);
-    const ServiceReport reference = CacheService(cfg).serve(generated);
+    const RecordedServe reference =
+        serveRecorded(CacheService(cfg), generated);
     for (unsigned threads : {1u, 8u}) {
         setParallelThreads(threads);
-        EXPECT_EQ(CacheService(cfg).serve(loaded), reference)
+        EXPECT_EQ(serveRecorded(CacheService(cfg), loaded), reference)
             << "TDC_THREADS=" << threads;
     }
     std::remove(path.c_str());
@@ -122,8 +124,8 @@ TEST(ServiceDeterminism, SeedActuallyMatters)
     other.seed = cfg.seed + 1;
     // Same request stream, different service seed: the background
     // fault events differ, so the reports must differ.
-    EXPECT_NE(CacheService(cfg).serve(reqs),
-              CacheService(other).serve(reqs));
+    EXPECT_NE(serveRecorded(CacheService(cfg), reqs),
+              serveRecorded(CacheService(other), reqs));
 }
 
 TEST(ServiceDeterminism, RepeatedRunsAreIdentical)
@@ -133,7 +135,7 @@ TEST(ServiceDeterminism, RepeatedRunsAreIdentical)
         buildRequests(parseRequestSpec("burst32/n8000/w50/g256"),
                       cfg.totalWords(), 7);
     const CacheService service(cfg);
-    EXPECT_EQ(service.serve(reqs), service.serve(reqs));
+    EXPECT_EQ(serveRecorded(service, reqs), serveRecorded(service, reqs));
 }
 
 } // namespace

@@ -29,6 +29,8 @@
 #include "service/cache_service.hh"
 #include "service/request_gen.hh"
 
+#include "recorded_serve.hh"
+
 namespace tdc
 {
 namespace
@@ -218,7 +220,7 @@ class ShardOracle
 };
 
 /** Serve @p requests through per-shard serial oracles. */
-ServiceReport
+RecordedServe
 oracleServe(const ServiceConfig &cfg,
             const std::vector<ServiceRequest> &requests)
 {
@@ -227,10 +229,11 @@ oracleServe(const ServiceConfig &cfg,
     for (size_t s = 0; s < cfg.shards; ++s)
         oracles.push_back(std::make_unique<ShardOracle>(cfg, s));
 
-    ServiceReport report;
-    report.outcomes.resize(requests.size());
+    RecordedServe recorded;
+    ServiceReport &report = recorded.report;
+    recorded.outcomes.resize(requests.size());
     for (size_t i = 0; i < requests.size(); ++i)
-        report.outcomes[i] =
+        recorded.outcomes[i] =
             oracles[requests[i].address % cfg.shards]->serve(requests[i]);
 
     for (size_t s = 0; s < cfg.shards; ++s) {
@@ -241,7 +244,7 @@ oracleServe(const ServiceConfig &cfg,
     }
     for (const ServiceRequest &r : requests)
         report.ticks = std::max(report.ticks, r.tick + 1);
-    return report;
+    return recorded;
 }
 
 ServiceConfig
@@ -260,11 +263,11 @@ void
 expectMatchesOracle(const ServiceConfig &cfg,
                     const std::vector<ServiceRequest> &requests)
 {
-    ServiceConfig parallel_cfg = cfg;
-    parallel_cfg.recordOutcomes = true;
-    const ServiceReport got =
-        CacheService(parallel_cfg).serve(requests);
-    const ServiceReport want = oracleServe(cfg, requests);
+    const RecordedServe served =
+        serveRecorded(CacheService(cfg), requests);
+    const RecordedServe oracle = oracleServe(cfg, requests);
+    const ServiceReport &got = served.report;
+    const ServiceReport &want = oracle.report;
 
     ASSERT_EQ(got.shards.size(), want.shards.size());
     for (size_t s = 0; s < got.shards.size(); ++s) {
@@ -277,7 +280,7 @@ expectMatchesOracle(const ServiceConfig &cfg,
     }
     EXPECT_EQ(got.total, want.total);
     EXPECT_EQ(got.ticks, want.ticks);
-    EXPECT_EQ(got.outcomes, want.outcomes);
+    EXPECT_EQ(served.outcomes, oracle.outcomes);
 }
 
 TEST(ServiceProperty, UniformStreamMatchesTheSerialOracle)
@@ -355,9 +358,7 @@ TEST(ServiceProperty, ScrubRepairedFaultsStayInvisible)
     }
     expectMatchesOracle(cfg, reqs);
 
-    ServiceConfig rec = cfg;
-    rec.recordOutcomes = true;
-    const ServiceReport report = CacheService(rec).serve(reqs);
+    const ServiceReport report = CacheService(cfg).serve(reqs);
     EXPECT_GT(report.total.counters.faultEvents, 10u);
     EXPECT_EQ(report.total.counters.due, 0u);
     EXPECT_EQ(report.total.counters.sdc, 0u);
